@@ -53,14 +53,21 @@ def excluded_u_set(field: Field):
     return bad
 
 
+def _check_u(field: Field, params: NHParams):
+    if params.u >= field.q:
+        raise ValueError(f"u = {params.u} is not an element code of F_{field.q}")
+
+
 def eval_F(field: Field, params: NHParams, x):
     """F_{r,u}(x) = x^r (1 + u*eta(x)), with eta(0) = 0 so F(0) = 0."""
+    _check_u(field, params)
     factor = field.add(1, field.mul(params.u, field.embed(field.eta(x))))
     return field.mul(field.pow(x, params.r), factor)
 
 
 def nh_table(field: Field, params: NHParams):
     """Dense value table of F_{r,u} over all of F_q."""
+    _check_u(field, params)
     codes = field.elements()
     xr = field.pow_vec(codes, params.r)
     eta = field.eta_vec(codes)

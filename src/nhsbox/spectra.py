@@ -1,8 +1,11 @@
 """Differential and boomerang analysis of function tables over F_q.
 
-The generic paths work for any table; the reduced paths exploit the
-row-1 reduction available to F_{r,u} (every row a is a b-relabelling of
-row 1, so whole-table spectra are (q-1) copies of the row-1 tally).
+DDT rows, BCT rows and the locally-APN check share one kernel over the
+fibers of D_a F: the fiber sizes are the DDT row, and the BCT row tallies
+F(x) - F(y) over the pairs inside each fiber, in O(q + sum k^2) work.  The
+generic paths work for any table; the reduced paths exploit the row-1
+reduction available to F_{r,u} (every row a is a b-relabelling of row 1,
+so whole-table spectra are (q-1) copies of the row-1 tally).
 """
 
 from __future__ import annotations
@@ -27,8 +30,12 @@ class FunctionTable:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.field.q:
-            raise ValueError("table length must equal q")
+        values = np.asarray(self.values)
+        if values.ndim != 1 or values.dtype.kind not in "iu" or len(values) != self.field.q:
+            raise ValueError("table values must be a 1-D integer array of length q")
+        if values.min() < 0 or values.max() >= self.field.q:
+            raise ValueError("table values must be element codes in [0, q)")
+        object.__setattr__(self, "values", values.astype(np.int64, copy=False))
 
     @classmethod
     def from_callable(cls, field, fn):
@@ -75,16 +82,66 @@ class BoomerangSpectrum:
 
 
 def _tally_to_sparse(tally):
-    out = {0: int(tally[0]) if len(tally) else 0}
-    for i, w in enumerate(tally):
-        if i > 0 and w:
-            out[i] = int(w)
-    return out
+    return {0: int(tally[0]), **{i: int(w) for i, w in enumerate(tally) if i and w}}
+
+
+def _tally_add(tally, counts):
+    """tally + bincount(counts), grown to the longer of the two."""
+    more = np.bincount(np.ravel(counts))
+    if len(more) < len(tally):
+        tally, more = more, tally
+    more[: len(tally)] += tally
+    return more
 
 
 # ---------------------------------------------------------------------------
-# DDT
+# the derivative-fiber kernel and the DDT
 # ---------------------------------------------------------------------------
+
+# a values per batch of the full-DDT loop; pairs per block of a BCT row.
+_A_BATCH = 16
+_PAIR_BLOCK = 1 << 16
+
+
+def _fiber_kernel(table: FunctionTable, a, bct=False):
+    """DDT rows of D_a F for the a values in ``a``; with ``bct`` (one a),
+    also its BCT row.
+
+    beta(a, b) counts the pairs (x, y) inside one fiber of D_a F with
+    F(x) - F(y) = b, as F(x) - F(y) = F(x+a) - F(y+a) exactly when
+    D_a F(x) = D_a F(y).  Pairs go in blocks of about _PAIR_BLOCK, a large
+    fiber split by rows, so the memory stays O(q + _PAIR_BLOCK).
+    """
+    f = table.field
+    q = f.q
+    a = np.atleast_1d(np.asarray(a, dtype=np.int64))
+    if ((a <= 0) | (a >= q)).any():
+        raise ValueError("a must be a nonzero element code")
+    v = table.values
+    d = f.sub_vec(v[f.add_vec(f.elements()[None, :], a[:, None])], v[None, :])
+    d += q * np.arange(len(a))[:, None]
+    ddt = np.bincount(d.ravel(), minlength=len(a) * q).reshape(len(a), q)
+    if not bct:
+        return ddt
+    sizes = ddt[0]
+    by_fiber = v[np.argsort(d[0], kind="stable")]  # F(x), grouped by D_a F(x)
+    starts = np.cumsum(sizes) - sizes
+    row = np.zeros(q, dtype=np.int64)
+    for k in np.unique(sizes[sizes > 0]).tolist():
+        fibers = by_fiber[starts[sizes == k][:, None] + np.arange(k)]  # m fibers of size k
+        fx = fibers.ravel()
+        owner = np.arange(len(fx)) // k  # the fiber of each x
+        step = max(1, _PAIR_BLOCK // k)
+        for lo in range(0, len(fx), step):
+            fy = fibers[owner[lo : lo + step]]
+            row += np.bincount(f.sub_vec(fx[lo : lo + step, None], fy).ravel(), minlength=q)
+    return ddt, row
+
+
+def _ddt_batches(table: FunctionTable):
+    """The DDT rows a = 1..q-1, _A_BATCH rows at a time."""
+    a = np.arange(1, table.field.q)
+    return (_fiber_kernel(table, a[lo : lo + _A_BATCH]) for lo in range(0, len(a), _A_BATCH))
 
 
 def derivative_row(table: FunctionTable, a):
@@ -101,27 +158,19 @@ def ddt_entry(table: FunctionTable, a, b):
     return int(np.count_nonzero(derivative_row(table, a) == b))
 
 
-def _prime_subfield_mask(field: Field):
+def _outside_prime_subfield(field: Field):
     # For extension fields the prime subfield is codes 0..p-1.  For a prime
     # field that set is everything, so the exclusion degenerates to {0}
     # (the value where the large delta of the x^r(1 + u eta) family lives).
-    mask = np.zeros(field.q, dtype=bool)
-    if field.n > 1:
-        mask[: field.p] = True
-    else:
-        mask[0] = True
-    return mask
+    return slice(field.p if field.n > 1 else 1, None)
 
 
 def locally_apn_check(table: FunctionTable):
     """True iff max{delta(a, b): a != 0, b outside the prime subfield} == 2."""
-    f = table.field
-    sub = _prime_subfield_mask(f)
+    outside = _outside_prime_subfield(table.field)
     best = 0
-    for a in range(1, f.q):
-        counts = np.bincount(derivative_row(table, a), minlength=f.q)
-        counts[sub] = 0
-        best = max(best, int(counts.max()))
+    for rows in _ddt_batches(table):
+        best = max(best, int(rows[:, outside].max()))
         if best > 2:
             return False
     return best == 2
@@ -141,26 +190,21 @@ def _locally_apn_from_row(field: Field, row_counts, r):
     mu*F_p through 0 (mu = a^-r; the sign does not change the line).
     """
     if field.n == 1:
-        masked = row_counts.copy()
-        masked[0] = 0
-        return int(masked.max()) == 2
+        return int(row_counts[_outside_prime_subfield(field)].max()) == 2
     subfield = np.arange(field.p, dtype=np.int64)
     seen = set()
     overall = 0
     for a in range(1, field.q):
-        mu = field.inv(field.pow(a, r))
-        line_elems = field.mul_vec(np.int64(mu), subfield)
-        key = int(line_elems[line_elems > 0].min())
+        line = field.mul_vec(np.int64(field.inv(field.pow(a, r))), subfield)
+        key = int(line[line > 0].min())
         if key in seen:
             continue
         seen.add(key)
-        line = np.zeros(field.q, dtype=bool)
-        line[line_elems] = True
-        masked = row_counts.copy()
-        masked[line] = 0
-        if int(masked.max()) > 2:
+        outside = np.ones(field.q, dtype=bool)
+        outside[line] = False
+        overall = max(overall, int(row_counts[outside].max()))
+        if overall > 2:
             return False
-        overall = max(overall, int(masked.max()))
     return overall == 2
 
 
@@ -175,36 +219,20 @@ def differential_spectrum(table: FunctionTable, reduction: NHParams | None = Non
     q = f.q
     if reduction is not None:
         _check_reduction(table, reduction)
-        row = np.bincount(derivative_row(table, 1), minlength=q)
-        tally = np.bincount(row)
-        omega = {i: int(w) * (q - 1) for i, w in enumerate(tally) if w and i > 0}
-        omega[0] = int(tally[0]) * (q - 1)
-        uniformity = int(row.max())
-        return DifferentialSpectrum(
-            omega=omega,
-            uniformity=uniformity,
-            locally_apn=_locally_apn_from_row(f, row, reduction.r),
-        )
+        row = _fiber_kernel(table, 1)[0]
+        tally = np.bincount(row) * (q - 1)
+        omega = {i: int(w) for i, w in enumerate(tally) if w and i > 0}
+        omega[0] = int(tally[0])
+        return DifferentialSpectrum(omega, int(row.max()), _locally_apn_from_row(f, row, reduction.r))
 
     tally = np.zeros(1, dtype=np.int64)
-    sub = _prime_subfield_mask(f)
+    outside = _outside_prime_subfield(f)
     best_outside = 0
-    for a in range(1, q):
-        counts = np.bincount(derivative_row(table, a), minlength=q)
-        rt = np.bincount(counts)
-        if len(rt) > len(tally):
-            rt[: len(tally)] += tally
-            tally = rt
-        else:
-            tally[: len(rt)] += rt
-        outside = counts.copy()
-        outside[sub] = 0
-        best_outside = max(best_outside, int(outside.max()))
-    omega = _tally_to_sparse(tally)
-    uniformity = max(i for i, w in omega.items() if w) if any(omega.values()) else 0
-    return DifferentialSpectrum(
-        omega=omega, uniformity=uniformity, locally_apn=best_outside == 2
-    )
+    for rows in _ddt_batches(table):
+        tally = _tally_add(tally, rows)
+        best_outside = max(best_outside, int(rows[:, outside].max()))
+    # every row has a nonzero count, so the tally ends on the uniformity
+    return DifferentialSpectrum(_tally_to_sparse(tally), len(tally) - 1, best_outside == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +241,8 @@ def differential_spectrum(table: FunctionTable, reduction: NHParams | None = Non
 
 
 def bct_entry(table: FunctionTable, a, b):
-    """beta_F(a, b) by O(q) preimage bucketing.
-
-    (x, y) solves the system iff the pair (F(x), F(x+a)) equals
-    (F(y)+b, F(y+a)+b); bucket the left pairs and look up the right ones.
-    """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    f = table.field
-    q = f.q
-    fa = table.values[f.add_vec(f.elements(), a)]
-    keys = table.values * q + fa
-    queries = f.add_vec(table.values, b) * q + f.add_vec(fa, b)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    left = np.searchsorted(sorted_keys, queries, side="left")
-    right = np.searchsorted(sorted_keys, queries, side="right")
-    return int((right - left).sum())
+    """beta_F(a, b), read off the fiber-kernel row boomerang_row(table, a)."""
+    return int(boomerang_row(table, a)[b])
 
 
 def bct_entry_bruteforce(table: FunctionTable, a, b):
@@ -244,15 +257,9 @@ def bct_entry_bruteforce(table: FunctionTable, a, b):
 
 
 def boomerang_row(table: FunctionTable, a):
-    """beta(a, b) for every b (b = 0 included), via one O(q^2) pass."""
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    f = table.field
-    fa = table.values[f.add_vec(f.elements(), a)]
-    d1 = f.sub_vec(table.values[:, None], table.values[None, :])
-    d2 = f.sub_vec(fa[:, None], fa[None, :])
-    agree = d1 == d2
-    return np.bincount(d1[agree], minlength=f.q)
+    """beta(a, b) for every b (b = 0 included), from the pairs inside the
+    fibers of D_a F: O(q + sum k^2) work over the fiber sizes k."""
+    return _fiber_kernel(table, a, bct=True)[1]
 
 
 def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):
@@ -261,21 +268,13 @@ def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):
     q = f.q
     if reduction is not None:
         _check_reduction(table, reduction)
-        row = boomerang_row(table, 1)
-        tally = np.bincount(row[1:])
-        nu = {i: int(w) * (q - 1) for i, w in enumerate(tally) if w}
-        uniformity = int(row[1:].max())
-        return BoomerangSpectrum(nu=nu, uniformity=uniformity)
+        row = boomerang_row(table, 1)[1:]
+        nu = {i: int(w) * (q - 1) for i, w in enumerate(np.bincount(row)) if w}
+        return BoomerangSpectrum(nu=nu, uniformity=int(row.max()))
 
     tally = np.zeros(1, dtype=np.int64)
     for a in range(1, q):
-        row = boomerang_row(table, a)
-        rt = np.bincount(row[1:])
-        if len(rt) > len(tally):
-            rt[: len(tally)] += tally
-            tally = rt
-        else:
-            tally[: len(rt)] += rt
+        tally = _tally_add(tally, boomerang_row(table, a)[1:])
     nu = {i: int(w) for i, w in enumerate(tally) if w}
     uniformity = max(nu) if nu else 0
     return BoomerangSpectrum(nu=nu, uniformity=uniformity)

@@ -31,6 +31,16 @@ def test_eval_examples():
     assert eval_F(f7, p, 2) == 1  # 4 * 2 = 8 = 1
 
 
+def test_u_must_be_an_element_code():
+    f27 = cached_field(3, 3)
+    for u in (27, 32):
+        with pytest.raises(ValueError):
+            nh_table(f27, NHParams(2, u))
+        with pytest.raises(ValueError):
+            eval_F(f27, NHParams(2, u), 3)
+    assert nh_table(f27, NHParams(2, 26))[3] == eval_F(f27, NHParams(2, 26), 3)
+
+
 def test_nh_table_matches_pointwise():
     for args in ((11, 1), (3, 3), (19, 1)):
         f = cached_field(*args)

@@ -1,14 +1,17 @@
 """DDT/BCT machinery, spectra, closed forms for u = 1."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhsbox import spectra
 from nhsbox.gf import UnsupportedFieldError, build_field, cached_field
-from nhsbox.nh_family import ConsistencyError, NHParams
+from nhsbox.nh_family import ConsistencyError, NHParams, nh_table
 from nhsbox.spectra import (
     BOOMERANG_CLASSES,
     DifferentialSpectrum,
@@ -209,3 +212,70 @@ def test_random_table_spectrum_identities(seed):
     assert spec.identities_hold(11)
     boom = boomerang_spectrum(table)
     assert boom.identities_hold(11)
+
+
+# -- the derivative-fiber kernel against the independent oracles ---------------
+
+
+def _kernel_table(field, kind, rng):
+    q = field.q
+    if kind == "uniform":
+        return FunctionTable(field, rng.integers(0, q, size=q))
+    if kind == "mostly-constant":  # D_a F has one fiber of size >= q - 6
+        values = np.full(q, rng.integers(0, q))
+        values[rng.choice(q, size=3, replace=False)] = rng.integers(0, q, size=3)
+        return FunctionTable(field, values)
+    u = 1 if kind == "F_{2,1}" else field.neg(1)  # a fiber of size (q+1)/4 if q = 3 mod 4
+    return FunctionTable(field, nh_table(field, NHParams(2, u)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**62),
+    st.sampled_from([(7, 1), (11, 1), (3, 3), (7, 2)]),
+    st.sampled_from(["uniform", "mostly-constant", "F_{2,1}", "F_{2,-1}"]),
+    st.sampled_from([1, 7, 64, spectra._PAIR_BLOCK]),
+)
+def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block):
+    field = cached_field(*field_args)
+    q = field.q
+    rng = np.random.default_rng(seed)
+    table = _kernel_table(field, kind, rng)
+    a_values = [int(a) for a in rng.choice(np.arange(1, q), size=5, replace=False)]
+    # small pair blocks split the large fibers into row blocks
+    with mock.patch.object(spectra, "_PAIR_BLOCK", pair_block):
+        ddt = spectra._fiber_kernel(table, a_values)
+        row_ddt, bct = spectra._fiber_kernel(table, a_values[0], bct=True)
+    for a, counts in zip(a_values, ddt):
+        assert np.array_equal(counts, np.bincount(derivative_row(table, a), minlength=q))
+    assert np.array_equal(row_ddt[0], ddt[0])
+    assert bct.tolist() == [bct_entry_bruteforce(table, a_values[0], b) for b in range(q)]
+
+
+def test_function_table_rejects_non_codes():
+    f = cached_field(3, 3)
+    for bad in (
+        np.arange(27) + 5,  # codes alias through the digit-wise arithmetic
+        np.arange(27) - 1,
+        np.arange(26),
+        np.arange(27.0),
+        np.zeros((27, 1), dtype=np.int64),
+        np.ones(27, dtype=bool),
+    ):
+        with pytest.raises(ValueError):
+            FunctionTable(f, bad)
+    assert FunctionTable(f, np.arange(27, dtype=np.uint8)).values.dtype == np.int64
+
+
+def test_boomerang_row_memory_bound():
+    # D_1 F_{2,1} has a fiber of size (q+1)/4 = 547 at q = 3^7; the row
+    # must not allocate anything of size q^2 (one int64 q x q array is 38 MB)
+    table = f21(cached_field(3, 7))
+    tracemalloc.start()
+    try:
+        row = boomerang_row(table, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert int(row[1:].max()) == 1  # the characteristic-3 exception to beta = 2
