@@ -34,13 +34,18 @@ class UsageError(ValueError):
     pass
 
 
+def _prime_power(q):
+    """(p, n) with q = p^n; UsageError when q is not a prime power."""
+    fac = factorint(q)
+    if len(fac) != 1:
+        raise UsageError(f"q = {q} is not a prime power")
+    ((p, n),) = fac.items()
+    return int(p), int(n)
+
+
 def _field_from_args(args):
     if getattr(args, "q", None) is not None:
-        fac = factorint(args.q)
-        if len(fac) != 1:
-            raise UsageError(f"q = {args.q} is not a prime power")
-        ((p, n),) = fac.items()
-        return build_field(int(p), int(n))
+        return build_field(*_prime_power(args.q))
     if getattr(args, "p", None) is None:
         raise UsageError("need --q or --p [--n]")
     return build_field(args.p, args.n)
@@ -168,9 +173,6 @@ def _cmd_constants(args):
 
 
 def _cmd_sweep(args):
-    for claim in args.claims:
-        if claim not in CLAIMS:
-            raise UsageError(f"unknown claim {claim!r}; known: {', '.join(sorted(CLAIMS))}")
     config = SweepConfig(
         claims=tuple(args.claims),
         min_q=args.min,
@@ -179,7 +181,10 @@ def _cmd_sweep(args):
         u_mode=args.u_mode,
         seed=args.seed,
     )
-    report = sweep(config)
+    try:
+        report = sweep(config)
+    except ValueError as exc:  # sweep validates its config before any work
+        raise UsageError(str(exc)) from exc
     rendered = {
         "csv": lambda: report.to_csv(with_timing=args.timing),
         "json": lambda: report.to_json(with_timing=args.timing),
@@ -200,15 +205,12 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    fac = factorint(args.q)
-    if len(fac) != 1:
-        raise UsageError(f"q = {args.q} is not a prime power")
-    ((p, n),) = fac.items()
+    p, n = _prime_power(args.q)
     bad = 0
     for claim in args.claims:
         if claim not in CLAIMS:
             raise UsageError(f"unknown claim {claim!r}")
-        for row in verify_claim(claim, int(p), int(n), args.q, u_mode=args.u_mode, seed=args.seed):
+        for row in verify_claim(claim, p, n, args.q, u_mode=args.u_mode, seed=args.seed):
             print(
                 json.dumps(
                     {k: v for k, v in row.__dict__.items() if k != "elapsed_ms"}, sort_keys=True

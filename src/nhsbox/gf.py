@@ -1,10 +1,12 @@
 """Construction of and arithmetic in F_{p^n} for odd p.
 
 Elements are integer codes in [0, q): the polynomial sum(c_i * x^i) is
-encoded as sum(c_i * p^i).  Prime fields use plain modular arithmetic;
-extension fields use schoolbook polynomial arithmetic plus, when q is
-small enough, dense log/antilog tables so that the bulk (numpy) paths
-stay table-driven.
+encoded as sum(c_i * p^i).  Prime fields use plain modular arithmetic.
+Extension fields use schoolbook polynomial arithmetic plus, when q is
+small enough, dense tables so that the bulk (numpy) paths stay
+table-driven: log/antilog tables for multiplication, and carry-free
+packed digit codes with two normalise tables for addition and
+subtraction (see :func:`_addition_tables`).
 
 All tables are immutable after construction; a Field is safe to share
 across worker processes.
@@ -189,6 +191,7 @@ class Field:
         self._log = log_table
         self._alog = alog_table  # doubled: alog[k] = g^(k mod q-1) for k < 2(q-1)
         self._pw = tuple(p**k for k in range(n))
+        self._add_tables = None  # (pk, pk_neg, lo, hi, shift) from _addition_tables
         self._sqrt_table = None
         self._cij = None
 
@@ -221,17 +224,30 @@ class Field:
     def add(self, a, b):
         if self.n == 1:
             return (a + b) % self.p
+        if self._add_tables is not None:
+            pk = self._add_tables[0]
+            return self._unpack_int(pk.item(a) + pk.item(b))
         return self.from_digits(x + y for x, y in zip(self.digits(a), self.digits(b)))
 
     def sub(self, a, b):
         if self.n == 1:
             return (a - b) % self.p
+        if self._add_tables is not None:
+            pk, pk_neg = self._add_tables[:2]
+            return self._unpack_int(pk.item(a) + pk_neg.item(b))
         return self.from_digits(x - y for x, y in zip(self.digits(a), self.digits(b)))
 
     def neg(self, a):
         if self.n == 1:
             return (-a) % self.p
+        if self._add_tables is not None:
+            return self._unpack_int(self._add_tables[1].item(a))
         return self.from_digits(-x for x in self.digits(a))
+
+    def _unpack_int(self, s):
+        """Code of the packed digit sum s, a Python int (see :func:`_addition_tables`)."""
+        _, _, lo, hi, shift = self._add_tables
+        return lo.item(s & ((1 << shift) - 1)) + hi.item(s >> shift)
 
     def mul(self, a, b):
         if self.n == 1:
@@ -280,6 +296,9 @@ class Field:
     def add_vec(self, x, y):
         if self.n == 1:
             return (x + y) % self.p
+        if self._add_tables is not None:
+            pk = self._add_tables[0]
+            return self._unpack(pk[x] + pk[y])
         out = 0
         for w in self._pw:
             out = out + ((x // w + y // w) % self.p) * w
@@ -288,13 +307,24 @@ class Field:
     def sub_vec(self, x, y):
         if self.n == 1:
             return (x - y) % self.p
+        if self._add_tables is not None:
+            pk, pk_neg = self._add_tables[:2]
+            return self._unpack(pk[x] + pk_neg[y])
         out = 0
         for w in self._pw:
             out = out + ((x // w - y // w) % self.p) * w
         return out
 
     def neg_vec(self, x):
-        return self.sub_vec(0 * x, x) if self.n > 1 else (-x) % self.p
+        return self.sub_vec(0, x) if self.n > 1 else (-x) % self.p
+
+    def _unpack(self, s):
+        """Codes of the packed digit sums s, a numpy array (see :func:`_addition_tables`)."""
+        _, _, lo, hi, shift = self._add_tables
+        out = lo[s & ((1 << shift) - 1)]
+        s >>= shift  # s is a fresh sum, so it is safe to overwrite
+        out += hi[s]
+        return out
 
     def mul_vec(self, x, y):
         if self.n == 1:
@@ -384,6 +414,39 @@ class Field:
         return self._cij
 
 
+def _addition_tables(p, n):
+    """Carry-free packed digit codes and normalise tables for F_{p^n}.
+
+    A code's base-p digits are rewritten in radix B = 2p - 1: the low
+    h = ceil(n/2) digits in the low ``shift`` bits, the other n - h digits
+    above them.  Two digits sum to at most 2p - 2 < B, so ``pk[x] + pk[y]``
+    and ``pk[x] + pk_neg[y]`` never carry between digits or halves, and
+    ``lo`` / ``hi`` (B^h and B^(n-h) entries) map the radix-B digit sums of
+    each half back to the code sum((s_i mod p) * p^i).  The tables depend
+    on (p, n) only; temporaries stay O(q + B^h).
+    """
+    B, h = 2 * p - 1, (n + 1) // 2
+    shift = (B**h - 1).bit_length()
+    rest = np.arange(p**n, dtype=np.int64)
+    pk = np.zeros_like(rest)
+    pk_neg = np.zeros_like(rest)
+    for i in range(n):
+        d = rest % p
+        rest //= p
+        w = B**i if i < h else B ** (i - h) << shift
+        pk += d * w
+        pk_neg += (-d % p) * w
+
+    def normalise(m, offset):
+        s = np.arange(B**m, dtype=np.int64)
+        out = np.zeros_like(s)
+        for i in range(m):
+            out += (s // B**i % B % p) * p ** (i + offset)
+        return out
+
+    return pk, pk_neg, normalise(h, 0), normalise(n - h, h), shift
+
+
 def _smallest_generator(field_like, p, n, q):
     factors = list(factorint(q - 1))
     cofactors = [(q - 1) // f for f in factors]
@@ -430,6 +493,7 @@ def build_field(p, n=1, *, modulus=None, eta_limit=ETA_TABLE_LIMIT, log_limit=LO
     field.generator = g
 
     if n > 1 and q <= log_limit:
+        field._add_tables = _addition_tables(p, n)
         log = np.zeros(q, dtype=np.int64)
         alog = np.zeros(2 * (q - 1), dtype=np.int64)
         acc = 1

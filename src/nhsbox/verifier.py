@@ -547,10 +547,16 @@ def sweep(config: SweepConfig) -> SweepReport:
     """Run claims over every admissible prime power in [min_q, max_q).
 
     Work is split into `jobs` contiguous chunks; the merged report is
-    independent of the worker count.
+    independent of the worker count.  Raises ValueError for jobs < 1,
+    max_q < min_q or an unknown claim id, before any work starts.
     """
     if config.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if config.max_q < config.min_q:
+        raise ValueError(f"max_q = {config.max_q} is below min_q = {config.min_q}")
+    for claim_id in config.claims:
+        if claim_id not in CLAIMS:
+            raise ValueError(f"unknown claim {claim_id!r}; known: {', '.join(sorted(CLAIMS))}")
     tasks = []
     for claim_id in config.claims:
         claim = CLAIMS[claim_id]

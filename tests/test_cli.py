@@ -93,6 +93,16 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_sweep_and_verify_input_errors_exit_2(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--min", "5000", "--max", "4000", "--claims", "BOOM_F21")
+    assert code == 2 and out == "" and "below min_q" in err
+    code, _, err = run_cli(capsys, "sweep", "--min", "8", "--max", "20", "--claims", "BOOM_F21",
+                           "--jobs", "0")
+    assert code == 2 and "jobs" in err
+    code, out, err = run_cli(capsys, "verify", "--q", "12", "--claims", "BOOM_F21")
+    assert code == 2 and out == "" and "not a prime power" in err
+
+
 def test_sweep_csv_and_exit(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "sweep", "--min", "8", "--max", "200", "--claims", "THM5_DELTA3",

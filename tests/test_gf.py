@@ -196,6 +196,70 @@ def test_vector_ops_match_scalar():
             assert p5[i] == f.pow(int(xs[i]), 5)
 
 
+def _assert_addition_matches_digit_loop(f, xs, ys, scalar_pairs):
+    ref = build_field(f.p, f.n, modulus=f.modulus, log_limit=1)  # digit-loop fallback
+    assert f._add_tables is not None and ref._add_tables is None
+    for op in ("add_vec", "sub_vec"):
+        got, want = getattr(f, op)(xs, ys), getattr(ref, op)(xs, ys)
+        assert got.shape == want.shape and np.array_equal(got, want), op
+    assert np.array_equal(f.neg_vec(xs), ref.neg_vec(xs))
+    for a, b in scalar_pairs:
+        for op in ("add", "sub"):
+            got = getattr(f, op)(a, b)
+            assert type(got) is int and got == getattr(ref, op)(a, b), (op, a, b)
+        assert f.neg(a) == ref.neg(a)
+
+
+def test_packed_addition_matches_digit_loop_full_grid():
+    for p, n in ((3, 2), (5, 2), (3, 3), (7, 2), (7, 3)):
+        f = build_field(p, n)
+        codes = f.elements()
+        pairs = [(a, b) for a in range(f.q) for b in range(f.q)] if f.q < 50 else (
+            [(a, b) for a in range(0, f.q, 7) for b in range(0, f.q, 11)]
+        )
+        # column x row broadcasting gives the whole q x q grid
+        _assert_addition_matches_digit_loop(f, codes[:, None], codes[None, :], pairs)
+
+
+def test_packed_addition_matches_digit_loop_random_pairs():
+    rng = np.random.default_rng(20240)
+    for p, n in ((3, 7), (11, 3)):
+        f = build_field(p, n)
+        xs = rng.integers(0, f.q, size=50_000)
+        ys = rng.integers(0, f.q, size=50_000)
+        pairs = list(zip(xs[:500].tolist(), ys[:500].tolist()))
+        _assert_addition_matches_digit_loop(f, xs, ys, pairs)
+
+
+def test_packed_addition_scalar_operands_and_modulus():
+    f = build_field(3, 3, modulus=(2, 2, 0, 1))  # not the lex-min (1, 0, 2, 1)
+    assert f.modulus != build_field(3, 3).modulus
+    xs = f.elements()
+    for k in (0, 1, 13, f.q - 1):
+        for y in (k, np.int64(k)):
+            _assert_addition_matches_digit_loop(f, xs, y, [(int(x), y) for x in xs])
+            _assert_addition_matches_digit_loop(f, y, xs, [(y, int(x)) for x in xs])
+    ref = build_field(3, 3, modulus=(2, 2, 0, 1), log_limit=1)
+    assert f.add_vec(5, np.int64(22)) == ref.add_vec(5, 22)
+    assert f.sub_vec(np.int64(5), 22) == ref.sub_vec(5, 22)
+
+
+def test_packed_addition_rejects_codes_out_of_range():
+    f = build_field(3, 7)
+    q = f.q
+    ok = np.array([0])
+    for bad in (np.array([0, q]), np.array([q + 7])):
+        for call in (lambda: f.add_vec(ok, bad), lambda: f.add_vec(bad, 1),
+                     lambda: f.sub_vec(bad, ok), lambda: f.sub_vec(1, bad),
+                     lambda: f.neg_vec(bad)):
+            with pytest.raises(IndexError):
+                call()
+    for call in (lambda: f.add(q, 0), lambda: f.add(0, q), lambda: f.sub(q, 1),
+                 lambda: f.sub(1, q), lambda: f.neg(q)):
+        with pytest.raises(IndexError):
+            call()
+
+
 def test_representation_independence_cij():
     base = build_field(3, 3)
     other = None

@@ -203,6 +203,15 @@ def test_sweep_determinism_across_jobs():
     )
 
 
+def test_sweep_rejects_inverted_range_and_unknown_claims():
+    with pytest.raises(ValueError, match="below min_q"):
+        sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=5000, max_q=4000))
+    with pytest.raises(ValueError, match="unknown claim 'NOPE'"):
+        sweep(SweepConfig(claims=("THM5_DELTA3", "NOPE"), min_q=8, max_q=20))
+    # an empty but not inverted range is a valid, empty sweep
+    assert sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=100, max_q=100)).rows == []
+
+
 def test_sweep_worker_records_failures():
     # 15 = 7 (mod 8) passes the filter, then field construction fails
     rows, errors = _sweep_worker(([("THM5_DELTA3", 15, 1, 15)], "default", 0))
