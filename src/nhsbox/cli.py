@@ -27,7 +27,7 @@ from .characters import (
 from .gf import FieldConstructionError, build_field
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
-from .verifier import CLAIMS, SweepConfig, default_jobs, sweep, verify_claim
+from .verifier import U_MODES, SweepConfig, check_request, default_jobs, sweep, verify_claim
 
 
 class UsageError(ValueError):
@@ -206,10 +206,12 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     p, n = _prime_power(args.q)
+    try:
+        check_request(args.claims, args.u_mode)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     bad = 0
     for claim in args.claims:
-        if claim not in CLAIMS:
-            raise UsageError(f"unknown claim {claim!r}")
         for row in verify_claim(claim, p, n, args.q, u_mode=args.u_mode, seed=args.seed):
             print(
                 json.dumps(
@@ -257,7 +259,7 @@ def build_parser():
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--claims", nargs="+", required=True)
     sp.add_argument("--jobs", type=int, default=default_jobs())
-    sp.add_argument("--u-mode", default="default", help="all | sample:K:SEED | default")
+    sp.add_argument("--u-mode", default="default", help=U_MODES)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the report to a file instead of stdout")
     sp.add_argument("--format", choices=("csv", "json", "text"), default="csv")
@@ -267,7 +269,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="run claims at a single q")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--claims", nargs="+", required=True)
-    sp.add_argument("--u-mode", default="default")
+    sp.add_argument("--u-mode", default="default", help=U_MODES)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_verify)
 

@@ -99,15 +99,7 @@ def _poly_powmod(a, e, mod, p):
 def _poly_gcd_zp(a, b, p):
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            c = r[i]
-            if c:
-                f = (c * inv_lead) % p
-                for j, bj in enumerate(b):
-                    r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - f * bj) % p
-        a, b = b, _poly_trim(tuple(r[: len(b) - 1]))
+        a, b = b, _poly_rem(a, b, p)
     return a
 
 

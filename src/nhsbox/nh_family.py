@@ -163,37 +163,9 @@ class CaseAnalysis:
         """D_1F at the two excluded points: (D_1F(0), D_1F(-1)) = (u+1, u-1)."""
         return self.one_plus, self.field.sub(self.u, 1)
 
-    def delta01(self, b):
-        f = self.field
-        return f.sub(self._t1t2, f.mul(f.embed(2), f.mul(b, self._inv_u)))
-
-    def delta10(self, b):
-        f = self.field
-        return f.add(self._t1t2, f.mul(f.embed(2), f.mul(b, self._inv_u)))
-
-    def _quad_count(self, disc, first_root_base, target_class):
-        """Distinct roots (base +/- sqrt(disc))/2 lying in the target class."""
-        f = self.field
-        if f.eta(disc) == -1:
-            return 0
-        s = f.sqrt(disc)
-        r1 = f.mul(f.add(first_root_base, s), self._inv2)
-        count = 1 if self._classes[r1] == target_class else 0
-        if s != 0:
-            r2 = f.mul(f.sub(first_root_base, s), self._inv2)
-            count += 1 if self._classes[r2] == target_class else 0
-        return count
-
     def a_counts(self, b):
-        """(#A_00(b), #A_01(b), #A_10(b), #A_11(b))."""
-        f = self.field
-        x00 = f.mul(f.sub(b, self.one_plus), self._inv_2p)
-        c00 = 1 if self._classes[x00] == CLASS_00 else 0
-        x11 = f.mul(f.sub(b, self.one_minus), self._inv_2m)
-        c11 = 1 if self._classes[x11] == CLASS_11 else 0
-        c01 = self._quad_count(self.delta01(b), self.tau2, CLASS_01)
-        c10 = self._quad_count(self.delta10(b), f.neg(self.tau1), CLASS_10)
-        return c00, c01, c10, c11
+        """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all."""
+        return tuple(int(c) for c in self.a_counts_all()[b])
 
     def a_counts_all(self):
         """(q, 4) array of (#A_00, #A_01, #A_10, #A_11) for every b."""
@@ -224,11 +196,15 @@ class CaseAnalysis:
 
     def delta_row(self):
         """delta(1, b) for every b, assembled from the closed counts."""
-        counts = self.a_counts_all().sum(axis=1)
+        return self._delta_from(self.a_counts_all())
+
+    def _delta_from(self, counts):
+        """delta(1, b) from the (q, 4) class counts plus the two boundary points."""
+        row = counts.sum(axis=1)
         d0, dm1 = self.boundary_values
-        counts[d0] += 1
-        counts[dm1] += 1
-        return counts
+        row[d0] += 1
+        row[dm1] += 1
+        return row
 
 
 def aij_counts_closed(field: Field, u, b):
@@ -250,26 +226,45 @@ def aij_counts_brute(field: Field, u):
     return out
 
 
-def structural_lemmas_hold(field: Field, u):
-    """All-b vectorized version of the exclusion/cap lemma battery."""
+DELTA_CAP = 5  # delta_{F_{2,u}} <= 5 for every u outside {0, +1, -1}
+
+# The four exclusion implications, as (name, boundary point, sign, full
+# class, blocked class): when eta(1 + u) (point 0) or eta(1 - u) (point 1)
+# equals sign * eta(u), two solutions in the full class leave none in the
+# blocked class.
+_EXCLUSIONS = (
+    ("A10_full_blocks_A00", 0, 1, CLASS_10, CLASS_00),
+    ("A01_full_blocks_A00", 0, -1, CLASS_01, CLASS_00),
+    ("A01_full_blocks_A11", 1, 1, CLASS_01, CLASS_11),
+    ("A10_full_blocks_A11", 1, -1, CLASS_10, CLASS_11),
+)
+
+
+def _lemma_battery(field: Field, u):
+    """(name, applicable, ok) per lemma as per-b boolean arrays, where ok
+    means the lemma holds at b or does not apply there: the four exclusion
+    implications, the boundary bound delta(1, u +/- 1) <= 4 and the cap
+    delta(1, b) <= DELTA_CAP, all from one a_counts_all()."""
     case = CaseAnalysis(field, u)
-    c00, c01, c10, c11 = case.a_counts_all().T
+    counts = case.a_counts_all()
+    delta = case._delta_from(counts)
     eu = field.eta(u)
-    ep = field.eta(case.one_plus)
-    em = field.eta(case.one_minus)
-    if ep == eu and np.any((c10 == 2) & (c00 != 0)):
-        return False
-    if ep == -eu and np.any((c01 == 2) & (c00 != 0)):
-        return False
-    if em == eu and np.any((c01 == 2) & (c11 != 0)):
-        return False
-    if em == -eu and np.any((c10 == 2) & (c11 != 0)):
-        return False
-    row = case.delta_row()
-    d0, dm1 = case.boundary_values
-    if row[d0] > 4 or row[dm1] > 4:
-        return False
-    return int(row.max()) <= 5
+    eta_boundary = (field.eta(case.one_plus), field.eta(case.one_minus))
+    battery = []
+    for name, point, sign, full, blocked in _EXCLUSIONS:
+        applicable = np.full(field.q, eta_boundary[point] == sign * eu)
+        clash = (counts[:, full] == 2) & (counts[:, blocked] != 0)
+        battery.append((name, applicable, ~(applicable & clash)))
+    boundary = np.zeros(field.q, dtype=bool)
+    boundary[list(case.boundary_values)] = True
+    battery.append(("boundary_delta_le_4", boundary, ~boundary | (delta <= 4)))
+    battery.append(("delta_le_5", np.ones(field.q, dtype=bool), delta <= DELTA_CAP))
+    return battery
+
+
+def structural_lemmas_hold(field: Field, u):
+    """Every lemma of the battery holds at every b where it applies."""
+    return all(ok.all() for _, _, ok in _lemma_battery(field, u))
 
 
 @dataclass(frozen=True)
@@ -281,21 +276,9 @@ class LemmaVerdict:
 
 def structural_lemma_checks(field: Field, u, b):
     """Per-b verdicts for the four exclusion implications, the boundary
-    bound delta(1, u +/- 1) <= 4, and the overall cap delta(1, b) <= 5."""
-    case = CaseAnalysis(field, u)
-    c00, c01, c10, c11 = case.a_counts(b)
-    eu = field.eta(u)
-    e_plus = field.eta(case.one_plus)
-    e_minus = field.eta(case.one_minus)
-    d0, dm1 = case.boundary_values
-    delta = c00 + c01 + c10 + c11 + (b == d0) + (b == dm1)
-
-    verdicts = [
-        LemmaVerdict("A10_full_blocks_A00", e_plus == eu, not (c10 == 2 and c00 != 0)),
-        LemmaVerdict("A01_full_blocks_A00", e_plus == -eu, not (c01 == 2 and c00 != 0)),
-        LemmaVerdict("A01_full_blocks_A11", e_minus == eu, not (c01 == 2 and c11 != 0)),
-        LemmaVerdict("A10_full_blocks_A11", e_minus == -eu, not (c10 == 2 and c11 != 0)),
-        LemmaVerdict("boundary_delta_le_4", b in (d0, dm1), delta <= 4),
-        LemmaVerdict("delta_le_5", True, delta <= 5),
+    bound delta(1, u +/- 1) <= 4, and the overall cap delta(1, b) <= 5.
+    A lemma that does not apply at b is reported as ok."""
+    return [
+        LemmaVerdict(name, bool(applicable[b]), bool(ok[b]))
+        for name, applicable, ok in _lemma_battery(field, u)
     ]
-    return [v if v.applicable else LemmaVerdict(v.name, False, True) for v in verdicts]

@@ -1,12 +1,16 @@
 """Claim verification engine: enumerate prime powers, evaluate each
-uniformity/spectrum claim at desk scale, partition work across processes,
-and emit exception reports.
+uniformity/spectrum claim at desk scale, hand the (claim, q) tasks to a
+process pool one at a time, and emit exception reports.
+
+Each claim is one ClaimSpec in CLAIMS, the only place that states its
+claimed value, the sign condition on u, its threshold and its evaluator;
+verify_claim, conclusion_expected_delta and the sweep read them there.
 
 Claim thresholds come in two kinds.  Proven hypotheses (the u = 1/3
 uniformities, the caps) fail hard anywhere inside their stated q-range.
-Numerically-suggested thresholds (4027 / 839 / 307) are metadata: below
-them a mismatch is recorded as a skipped row, above them it is a genuine
-exception.
+Numerically-suggested thresholds (ClaimSpec.threshold: 4027 / 839 / 307)
+are metadata: below them a mismatch is recorded as a skipped row, above
+them it is a genuine exception.
 """
 
 from __future__ import annotations
@@ -17,14 +21,16 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field as dfield
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 import numpy as np
 
 from .characters import boomerang_constants, theorem6_constants
-from .gf import Field, build_field, cached_field
+from .gf import Field, UnsupportedFieldError, cached_field
 from .nh_family import (
+    DELTA_CAP,
     CaseAnalysis,
     NHParams,
     aij_counts_brute,
@@ -105,71 +111,14 @@ class ClaimSpec:
     q_filter: QFilter
     metric: str
     description: str
+    evaluate: Callable  # (field, claim, u_mode, seed) -> [SweepRow]
+    expected: int | None = None  # the claimed value (delta or beta), if one
+    sign: int | None = None  # u ranges over eta(1+u) = sign * eta(1-u), if set
     threshold: int | None = None  # numerically-suggested lower q bound, if any
 
+    def below_threshold(self, q):
+        return self.threshold is not None and q < self.threshold
 
-CLAIMS = {
-    c.id: c
-    for c in (
-        ClaimSpec(
-            "THM2_DELTA5",
-            QFilter(congruences=((4, 3),)),
-            "differential uniformity",
-            "delta = 5 for u outside the excluded set with eta(1+u) = eta(u-1)",
-            threshold=4027,
-        ),
-        ClaimSpec(
-            "THM3_DELTA4",
-            QFilter(congruences=((4, 3),)),
-            "differential uniformity",
-            "delta = 4 for u outside the excluded set with eta(1+u) = eta(1-u)",
-            threshold=839,
-        ),
-        ClaimSpec(
-            "THM5_DELTA3",
-            QFilter(congruences=((8, 7),), min_q=8),
-            "differential uniformity",
-            "delta = 3 for u = 1/3 when q = 7 (mod 8), q > 7",
-        ),
-        ClaimSpec(
-            "THM6_DELTA4",
-            QFilter(congruences=((8, 3),), min_q=44, p_ne=(3,)),
-            "differential uniformity",
-            "delta = 4 for u = 1/3 when q = 3 (mod 8), p != 3, q > 43",
-        ),
-        ClaimSpec(
-            "SPEC_F21",
-            QFilter(congruences=((4, 3),), min_q=8),
-            "differential spectrum",
-            "closed-form spectrum of F_{2,1} equals brute force; locally-APN",
-        ),
-        ClaimSpec(
-            "BOOM_F21",
-            QFilter(congruences=((4, 3),), min_q=7),
-            "boomerang uniformity",
-            "beta(1, b) <= 2 always; beta = 2",
-            threshold=307,
-        ),
-        ClaimSpec(
-            "APN_Q7",
-            QFilter(q_in=(7,)),
-            "differential uniformity",
-            "delta = 2 for u = 1/3 at q = 7",
-        ),
-        ClaimSpec(
-            "REMARK_11_19_43",
-            QFilter(q_in=(11, 19, 43)),
-            "differential uniformity",
-            "delta = 3 for u = 1/3 at q in {11, 19, 43}",
-        ),
-        ClaimSpec(
-            "LEMMA_SUITE",
-            QFilter(congruences=((4, 3),)),
-            "lemma checks",
-            "C_ij counts, closed-vs-brute class counts, sqrt-pair lemma, u/-u symmetry",
-        ),
-    )
-}
 
 AGGREGATE_U = -1  # u_code sentinel for one-row-per-q summaries
 
@@ -191,25 +140,31 @@ class SweepRow:
 
 
 def conclusion_expected_delta(field: Field, u):
-    """(expected delta, suggested threshold or None) per the five-case table."""
+    """(expected delta, suggested threshold or None) per the five-case table.
+
+    u = +/-1 gives (q+1)/4; u = +/-1/3 (p != 3) the value of the one u = 1/3
+    claim that admits q; any other u the value and threshold of the
+    condition claim whose sign is eta(1+u) * eta(1-u).
+    """
     q = field.q
+    if q % 4 != 3:
+        raise UnsupportedFieldError("the five-case table needs q = 3 (mod 4)")
     if u in (1, field.neg(1)):
         return (q + 1) // 4, None
-    if field.p != 3:
-        third = field.inv(field.embed(3))
-        if u in (third, field.neg(third)):
-            if q % 8 == 7:
-                return (2 if q == 7 else 3), None
-            return (3 if q in (11, 19, 43) else 4), None
-    e_plus = field.eta(field.add(1, u))
-    e_minus = field.eta(field.sub(1, u))
-    if e_plus == -e_minus:  # eta(1+u) = eta(u-1)
-        return 5, 4027
-    return 4, 839
+    if field.p != 3 and u in (_u_third(field), field.neg(_u_third(field))):
+        thirds = [c for c in CLAIMS.values() if c.evaluate is _rows_delta_third]
+        (claim,) = [c for c in thirds if c.q_filter.admits(field.p, field.n, q)]
+    else:
+        sign = field.eta(field.add(1, u)) * field.eta(field.sub(1, u))
+        (claim,) = [c for c in CLAIMS.values() if c.sign == sign]
+    return claim.expected, claim.threshold
 
 
 def _u_third(field: Field):
     return field.inv(field.embed(3))
+
+
+U_MODES = "default | all | sample:K:SEED | fixed:U1,U2,..."
 
 
 def _parse_u_mode(u_mode, q):
@@ -218,18 +173,22 @@ def _parse_u_mode(u_mode, q):
         return ("all", None) if q <= 2000 else ("sample", (64, 0))
     if u_mode == "all":
         return "all", None
-    if u_mode.startswith("sample:"):
-        parts = u_mode.split(":")
-        if len(parts) != 3:
-            raise ValueError("sample mode is 'sample:K:SEED'")
-        return "sample", (int(parts[1]), int(parts[2]))
-    if u_mode.startswith("fixed:"):
-        return "fixed", tuple(int(t) for t in u_mode[6:].split(","))
-    raise ValueError(f"unknown u mode {u_mode!r}")
+    kind, _, rest = u_mode.partition(":")
+    try:
+        numbers = tuple(int(t) for t in rest.split("," if kind == "fixed" else ":"))
+    except ValueError:
+        numbers = ()
+    if min(numbers, default=-1) >= 0:  # counts, seeds and element codes
+        if kind == "sample" and len(numbers) == 2:
+            return "sample", numbers
+        if kind == "fixed":
+            return "fixed", numbers
+    raise ValueError(f"bad u mode {u_mode!r}; expected {U_MODES}")
 
 
-def _select_condition_us(field: Field, claim_id, u_mode, seed):
-    """u codes to test for the exhaustive-u claims, grouped by sign class."""
+def _select_condition_us(field: Field, claim, u_mode, seed):
+    """u codes outside the excluded set with eta(1+u) = claim.sign * eta(1-u),
+    chosen per u mode; samples are grouped by eta(u)."""
     q = field.q
     codes = field.elements()
     bad = np.zeros(q, dtype=bool)
@@ -237,10 +196,7 @@ def _select_condition_us(field: Field, claim_id, u_mode, seed):
         bad[u] = True
     e_plus = field.eta_vec(field.add_vec(codes, 1))
     e_minus = field.eta_vec(field.sub_vec(1, codes))
-    if claim_id == "THM2_DELTA5":
-        want = (e_plus == -e_minus) & ~bad  # eta(1+u) = eta(u-1)
-    else:
-        want = (e_plus == e_minus) & ~bad
+    want = (e_plus == claim.sign * e_minus) & ~bad
     selected = codes[want]
     kind, arg = _parse_u_mode(u_mode, q)
     if kind == "fixed":
@@ -262,67 +218,61 @@ def _select_condition_us(field: Field, claim_id, u_mode, seed):
 # -- per-claim evaluators ----------------------------------------------------
 
 
-def _rows_delta_third(field, claim, expected):
+def _row(field, claim, u, computed, expected, status):
+    return SweepRow(field.q, field.p, field.n, u, claim.id, str(computed), str(expected), status)
+
+
+def _verdict_row(field, claim, u, problems):
+    """'ok' and pass, or the problems found and exception."""
+    if problems:
+        return _row(field, claim, u, "; ".join(problems), "ok", "exception")
+    return _row(field, claim, u, "ok", "ok", "pass")
+
+
+def _rows_delta_third(field, claim, u_mode, seed):
     u = _u_third(field)
     delta = int(derivative_row_counts(field, NHParams(2, u)).max())
-    status = "pass" if delta == expected else "exception"
-    return [
-        SweepRow(field.q, field.p, field.n, u, claim.id, str(delta), str(expected), status)
-    ]
+    status = "pass" if delta == claim.expected else "exception"
+    return [_row(field, claim, u, delta, claim.expected, status)]
 
 
 def _rows_condition_claim(field, claim, u_mode, seed):
-    expected = 5 if claim.id == "THM2_DELTA5" else 4
-    us = _select_condition_us(field, claim.id, u_mode, seed)
-    rows = []
-    q, p, n = field.q, field.p, field.n
+    expected = claim.expected
+    us = _select_condition_us(field, claim, u_mode, seed)
     if len(us) == 0:
-        return [SweepRow(q, p, n, AGGREGATE_U, claim.id, "no-u", str(expected), "skipped")]
-    deltas = uniformity_batch(field, 2, us)
+        return [_row(field, claim, AGGREGATE_U, "no-u", expected, "skipped")]
+    deltas = list(zip(us.tolist(), uniformity_batch(field, 2, us).tolist()))
 
     # unconditional cap over every u outside {0, +1, -1}
-    cap_bad = us[deltas > 5]
-    for u in cap_bad.tolist():
-        rows.append(
-            SweepRow(q, p, n, u, claim.id, str(int(deltas[us == u][0])), "<=5", "exception")
-        )
-
-    below = claim.threshold is not None and q < claim.threshold
-    kind, _ = _parse_u_mode(u_mode, q)
-    n_pass = int(np.count_nonzero(deltas == expected))
-    if kind == "all":
-        # exhaustive runs aggregate agreeing u into one row per q
-        if n_pass == len(us):
-            rows.append(SweepRow(q, p, n, AGGREGATE_U, claim.id, str(expected), str(expected), "pass"))
-        elif below:
-            rows.append(
-                SweepRow(
-                    q, p, n, AGGREGATE_U, claim.id,
-                    f"{expected}:{n_pass}/{len(us)}", str(expected), "skipped",
-                )
-            )
-        else:
-            for u, delta in zip(us.tolist(), deltas.tolist()):
-                if delta != expected:
-                    rows.append(SweepRow(q, p, n, u, claim.id, str(delta), str(expected), "exception"))
-            if n_pass:
-                rows.append(SweepRow(q, p, n, AGGREGATE_U, claim.id, str(expected), str(expected), "pass"))
+    rows = [
+        _row(field, claim, u, delta, f"<={DELTA_CAP}", "exception")
+        for u, delta in deltas
+        if delta > DELTA_CAP
+    ]
+    below = claim.below_threshold(field.q)
+    misses = [(u, delta) for u, delta in deltas if delta != expected]
+    n_pass = len(deltas) - len(misses)
+    agreeing = _row(field, claim, AGGREGATE_U, expected, expected, "pass")
+    if _parse_u_mode(u_mode, field.q)[0] != "all":
+        for u, delta in deltas:
+            status = "pass" if delta == expected else ("skipped" if below else "exception")
+            rows.append(_row(field, claim, u, delta, expected, status))
+        return rows
+    # exhaustive runs aggregate agreeing u into one row per q
+    if not misses:
+        rows.append(agreeing)
+    elif below:
+        computed = f"{expected}:{n_pass}/{len(deltas)}"
+        rows.append(_row(field, claim, AGGREGATE_U, computed, expected, "skipped"))
     else:
-        for u, delta in zip(us.tolist(), deltas.tolist()):
-            if delta == expected:
-                rows.append(SweepRow(q, p, n, u, claim.id, str(delta), str(expected), "pass"))
-            else:
-                rows.append(
-                    SweepRow(
-                        q, p, n, u, claim.id, str(delta), str(expected),
-                        "skipped" if below else "exception",
-                    )
-                )
+        rows += [_row(field, claim, u, delta, expected, "exception") for u, delta in misses]
+        if n_pass:
+            rows.append(agreeing)
     return rows
 
 
-def _rows_spec_f21(field, claim):
-    q, p, n = field.q, field.p, field.n
+def _rows_spec_f21(field, claim, u_mode, seed):
+    q = field.q
     table = FunctionTable.from_nh(field, NHParams(2, 1))
     brute = differential_spectrum(table)
     closed = closed_form_spectrum_F21(field)
@@ -335,29 +285,24 @@ def _rows_spec_f21(field, claim):
         problems.append(f"delta {brute.uniformity} != (q+1)/4")
     if not brute.locally_apn:
         problems.append("not locally-APN")
-    computed = "ok" if not problems else "; ".join(problems)
-    return [
-        SweepRow(q, p, n, 1, claim.id, computed, "ok", "pass" if not problems else "exception")
-    ]
+    return [_verdict_row(field, claim, 1, problems)]
 
 
-def _rows_boom_f21(field, claim):
-    q, p, n = field.q, field.p, field.n
+def _rows_boom_f21(field, claim, u_mode, seed):
+    """beta(1, b) <= claim.expected is unconditional; equality is claimed
+    from the threshold on."""
     table = FunctionTable.from_nh(field, NHParams(2, 1))
-    row = boomerang_row(table, 1)
-    beta = int(row[1:].max())
-    rows = []
-    if beta > 2:
-        rows.append(SweepRow(q, p, n, 1, claim.id, str(beta), "<=2", "exception"))
-        return rows
-    below = claim.threshold is not None and q < claim.threshold
-    status = "pass" if beta == 2 else ("skipped" if below else "exception")
-    rows.append(SweepRow(q, p, n, 1, claim.id, str(beta), "2", status))
-    return rows
+    beta = int(boomerang_row(table, 1)[1:].max())
+    if beta > claim.expected:
+        return [_row(field, claim, 1, beta, f"<={claim.expected}", "exception")]
+    status = "pass" if beta == claim.expected else (
+        "skipped" if claim.below_threshold(field.q) else "exception"
+    )
+    return [_row(field, claim, 1, beta, claim.expected, status)]
 
 
-def _rows_lemma_suite(field, claim):
-    q, p, n = field.q, field.p, field.n
+def _rows_lemma_suite(field, claim, u_mode, seed):
+    q = field.q
     problems = []
 
     cij = field.cij_partition().counts
@@ -382,10 +327,7 @@ def _rows_lemma_suite(field, claim):
         if not _negation_symmetry_holds(field):
             problems.append("u/-u derivative symmetry failed")
 
-    computed = "ok" if not problems else "; ".join(problems)
-    return [
-        SweepRow(q, p, n, AGGREGATE_U, claim.id, computed, "ok", "pass" if not problems else "exception")
-    ]
+    return [_verdict_row(field, claim, AGGREGATE_U, problems)]
 
 
 def _sqrt_pair_lemma_holds(field: Field):
@@ -423,26 +365,84 @@ def _negation_symmetry_holds(field: Field):
     return True
 
 
+# ---------------------------------------------------------------------------
+# the claims table: each claim's value, sign condition, threshold and
+# evaluator are written here and nowhere else
+# ---------------------------------------------------------------------------
+
+CLAIMS = {
+    c.id: c
+    for c in (
+        ClaimSpec(
+            "THM2_DELTA5", QFilter(congruences=((4, 3),)), "differential uniformity",
+            "delta = 5 for u outside the excluded set with eta(1+u) = eta(u-1)",
+            _rows_condition_claim, expected=5, sign=-1, threshold=4027,
+        ),
+        ClaimSpec(
+            "THM3_DELTA4", QFilter(congruences=((4, 3),)), "differential uniformity",
+            "delta = 4 for u outside the excluded set with eta(1+u) = eta(1-u)",
+            _rows_condition_claim, expected=4, sign=1, threshold=839,
+        ),
+        ClaimSpec(
+            "THM5_DELTA3", QFilter(congruences=((8, 7),), min_q=8), "differential uniformity",
+            "delta = 3 for u = 1/3 when q = 7 (mod 8), q > 7",
+            _rows_delta_third, expected=3,
+        ),
+        ClaimSpec(
+            "THM6_DELTA4", QFilter(congruences=((8, 3),), min_q=44, p_ne=(3,)),
+            "differential uniformity", "delta = 4 for u = 1/3 when q = 3 (mod 8), p != 3, q > 43",
+            _rows_delta_third, expected=4,
+        ),
+        ClaimSpec(
+            "SPEC_F21", QFilter(congruences=((4, 3),), min_q=8), "differential spectrum",
+            "closed-form spectrum of F_{2,1} equals brute force; locally-APN",
+            _rows_spec_f21,
+        ),
+        ClaimSpec(
+            "BOOM_F21", QFilter(congruences=((4, 3),), min_q=7), "boomerang uniformity",
+            "beta(1, b) <= 2 always; beta = 2",
+            _rows_boom_f21, expected=2, threshold=307,
+        ),
+        ClaimSpec(
+            "APN_Q7", QFilter(q_in=(7,)), "differential uniformity",
+            "delta = 2 for u = 1/3 at q = 7",
+            _rows_delta_third, expected=2,
+        ),
+        ClaimSpec(
+            "REMARK_11_19_43", QFilter(q_in=(11, 19, 43)), "differential uniformity",
+            "delta = 3 for u = 1/3 at q in {11, 19, 43}",
+            _rows_delta_third, expected=3,
+        ),
+        ClaimSpec(
+            "LEMMA_SUITE", QFilter(congruences=((4, 3),)), "lemma checks",
+            "C_ij counts, closed-vs-brute class counts, sqrt-pair lemma, u/-u symmetry",
+            _rows_lemma_suite,
+        ),
+    )
+}
+
+
+def _claim_spec(claim_id):
+    """The ClaimSpec of claim_id; ValueError naming the known ids otherwise."""
+    if claim_id not in CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}; known: {', '.join(sorted(CLAIMS))}")
+    return CLAIMS[claim_id]
+
+
+def check_request(claim_ids, u_mode):
+    """Raise ValueError for an unknown claim id or a malformed u mode."""
+    for claim_id in claim_ids:
+        _claim_spec(claim_id)
+    _parse_u_mode(u_mode, 0)
+
+
 def verify_claim(claim_id, p, n, q, u_mode="default", seed=0):
     """Evaluate one claim at one prime power; returns report rows."""
-    claim = CLAIMS[claim_id]
+    claim = _claim_spec(claim_id)
     if not claim.q_filter.admits(p, n, q):
         return [SweepRow(q, p, n, AGGREGATE_U, claim_id, "-", "-", "skipped")]
     start = time.perf_counter()
-    field = cached_field(p, n)
-    if claim_id in ("THM5_DELTA3", "THM6_DELTA4", "APN_Q7", "REMARK_11_19_43"):
-        expected = {"THM5_DELTA3": 3, "THM6_DELTA4": 4, "APN_Q7": 2, "REMARK_11_19_43": 3}[claim_id]
-        rows = _rows_delta_third(field, claim, expected)
-    elif claim_id in ("THM2_DELTA5", "THM3_DELTA4"):
-        rows = _rows_condition_claim(field, claim, u_mode, seed)
-    elif claim_id == "SPEC_F21":
-        rows = _rows_spec_f21(field, claim)
-    elif claim_id == "BOOM_F21":
-        rows = _rows_boom_f21(field, claim)
-    elif claim_id == "LEMMA_SUITE":
-        rows = _rows_lemma_suite(field, claim)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled claim {claim_id}")
+    rows = claim.evaluate(cached_field(p, n), claim, u_mode, seed)
     elapsed = (time.perf_counter() - start) * 1000.0 / max(1, len(rows))
     for r in rows:
         r.elapsed_ms = elapsed
@@ -521,17 +521,6 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def split_list(items, count):
-    """Split into `count` contiguous chunks, sizes as even as possible."""
-    avg, extra = divmod(len(items), count)
-    out, start = [], 0
-    for i in range(count):
-        end = start + avg + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
-
-
 def _sweep_worker(args):
     chunk, u_mode, seed = args
     rows, errors = [], []
@@ -546,17 +535,16 @@ def _sweep_worker(args):
 def sweep(config: SweepConfig) -> SweepReport:
     """Run claims over every admissible prime power in [min_q, max_q).
 
-    Work is split into `jobs` contiguous chunks; the merged report is
-    independent of the worker count.  Raises ValueError for jobs < 1,
-    max_q < min_q or an unknown claim id, before any work starts.
+    Each (claim, q) is one pool task, handed out as workers free up; the
+    merged report is independent of the worker count.  Raises ValueError
+    for jobs < 1, max_q < min_q, an unknown claim id or a malformed u mode,
+    before any work starts.
     """
     if config.jobs < 1:
         raise ValueError("jobs must be >= 1")
     if config.max_q < config.min_q:
         raise ValueError(f"max_q = {config.max_q} is below min_q = {config.min_q}")
-    for claim_id in config.claims:
-        if claim_id not in CLAIMS:
-            raise ValueError(f"unknown claim {claim_id!r}; known: {', '.join(sorted(CLAIMS))}")
+    check_request(config.claims, config.u_mode)
     tasks = []
     for claim_id in config.claims:
         claim = CLAIMS[claim_id]
@@ -573,9 +561,9 @@ def sweep(config: SweepConfig) -> SweepReport:
     if config.jobs == 1 or len(tasks) <= 1:
         rows, errors = _sweep_worker((tasks, config.u_mode, config.seed))
     else:
-        chunks = [c for c in split_list(tasks, config.jobs) if c]
-        with get_context("fork").Pool(processes=len(chunks)) as pool:
-            for r, e in pool.map(_sweep_worker, [(c, config.u_mode, config.seed) for c in chunks]):
+        single = [([t], config.u_mode, config.seed) for t in tasks]
+        with get_context("fork").Pool(processes=min(config.jobs, len(tasks))) as pool:
+            for r, e in pool.imap_unordered(_sweep_worker, single):
                 rows.extend(r)
                 errors.extend(e)
     rows.sort(key=SweepRow.sort_key)

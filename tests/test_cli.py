@@ -103,6 +103,25 @@ def test_sweep_and_verify_input_errors_exit_2(capsys):
     assert code == 2 and out == "" and "not a prime power" in err
 
 
+def test_verify_checks_every_claim_before_any_row(capsys):
+    code, out, err = run_cli(capsys, "verify", "--q", "23", "--claims", "THM5_DELTA3", "NOPE")
+    assert code == 2 and out == "" and "unknown claim 'NOPE'" in err
+
+
+def test_sweep_rejects_malformed_u_mode_exit_2(capsys):
+    for mode in ("bogus", "sample:x:1", "sample:5"):
+        code, out, err = run_cli(capsys, "sweep", "--min", "900", "--max", "912",
+                                 "--claims", "THM3_DELTA4", "--u-mode", mode)
+        assert code == 2 and out == "" and "bad u mode" in err, mode
+
+
+def test_verify_rejects_malformed_u_mode_exit_2(capsys):
+    for mode in ("bogus", "sample:x:1", "sample:5"):
+        code, out, err = run_cli(capsys, "verify", "--q", "907", "--claims", "THM3_DELTA4",
+                                 "--u-mode", mode)
+        assert code == 2 and out == "" and "bad u mode" in err, mode
+
+
 def test_sweep_csv_and_exit(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "sweep", "--min", "8", "--max", "200", "--claims", "THM5_DELTA3",

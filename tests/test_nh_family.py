@@ -177,6 +177,41 @@ def test_structural_lemmas_vectorized():
             assert structural_lemmas_hold(f, u), (f.q, u)
 
 
+def test_lemma_checks_agree_with_lemmas_hold():
+    # structural_lemma_checks over every b and structural_lemmas_hold are
+    # two views of one battery; both are checked against applicability and
+    # implications re-derived here from the brute-force class counts
+    for args in ((7, 1), (11, 1), (19, 1), (3, 3), (31, 1)):
+        f = cached_field(*args)
+        for u in range(2, f.q):
+            if u == f.neg(1):
+                continue
+            eu, ep, em = f.eta(u), f.eta(f.add(1, u)), f.eta(f.sub(1, u))
+            counts = aij_counts_brute(f, u)
+            delta = derivative_row_counts(f, NHParams(2, u))
+            all_ok = True
+            for b in range(f.q):
+                c00, c01, c10, c11 = counts[b]
+                boundary = b in (f.add(u, 1), f.sub(u, 1))
+                want = {
+                    "A10_full_blocks_A00": (ep == eu, not (c10 == 2 and c00)),
+                    "A01_full_blocks_A00": (ep == -eu, not (c01 == 2 and c00)),
+                    "A01_full_blocks_A11": (em == eu, not (c01 == 2 and c11)),
+                    "A10_full_blocks_A11": (em == -eu, not (c10 == 2 and c11)),
+                    "boundary_delta_le_4": (boundary, delta[b] <= 4),
+                    "delta_le_5": (True, delta[b] <= 5),
+                }
+                verdicts = structural_lemma_checks(f, u, b)
+                assert [v.name for v in verdicts] == list(want)
+                for v in verdicts:
+                    applicable, holds = want[v.name]
+                    assert (v.applicable, v.ok) == (applicable, holds or not applicable), (
+                        f.q, u, b, v,
+                    )
+                    all_ok &= v.ok
+            assert all_ok and structural_lemmas_hold(f, u), (f.q, u)
+
+
 def test_negation_symmetry_delta():
     # delta_{F_{r,-u}}(1, b) = delta_{F_{r,u}}(1, b/(-1)^(r+1))
     for args in ((11, 1), (19, 1), (3, 3)):

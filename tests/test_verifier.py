@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nhsbox.gf import cached_field
+from nhsbox.gf import UnsupportedFieldError, cached_field
 from nhsbox.verifier import (
     AGGREGATE_U,
     CLAIMS,
@@ -14,7 +14,6 @@ from nhsbox.verifier import (
     conclusion_expected_delta,
     enumerate_prime_powers,
     lambda_census,
-    split_list,
     sweep,
     verify_claim,
     _sweep_worker,
@@ -89,6 +88,37 @@ def test_conclusion_expected_delta():
             continue
         expected, threshold = conclusion_expected_delta(f, u)
         assert (expected, threshold) in ((5, 4027), (4, 839))
+
+
+def test_one_third_claims_partition_the_fields():
+    # each q = 3 (mod 4) with p != 3 has exactly one u = 1/3 claim, and the
+    # five-case table reads its value at u = +-1/3 from that claim
+    third_claims = ("THM5_DELTA3", "THM6_DELTA4", "APN_Q7", "REMARK_11_19_43")
+    for p, n, q in enumerate_prime_powers(7, 2000, congruences=((4, 3),), p_ne=(3,)):
+        (claim_id,) = [c for c in third_claims if CLAIMS[c].q_filter.admits(p, n, q)]
+        f = cached_field(p, n)
+        third = f.inv(f.embed(3))
+        for u in (third, f.neg(third)):
+            assert conclusion_expected_delta(f, u) == (CLAIMS[claim_id].expected, None), q
+
+
+def test_conclusion_expected_delta_needs_q_3_mod_4():
+    for args in ((13, 1), (5, 2)):
+        f = cached_field(*args)
+        with pytest.raises(UnsupportedFieldError):
+            conclusion_expected_delta(f, 2)
+
+
+def test_verify_claim_rejects_unknown_claim():
+    with pytest.raises(ValueError, match="unknown claim 'NOPE'; known: "):
+        verify_claim("NOPE", 7, 1, 7)
+
+
+def test_sweep_rejects_malformed_u_mode():
+    for mode in ("bogus", "sample:x:1", "sample:5", "sample:5:1:2", "sample:-1:0", "fixed:",
+                 "fixed:2,-2"):
+        with pytest.raises(ValueError, match="bad u mode"):
+            sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=900, max_q=912, u_mode=mode))
 
 
 def test_default_u_mode_samples_above_2000():
@@ -178,12 +208,6 @@ def test_lemma_suite_claim():
     for p, n, q in ((19, 1, 19), (3, 3, 27)):
         (row,) = verify_claim("LEMMA_SUITE", p, n, q)
         assert row.status == "pass", row
-
-
-def test_split_list_mirrors_even_chunking():
-    assert split_list(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
-    assert split_list([], 2) == [[], []]
-    assert split_list([1, 2], 5)[:2] == [[1], [2]]
 
 
 def test_sweep_determinism_across_jobs():
