@@ -215,16 +215,21 @@ def quartic_criteria(field: Field, A, B):
 
 
 def quartic_has_factor(field: Field, A, B):
-    """Exhaustive search for a linear or quadratic factor of x^4 + A x^2 + B."""
-    f = [B, 0, A, 0, 1]
-    roots = poly_eval_vec(field, f, field.elements())
-    if np.any(roots == 0):
+    """Exhaustive search for a linear or quadratic factor of x^4 + A x^2 + B.
+
+    x^2 + a x + b divides it iff the remainder (2ab - a^3 - Aa) x +
+    (b^2 - a^2 b - Ab + B) vanishes; each a is checked against every b at once.
+    """
+    codes = field.elements()
+    if np.any(poly_eval_vec(field, [B, 0, A, 0, 1], codes) == 0):
         return True
-    for b in range(field.q):
-        for a in range(field.q):
-            _, rem = poly_divmod(field, f, [b, a, 1])
-            if not rem:
-                return True
+    two_b = field.add_vec(codes, codes)
+    for a in range(field.q):
+        s = field.add(field.mul(a, a), A)  # the remainder is a (2b - s) x + b (b - s) + B
+        r1 = field.mul_vec(a, field.sub_vec(two_b, s))
+        r0 = field.add_vec(field.mul_vec(codes, field.sub_vec(codes, s)), B)
+        if np.any((r1 == 0) & (r0 == 0)):
+            return True
     return False
 
 

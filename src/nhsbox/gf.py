@@ -2,11 +2,13 @@
 
 Elements are integer codes in [0, q): the polynomial sum(c_i * x^i) is
 encoded as sum(c_i * p^i).  Prime fields use plain modular arithmetic.
-Extension fields use schoolbook polynomial arithmetic plus, when q is
-small enough, dense tables so that the bulk (numpy) paths stay
-table-driven: log/antilog tables for multiplication, and carry-free
-packed digit codes with two normalise tables for addition and
-subtraction (see :func:`_addition_tables`).
+Extension fields take their Z_p polynomial arithmetic (irreducibility,
+scalar products mod the modulus) from sympy's galoistools and, when q is
+small enough, build dense tables so that the bulk (numpy) paths stay
+table-driven: log/antilog tables for multiplication, filled by matrix
+doubling (see :func:`_powers`), and carry-free packed digit codes with
+two normalise tables for addition and subtraction (see
+:func:`_addition_tables`).
 
 All tables are immutable after construction; a Field is safe to share
 across worker processes.
@@ -19,7 +21,8 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from sympy import factorint, isprime
+from sympy import ZZ, factorint, isprime
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 ETA_TABLE_LIMIT = 1 << 22
 LOG_TABLE_LIMIT = 1 << 20
@@ -51,83 +54,16 @@ class UnsupportedFieldError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over Z_p (coefficient tuples, low degree first)
+# moduli: irreducible polynomials over Z_p (coefficient tuples, low degree first)
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _poly_mulmod(a, b, mod, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(tuple(out), mod, p)
-
-
-def _poly_rem(a, mod, p):
-    n = len(mod) - 1
-    a = list(a)
-    inv_lead = pow(mod[-1], p - 2, p)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i]
-        if c:
-            f = (c * inv_lead) % p
-            for j, mj in enumerate(mod):
-                a[i - n + j] = (a[i - n + j] - f * mj) % p
-    return _poly_trim(tuple(a[:n]))
-
-
-def _poly_powmod(a, e, mod, p):
-    result = (1,)
-    base = _poly_rem(a, mod, p) if len(a) >= len(mod) else _poly_trim(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd_zp(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
 def is_irreducible_zp(coeffs, p):
-    """Rabin test for a monic polynomial over Z_p (coeffs low degree first)."""
-    coeffs = tuple(c % p for c in coeffs)
-    n = len(coeffs) - 1
-    if n < 1 or coeffs[-1] != 1:
+    """Irreducibility of a monic polynomial over Z_p (coeffs low degree first)."""
+    coeffs = [c % p for c in coeffs]
+    if len(coeffs) < 2 or coeffs[-1] != 1:
         raise ValueError("monic polynomial of positive degree expected")
-    if n == 1:
-        return True
-    if coeffs[0] == 0:  # divisible by x
-        return False
-    x = (0, 1)
-    frob = {}  # k -> x^(p^k) mod f
-    h = x
-    for k in range(1, n + 1):
-        h = _poly_powmod(h, p, coeffs, p)
-        frob[k] = h
-    if _poly_trim(frob[n]) != x:
-        return False
-    for t in factorint(n):
-        g = list(frob[n // t]) + [0, 0]
-        g[1] = (g[1] - 1) % p
-        if len(_poly_gcd_zp(tuple(g), coeffs, p)) != 1:
-            # non-constant gcd with x^(p^(n/t)) - x means a small-degree factor
-            return False
-    return True
+    return gf_irreducible_p(coeffs[::-1], p, ZZ)
 
 
 def lex_min_irreducible(p, n):
@@ -251,8 +187,10 @@ class Field:
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a, b):
-        prod = _poly_mulmod(self.digits(a), self.digits(b), self.modulus, self.p)
-        return self.from_digits(prod + (0,) * (self.n - len(prod)))
+        """a * b by sympy's Z_p polynomial arithmetic (high degree first there)."""
+        p = self.p
+        prod = gf_mul(self.digits(a)[::-1], self.digits(b)[::-1], p, ZZ)
+        return int(self.from_digits(gf_rem(prod, self.modulus[::-1], p, ZZ)[::-1]))
 
     def inv(self, a):
         if a == 0:
@@ -439,16 +377,45 @@ def _addition_tables(p, n):
     return pk, pk_neg, normalise(h, 0), normalise(n - h, h), shift
 
 
-def _smallest_generator(field_like, p, n, q):
-    factors = list(factorint(q - 1))
-    cofactors = [(q - 1) // f for f in factors]
+def _smallest_generator(field):
+    q = field.q
+    cofactors = [(q - 1) // f for f in factorint(q - 1)]
     for g in range(2, q):
-        if all(field_like.pow(g, c) != 1 for c in cofactors):
+        if all(field.pow(g, c) != 1 for c in cofactors):
             return g
     raise FieldConstructionError("no generator found")  # unreachable for a true field
 
 
-def build_field(p, n=1, *, modulus=None, eta_limit=ETA_TABLE_LIMIT, log_limit=LOG_TABLE_LIMIT):
+def _powers(field):
+    """Codes of g^0 .. g^(q-2), g the generator, by matrix doubling.
+
+    Multiplication by h is the n x n matrix over Z_p whose row i holds the
+    digits of h * x^i; the rows follow from the companion matrix of the
+    modulus.  When rows 0..m-1 of ``digits`` hold g^0 .. g^(m-1), those rows
+    times the matrix of g^m are g^m .. g^(2m-1), so about log2(q) matmuls
+    give every power.  Checks that g^(q-1) = 1.
+    """
+    p, n, q = field.p, field.n, field.q
+    companion = np.eye(n, k=1, dtype=np.int64)  # x * x^i = x^(i+1)
+    companion[-1] = [-c % p for c in field.modulus[:n]]  # x^n = -sum(f_i x^i)
+    step = np.empty((n, n), dtype=np.int64)  # the matrix of g^m, m = 1 first
+    step[0] = field.digits(field.generator)
+    for i in range(1, n):
+        step[i] = step[i - 1] @ companion % p
+    digits = np.zeros((q, n), dtype=np.int64)
+    digits[0, 0] = 1
+    m = 1
+    while m < q:
+        k = min(m, q - m)
+        digits[m : m + k] = digits[:k] @ step % p
+        step = step @ step % p
+        m += k
+    if digits[q - 1].tolist() != digits[0].tolist():
+        raise FieldConstructionError("generator order check failed")
+    return digits[: q - 1] @ np.array(field._pw, dtype=np.int64)
+
+
+def build_field(p, n=1, *, modulus=None, log_limit=LOG_TABLE_LIMIT):
     """Construct F_{p^n} with a deterministic modulus and generator.
 
     The modulus (for n > 1) defaults to the lexicographically smallest
@@ -481,25 +448,16 @@ def build_field(p, n=1, *, modulus=None, eta_limit=ETA_TABLE_LIMIT, log_limit=LO
                 raise FieldConstructionError("modulus is reducible over Z_p")
         field = Field(p, n, modulus, 0, None, None, None)
 
-    g = _smallest_generator(field, p, n, q)
-    field.generator = g
+    field.generator = _smallest_generator(field)
 
     if n > 1 and q <= log_limit:
         field._add_tables = _addition_tables(p, n)
-        log = np.zeros(q, dtype=np.int64)
-        alog = np.zeros(2 * (q - 1), dtype=np.int64)
-        acc = 1
-        for k in range(q - 1):
-            alog[k] = acc
-            alog[k + q - 1] = acc
-            log[acc] = k
-            acc = field._mul_poly(acc, g)
-        if acc != 1:
-            raise FieldConstructionError("generator order check failed")
-        field._log = log
-        field._alog = alog
+        powers = _powers(field)
+        field._alog = np.concatenate([powers, powers])
+        field._log = np.zeros(q, dtype=np.int64)
+        field._log[powers] = np.arange(q - 1, dtype=np.int64)
 
-    if q <= eta_limit:
+    if q <= ETA_TABLE_LIMIT:
         eta = np.full(q, -1, dtype=np.int8)
         eta[0] = 0
         if n == 1:

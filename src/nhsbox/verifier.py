@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -33,6 +32,7 @@ from .nh_family import (
     DELTA_CAP,
     CaseAnalysis,
     NHParams,
+    UnsupportedParameterError,
     aij_counts_brute,
     derivative_row_counts,
     excluded_u_set,
@@ -144,11 +144,15 @@ def conclusion_expected_delta(field: Field, u):
 
     u = +/-1 gives (q+1)/4; u = +/-1/3 (p != 3) the value of the one u = 1/3
     claim that admits q; any other u the value and threshold of the
-    condition claim whose sign is eta(1+u) * eta(1-u).
+    condition claim whose sign is eta(1+u) * eta(1-u).  u = 0 is in no case.
     """
     q = field.q
+    if not 0 <= u < q:
+        raise ValueError(f"u code {u} out of range for q = {q}")
     if q % 4 != 3:
         raise UnsupportedFieldError("the five-case table needs q = 3 (mod 4)")
+    if u == 0:
+        raise UnsupportedParameterError("u = 0: F_{2,0} = x^2 is in none of the five cases")
     if u in (1, field.neg(1)):
         return (q + 1) // 4, None
     if field.p != 3 and u in (_u_third(field), field.neg(_u_third(field))):
@@ -188,7 +192,8 @@ def _parse_u_mode(u_mode, q):
 
 def _select_condition_us(field: Field, claim, u_mode, seed):
     """u codes outside the excluded set with eta(1+u) = claim.sign * eta(1-u),
-    chosen per u mode; samples are grouped by eta(u)."""
+    chosen per u mode; samples are grouped by eta(u), and fixed codes >= q
+    are dropped like fixed codes outside that set."""
     q = field.q
     codes = field.elements()
     bad = np.zeros(q, dtype=bool)
@@ -200,7 +205,7 @@ def _select_condition_us(field: Field, claim, u_mode, seed):
     selected = codes[want]
     kind, arg = _parse_u_mode(u_mode, q)
     if kind == "fixed":
-        return np.array([u for u in arg if want[u]], dtype=np.int64)
+        return np.array([u for u in arg if u < q and want[u]], dtype=np.int64)
     if kind == "sample" and len(selected) > 0:
         k, sample_seed = arg
         rng = np.random.default_rng(np.random.SeedSequence([sample_seed, seed, q]))
@@ -580,11 +585,6 @@ def sweep(config: SweepConfig) -> SweepReport:
             "seed": config.seed,
         },
     )
-
-
-def default_jobs():
-    env = os.environ.get("SPECTRA_JOBS")
-    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from nhsbox.characters import (
     curve_count_bound,
     curve_point_count,
     jacobsthal_sum,
+    poly_divmod,
     poly_gcd,
     poly_is_squarefree,
     quartic_criteria,
@@ -149,7 +150,9 @@ def test_poly_squarefree_char3_cube():
     f = cached_field(3, 3)
     assert not poly_is_squarefree(f, [1, 0, 0, 1])  # x^3 + 1 = (x+1)^3
     assert poly_is_squarefree(f, [1, 1, 0, 1])
-    assert poly_gcd(f, [1, 0, 1], [1, 0, 1]) == [1, 0, 1] or True  # smoke
+    assert poly_gcd(f, [1, 0, 0, 1], [1, 2, 1]) == [1, 2, 1]  # (x+1)^2 divides (x+1)^3
+    g = poly_gcd(f, [1, 0, 0, 1], [1, 0, 1])  # x^2 + 1 does not vanish at -1
+    assert len(g) == 1 and g[0] != 0
 
 
 def test_curve_point_count():
@@ -216,6 +219,25 @@ def test_quartic_criterion_exhaustive_small():
                 predicted, _ = quartic_criteria(f, A, B)
                 if predicted:
                     assert not quartic_has_factor(f, A, B), (f.q, A, B)
+
+
+def _has_factor_by_division(field, A, B):
+    """Oracle: divide x^4 + A x^2 + B by every monic x + c and x^2 + a x + b."""
+    f, q = [B, 0, A, 0, 1], field.q
+    divisors = [[c, 1] for c in range(q)] + [[b, a, 1] for b in range(q) for a in range(q)]
+    return any(not poly_divmod(field, f, d)[1] for d in divisors)
+
+
+def test_quartic_has_factor_matches_division_oracle():
+    rng = np.random.default_rng(4242)
+    cases = [(cached_field(7), A, B) for A in range(7) for B in range(7)]
+    for args in ((3, 2), (11, 1)):
+        f = cached_field(*args)
+        cases += [(f, int(A), int(B)) for A, B in rng.integers(0, f.q, size=(40, 2))]
+    for f, A, B in cases:
+        assert quartic_has_factor(f, A, B) == _has_factor_by_division(f, A, B), (f.q, A, B)
+    # (x^2 + 4)(x^2 + 2) at F_7: no root, and its only quadratic factors have a = 0
+    assert quartic_has_factor(cached_field(7), 6, 1)
 
 
 def test_theorem2_constants_exact():

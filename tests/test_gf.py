@@ -306,3 +306,44 @@ def test_generator_has_full_order():
             seen.add(x)
             x = f.mul(x, f.generator)
         assert len(seen) == f.q - 1
+
+
+def test_tables_match_scalar_fallback():
+    """The matrix-doubling log/antilog tables against the log_limit=1 fallback,
+    whose powers, products and eta table come from scalar polynomial products."""
+    for p, n in ((3, 3), (7, 2), (7, 3), (3, 7), (11, 3)):
+        f = build_field(p, n)
+        ref = build_field(p, n, log_limit=1)
+        assert ref._log is None and f._log is not None
+        q, g = f.q, f.generator
+        assert (g, f.modulus) == (ref.generator, ref.modulus)
+        assert np.array_equal(f.eta_table, ref.eta_table)
+        assert f._alog.shape == (2 * (q - 1),)
+        assert [int(v) for v in f._alog[: q - 1]] == [ref.pow(g, k) for k in range(q - 1)]
+        assert np.array_equal(f._alog[q - 1 :], f._alog[: q - 1])
+        assert np.array_equal(f._log[f._alog[: q - 1]], np.arange(q - 1))
+        assert f._log[0] == 0
+        if q < 60:
+            grid = [(a, b) for a in range(q) for b in range(q)]
+            want = [ref.mul(a, b) for a, b in grid]
+            codes = f.elements()
+            assert [f.mul(a, b) for a, b in grid] == want
+            assert f.mul_vec(codes[:, None], codes[None, :]).ravel().tolist() == want
+
+
+def test_lex_min_moduli_are_frozen():
+    # every table, report and C_ij class is stated in these representations
+    assert lex_min_irreducible(3, 7) == (1, 0, 0, 0, 0, 1, 2, 1)
+    assert lex_min_irreducible(11, 3) == (1, 0, 4, 1)
+    assert lex_min_irreducible(43, 3) == (1, 0, 9, 1)
+    assert lex_min_irreducible(19, 4) == (1, 0, 0, 6, 1)
+    assert lex_min_irreducible(7, 5) == (1, 0, 0, 0, 3, 1)
+
+
+def test_irreducibility_input_checks():
+    for bad in ((1,), (2,), (1, 2, 2), (0, 1, 0)):
+        with pytest.raises(ValueError):
+            is_irreducible_zp(bad, 3)
+    assert is_irreducible_zp((2, 1), 3)
+    assert is_irreducible_zp((4, 0, 1), 3)  # x^2 + 1, coefficients reduced mod p
+    assert not is_irreducible_zp((0, 1, 1), 3)

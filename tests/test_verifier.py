@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nhsbox.gf import UnsupportedFieldError, cached_field
+from nhsbox.nh_family import UnsupportedParameterError
 from nhsbox.verifier import (
     AGGREGATE_U,
     CLAIMS,
@@ -109,6 +110,19 @@ def test_conclusion_expected_delta_needs_q_3_mod_4():
             conclusion_expected_delta(f, 2)
 
 
+def test_conclusion_expected_delta_rejects_u_zero():
+    for args in ((907, 1), (3, 7)):
+        with pytest.raises(UnsupportedParameterError):
+            conclusion_expected_delta(cached_field(*args), 0)
+
+
+def test_conclusion_expected_delta_rejects_codes_out_of_range():
+    f = cached_field(907)
+    for u in (-1, 907, 5000):
+        with pytest.raises(ValueError, match="out of range"):
+            conclusion_expected_delta(f, u)
+
+
 def test_verify_claim_rejects_unknown_claim():
     with pytest.raises(ValueError, match="unknown claim 'NOPE'; known: "):
         verify_claim("NOPE", 7, 1, 7)
@@ -194,6 +208,15 @@ def test_fixed_u_mode():
     kept = {r.u_code for r in rows}
     assert kept <= {2, 3, 5, 905}  # codes outside the sign class are dropped
     assert all(r.computed == "4" for r in rows if r.status == "pass")
+
+
+def test_fixed_u_mode_drops_codes_beyond_q():
+    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="fixed:5000")
+    assert [(r.u_code, r.computed, r.status) for r in rows] == [(AGGREGATE_U, "no-u", "skipped")]
+    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="fixed:5000,2,907")
+    assert [(r.u_code, r.computed, r.status) for r in rows] == [(2, "4", "pass")]
+    rep = sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=900, max_q=1000, u_mode="fixed:5000"))
+    assert rep.errors == [] and {r.computed for r in rep.rows} == {"no-u"}
 
 
 def test_boomerang_cap_below_threshold():
