@@ -141,6 +141,15 @@ class Field:
         """Image of the rational integer k in the prime subfield."""
         return k % self.p
 
+    def check_code(self, x, name="x"):
+        """Raise ValueError unless x is an element code in [0, q).
+
+        For scalar entry points only: the vector paths index tables with
+        codes and would alias a negative code to q + x silently.
+        """
+        if not 0 <= x < self.q:
+            raise ValueError(f"{name} = {x} is not an element code of F_{self.q}")
+
     def digits(self, x):
         return tuple((x // w) % self.p for w in self._pw)
 
@@ -393,16 +402,18 @@ def _powers(field):
     digits of h * x^i; the rows follow from the companion matrix of the
     modulus.  When rows 0..m-1 of ``digits`` hold g^0 .. g^(m-1), those rows
     times the matrix of g^m are g^m .. g^(2m-1), so about log2(q) matmuls
-    give every power.  Checks that g^(q-1) = 1.
+    give every power.  Rows are int32 while every dot product, at most
+    n (p-1)^2, and every code fit.  Checks that g^(q-1) = 1.
     """
     p, n, q = field.p, field.n, field.q
-    companion = np.eye(n, k=1, dtype=np.int64)  # x * x^i = x^(i+1)
+    dtype = np.int32 if n * (p - 1) ** 2 < 1 << 31 and q < 1 << 31 else np.int64
+    companion = np.eye(n, k=1, dtype=dtype)  # x * x^i = x^(i+1)
     companion[-1] = [-c % p for c in field.modulus[:n]]  # x^n = -sum(f_i x^i)
-    step = np.empty((n, n), dtype=np.int64)  # the matrix of g^m, m = 1 first
+    step = np.empty((n, n), dtype=dtype)  # the matrix of g^m, m = 1 first
     step[0] = field.digits(field.generator)
     for i in range(1, n):
         step[i] = step[i - 1] @ companion % p
-    digits = np.zeros((q, n), dtype=np.int64)
+    digits = np.zeros((q, n), dtype=dtype)
     digits[0, 0] = 1
     m = 1
     while m < q:
@@ -412,7 +423,7 @@ def _powers(field):
         m += k
     if digits[q - 1].tolist() != digits[0].tolist():
         raise FieldConstructionError("generator order check failed")
-    return digits[: q - 1] @ np.array(field._pw, dtype=np.int64)
+    return (digits[: q - 1] @ np.array(field._pw, dtype=dtype)).astype(np.int64)
 
 
 def build_field(p, n=1, *, modulus=None, log_limit=LOG_TABLE_LIMIT):

@@ -10,6 +10,12 @@ four C_ij classes: two linear cases (C_00, C_11) and two quadratic cases
 where tau1 = (1+u)/u and tau2 = (1-u)/u.  Solutions are counted by
 explicit membership of the (distinct) roots in the respective class,
 which is exactly what a brute-force scan over x counts.
+
+Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
+D_1 F_{r,u} = c + u*d is affine in u, so a chunk of u costs one broadcast
+and one offset bincount.  When q = 3 (mod 4), eta(-1) = -1 gives
+F_{r,-u}(x) = (-1)^r F_{r,u}(-x), so u and -u share one delta and each
+pair is evaluated once.
 """
 
 from __future__ import annotations
@@ -53,21 +59,17 @@ def excluded_u_set(field: Field):
     return bad
 
 
-def _check_u(field: Field, params: NHParams):
-    if params.u >= field.q:
-        raise ValueError(f"u = {params.u} is not an element code of F_{field.q}")
-
-
 def eval_F(field: Field, params: NHParams, x):
     """F_{r,u}(x) = x^r (1 + u*eta(x)), with eta(0) = 0 so F(0) = 0."""
-    _check_u(field, params)
+    field.check_code(params.u, "u")
+    field.check_code(x)
     factor = field.add(1, field.mul(params.u, field.embed(field.eta(x))))
     return field.mul(field.pow(x, params.r), factor)
 
 
 def nh_table(field: Field, params: NHParams):
     """Dense value table of F_{r,u} over all of F_q."""
-    _check_u(field, params)
+    field.check_code(params.u, "u")
     codes = field.elements()
     xr = field.pow_vec(codes, params.r)
     eta = field.eta_vec(codes)
@@ -79,6 +81,8 @@ def nh_table(field: Field, params: NHParams):
 
 def derivative_value(field: Field, params: NHParams, a, x):
     """D_a F(x) = F(x+a) - F(x)."""
+    field.check_code(a, "a")
+    field.check_code(x)
     if a == 0:
         raise ValueError("a must be nonzero")
     return field.sub(eval_F(field, params, field.add(x, a)), eval_F(field, params, x))
@@ -113,22 +117,39 @@ def derivative_row_counts(field: Field, params: NHParams):
     return np.bincount(row, minlength=field.q)
 
 
-def uniformity_batch(field: Field, r, u_codes, chunk=256):
-    """delta_{F_{r,u}} for every u in u_codes (via the a = 1 row reduction)."""
-    c, d = derivative_row_parts(field, r)
+# u values per chunk of uniformity_batch (compare spectra._A_BATCH): a chunk
+# of rows stays cache-sized, which beats fewer, larger numpy calls.
+_U_CHUNK = 16
+
+
+def uniformity_batch(field: Field, r, u_codes):
+    """delta_{F_{r,u}} for every u in u_codes (via the a = 1 row reduction),
+    in input order.
+
+    The a = 1 row is c + u*d (derivative_row_parts), _U_CHUNK values of u
+    at a time; prime fields compute it in int32 while q^2 < 2^31.  When
+    q = 3 (mod 4), F_{r,-u}(x) = (-1)^r F_{r,u}(-x) is affine-equivalent
+    to F_{r,u}, so only min(u, -u) is evaluated and its delta copied to
+    both; when q = 1 (mod 4) no u is paired.
+    """
     q = field.q
     u_codes = np.asarray(u_codes, dtype=np.int64)
-    out = np.empty(len(u_codes), dtype=np.int64)
-    for start in range(0, len(u_codes), chunk):
-        us = u_codes[start : start + chunk]
+    reps = np.minimum(u_codes, field.neg_vec(u_codes)) if q % 4 == 3 else u_codes
+    reps, back = np.unique(reps, return_inverse=True)
+    dtype = np.int32 if q * q < 1 << 31 else np.int64
+    c, d = (v.astype(dtype) for v in derivative_row_parts(field, r))
+    offsets = np.arange(_U_CHUNK, dtype=dtype)[:, None] * q
+    deltas = np.empty(len(reps), dtype=np.int64)
+    for lo in range(0, len(reps), _U_CHUNK):
+        us = reps[lo : lo + _U_CHUNK, None].astype(dtype)
         if field.is_prime_field:
-            rows = (c[None, :] + us[:, None] * d[None, :]) % q
+            rows = (c + us * d) % q
         else:
-            rows = field.add_vec(c[None, :], field.mul_vec(us[:, None], d[None, :]))
-        offsets = np.arange(len(us), dtype=np.int64)[:, None] * q
-        flat = np.bincount((rows + offsets).ravel(), minlength=len(us) * q)
-        out[start : start + len(us)] = flat.reshape(len(us), q).max(axis=1)
-    return out
+            rows = field.add_vec(c, field.mul_vec(us, d))
+        rows += offsets[: len(us)]
+        counts = np.bincount(rows.ravel(), minlength=len(us) * q)
+        deltas[lo : lo + len(us)] = counts.reshape(len(us), q).max(axis=1)
+    return deltas[back]
 
 
 CLASS_00, CLASS_01, CLASS_10, CLASS_11 = 0, 1, 2, 3

@@ -146,15 +146,17 @@ def _ddt_batches(table: FunctionTable):
 
 def derivative_row(table: FunctionTable, a):
     """D_a F(x) for every x, as a length-q array."""
+    f = table.field
+    f.check_code(a, "a")
     if a == 0:
         raise ValueError("a must be nonzero")
-    f = table.field
     shifted = table.values[f.add_vec(f.elements(), a)]
     return f.sub_vec(shifted, table.values)
 
 
 def ddt_entry(table: FunctionTable, a, b):
     """delta_F(a, b): preimage count of b under D_a F."""
+    table.field.check_code(b, "b")
     return int(np.count_nonzero(derivative_row(table, a) == b))
 
 
@@ -242,14 +244,17 @@ def differential_spectrum(table: FunctionTable, reduction: NHParams | None = Non
 
 def bct_entry(table: FunctionTable, a, b):
     """beta_F(a, b), read off the fiber-kernel row boomerang_row(table, a)."""
+    table.field.check_code(b, "b")
     return int(boomerang_row(table, a)[b])
 
 
 def bct_entry_bruteforce(table: FunctionTable, a, b):
     """beta_F(a, b) by direct O(q^2) pair enumeration (the oracle)."""
+    f = table.field
+    f.check_code(a, "a")
+    f.check_code(b, "b")
     if a == 0:
         raise ValueError("a must be nonzero")
-    f = table.field
     fa = table.values[f.add_vec(f.elements(), a)]
     d1 = f.sub_vec(table.values[:, None], table.values[None, :])
     d2 = f.sub_vec(fa[:, None], fa[None, :])

@@ -442,13 +442,14 @@ def check_request(claim_ids, u_mode):
 
 
 def verify_claim(claim_id, p, n, q, u_mode="default", seed=0):
-    """Evaluate one claim at one prime power; returns report rows."""
+    """Evaluate one claim at one prime power; returns report rows, each
+    carrying the wall time of the whole (claim, q) task as elapsed_ms."""
     claim = _claim_spec(claim_id)
     if not claim.q_filter.admits(p, n, q):
         return [SweepRow(q, p, n, AGGREGATE_U, claim_id, "-", "-", "skipped")]
     start = time.perf_counter()
     rows = claim.evaluate(cached_field(p, n), claim, u_mode, seed)
-    elapsed = (time.perf_counter() - start) * 1000.0 / max(1, len(rows))
+    elapsed = (time.perf_counter() - start) * 1000.0
     for r in rows:
         r.elapsed_ms = elapsed
     return rows

@@ -18,6 +18,7 @@ from nhsbox.nh_family import (
     structural_lemma_checks,
     structural_lemmas_hold,
     uniformity_batch,
+    _U_CHUNK,
 )
 
 
@@ -225,10 +226,69 @@ def test_negation_symmetry_delta():
                 assert np.array_equal(row_nu, expected)
 
 
+def _delta_oracle(field, u):
+    """delta_{F_{2,u}} from its own a = 1 row: no batching, no pairing."""
+    return int(derivative_row_counts(field, NHParams(2, u)).max())
+
+
 def test_uniformity_batch_matches_rows():
-    for args in ((23, 1), (3, 3)):
+    # every nonzero u, so the distinct u (halved when q = 3 mod 4) fill
+    # several _U_CHUNK chunks plus a partial one; F_343 is also the
+    # every-u mirror check for an extension field of odd degree
+    for args in ((167, 1), (7, 3), (5, 3)):
         f = cached_field(*args)
         us = np.arange(1, f.q)
-        batch = uniformity_batch(f, 2, us, chunk=7)
-        for u, delta in zip(us.tolist(), batch.tolist()):
-            assert delta == int(derivative_row_counts(f, NHParams(2, u)).max())
+        distinct = len(us) // 2 if f.q % 4 == 3 else len(us)
+        assert distinct > 2 * _U_CHUNK and distinct % _U_CHUNK
+        batch = uniformity_batch(f, 2, us)
+        assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        ((23, 1), None),
+        ((3, 3), None),
+        ((3, 7), 200),
+        ((13, 1), None),  # q = 1 (mod 4): u and -u are not paired
+        ((5, 2), None),
+    ],
+)
+def test_uniformity_batch_mirror_matches_oracle(args, count):
+    f = cached_field(*args)
+    us = f.elements()
+    if count is not None:
+        us = np.random.default_rng(7).choice(f.q, size=count, replace=False)
+    batch = uniformity_batch(f, 2, us)
+    assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
+
+
+def test_uniformity_batch_keeps_input_order():
+    for args in ((23, 1), (3, 3), (13, 1)):
+        f = cached_field(*args)
+        us = [5, f.neg(5), 2, 5, 0, f.neg(2), 1, 2, f.neg(1), f.q - 1, 5]
+        batch = uniformity_batch(f, 2, us)
+        assert batch.tolist() == [_delta_oracle(f, u) for u in us]
+    assert uniformity_batch(cached_field(23), 2, []).tolist() == []
+
+
+def test_uniformity_batch_counterexamples():
+    # the known delta = 4 exceptions to THM2_DELTA5, one -u pair per q
+    for q, us in ((4211, [3212, 999]), (4219, [2002, 2217])):
+        f = cached_field(q)
+        assert uniformity_batch(f, 2, us).tolist() == [4, 4]
+        assert [_delta_oracle(f, u) for u in us] == [4, 4]
+
+
+def test_scalar_entry_points_reject_codes_outside_the_field():
+    # -1 would alias to q - 1 = 26 in the tables, not to f.neg(1) = 2
+    f = cached_field(3, 3)
+    params = NHParams(2, 5)
+    assert eval_F(f, params, f.neg(1)) != eval_F(f, params, 26)
+    for x in (-1, 27):
+        with pytest.raises(ValueError, match="element code"):
+            eval_F(f, params, x)
+        with pytest.raises(ValueError, match="element code"):
+            derivative_value(f, params, 1, x)
+        with pytest.raises(ValueError, match="element code"):
+            derivative_value(f, params, x, 1)

@@ -49,6 +49,22 @@ def test_ddt_entry_examples():
         ddt_entry(t, 0, 1)
 
 
+def test_scalar_entry_points_reject_codes_outside_the_field():
+    t = f21(cached_field(3, 3))
+    for code in (-1, 27):
+        for call in (
+            lambda: derivative_row(t, code),
+            lambda: ddt_entry(t, code, 1),
+            lambda: ddt_entry(t, 1, code),
+            lambda: bct_entry(t, 1, code),
+            lambda: bct_entry_bruteforce(t, code, 1),
+            lambda: bct_entry_bruteforce(t, 1, code),
+        ):
+            with pytest.raises(ValueError, match="element code"):
+                call()
+    assert bct_entry(t, 1, 26) == bct_entry_bruteforce(t, 1, 26)
+
+
 def test_derivative_row_matches_entries():
     f = cached_field(19)
     t = f21(f)

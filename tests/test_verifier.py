@@ -281,6 +281,20 @@ def test_report_rendering():
     assert "1.250" in csv_timed and "0" != csv_timed.splitlines()[1].split(",")[-1]
 
 
+def test_elapsed_ms_is_the_whole_task_time(monkeypatch):
+    # a clock that advances 0.25 s per reading: the task spans one step
+    ticks = iter(np.arange(1000) * 0.25)
+    monkeypatch.setattr("nhsbox.verifier.time.perf_counter", lambda: float(next(ticks)))
+    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="sample:3:1")
+    assert len(rows) > 1
+    assert [r.elapsed_ms for r in rows] == [250.0] * len(rows)
+    rep = SweepReport(rows=rows, errors=[], config={})
+    timed = [line.split(",")[-1] for line in rep.to_csv(with_timing=True).splitlines()[1:]]
+    assert timed == ["250.000"] * len(rows)
+    plain = [line.split(",")[-1] for line in rep.to_csv().splitlines()[1:]]
+    assert plain == ["0"] * len(rows)
+
+
 def test_lambda_census_f21():
     for q in (11, 19, 31, 43, 59):
         f = cached_field(q)
