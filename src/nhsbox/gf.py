@@ -3,12 +3,12 @@
 Elements are integer codes in [0, q): the polynomial sum(c_i * x^i) is
 encoded as sum(c_i * p^i).  Prime fields use plain modular arithmetic.
 Extension fields take their Z_p polynomial arithmetic (irreducibility,
-scalar products mod the modulus) from sympy's galoistools and, when q is
-small enough, build dense tables so that the bulk (numpy) paths stay
-table-driven: log/antilog tables for multiplication, filled by matrix
-doubling (see :func:`_powers`), and carry-free packed digit codes with
-two normalise tables for addition and subtraction (see
-:func:`_addition_tables`).
+the generator search) from sympy's galoistools, and each one carries dense
+tables, so that the bulk (numpy) paths stay table-driven: log/antilog
+tables filled by matrix doubling (see :func:`_powers`), the eta table,
+and carry-free packed digit codes with two normalise tables for addition
+and subtraction (see :func:`_addition_tables`).  Hence TABLE_LIMIT bounds
+extension fields; prime fields go up to CODE_LIMIT.
 
 All tables are immutable after construction; a Field is safe to share
 across worker processes.
@@ -24,8 +24,7 @@ import numpy as np
 from sympy import ZZ, factorint, isprime
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
-ETA_TABLE_LIMIT = 1 << 22
-LOG_TABLE_LIMIT = 1 << 20
+TABLE_LIMIT = 1 << 22  # largest extension field; largest prime field with an eta table
 CODE_LIMIT = 1 << 31  # keeps products inside int64 on the numpy paths
 
 
@@ -107,6 +106,9 @@ class Field:
     """F_{p^n} for odd p, with eta / sqrt / C_ij machinery.
 
     Use :func:`build_field`; the constructor only wires precomputed parts.
+    Wired without tables, an extension field has only the scalar digit-loop
+    and polynomial arithmetic: the generator search's bootstrap and the
+    tables' test reference.
     """
 
     def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table):
@@ -204,11 +206,7 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self.n == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._log is not None:
-            return int(self._alog[(self.q - 1 - self._log[a]) % (self.q - 1)])
-        return self.pow(a, self.q - 2)
+        return self.pow(a, -1)
 
     def pow(self, a, e):
         if a == 0:
@@ -268,8 +266,6 @@ class Field:
     def mul_vec(self, x, y):
         if self.n == 1:
             return (x * y) % self.p
-        if self._log is None:
-            raise UnsupportedFieldError("vector multiplication needs log tables (q too large)")
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         out = self._alog[self._log[x] + self._log[y]]
@@ -291,8 +287,6 @@ class Field:
                 base = (base * base) % self.p
                 k >>= 1
             return np.where(x % self.p == 0, 0, result)
-        if self._log is None:
-            raise UnsupportedFieldError("vector powers need log tables (q too large)")
         out = self._alog[(self._log[x] * (e % (self.q - 1))) % (self.q - 1)]
         return np.where(x != 0, out, 0)
 
@@ -402,18 +396,18 @@ def _powers(field):
     digits of h * x^i; the rows follow from the companion matrix of the
     modulus.  When rows 0..m-1 of ``digits`` hold g^0 .. g^(m-1), those rows
     times the matrix of g^m are g^m .. g^(2m-1), so about log2(q) matmuls
-    give every power.  Rows are int32 while every dot product, at most
-    n (p-1)^2, and every code fit.  Checks that g^(q-1) = 1.
+    give every power.  Rows are int32: as q <= TABLE_LIMIT, every dot
+    product, at most n (p-1)^2, and every code stay below 2^24.  Checks that
+    g^(q-1) = 1.
     """
     p, n, q = field.p, field.n, field.q
-    dtype = np.int32 if n * (p - 1) ** 2 < 1 << 31 and q < 1 << 31 else np.int64
-    companion = np.eye(n, k=1, dtype=dtype)  # x * x^i = x^(i+1)
+    companion = np.eye(n, k=1, dtype=np.int32)  # x * x^i = x^(i+1)
     companion[-1] = [-c % p for c in field.modulus[:n]]  # x^n = -sum(f_i x^i)
-    step = np.empty((n, n), dtype=dtype)  # the matrix of g^m, m = 1 first
+    step = np.empty((n, n), dtype=np.int32)  # the matrix of g^m, m = 1 first
     step[0] = field.digits(field.generator)
     for i in range(1, n):
         step[i] = step[i - 1] @ companion % p
-    digits = np.zeros((q, n), dtype=dtype)
+    digits = np.zeros((q, n), dtype=np.int32)
     digits[0, 0] = 1
     m = 1
     while m < q:
@@ -423,16 +417,18 @@ def _powers(field):
         m += k
     if digits[q - 1].tolist() != digits[0].tolist():
         raise FieldConstructionError("generator order check failed")
-    return (digits[: q - 1] @ np.array(field._pw, dtype=dtype)).astype(np.int64)
+    return (digits[: q - 1] @ np.array(field._pw, dtype=np.int32)).astype(np.int64)
 
 
-def build_field(p, n=1, *, modulus=None, log_limit=LOG_TABLE_LIMIT):
+def build_field(p, n=1, *, modulus=None):
     """Construct F_{p^n} with a deterministic modulus and generator.
 
     The modulus (for n > 1) defaults to the lexicographically smallest
     monic irreducible of degree n over Z_p, coefficients compared
     low-degree-first; pass ``modulus`` (a monic coefficient tuple, low
-    degree first) to override the representation.
+    degree first) to override the representation.  Every extension field
+    comes with its tables; above TABLE_LIMIT it raises FieldSizeError
+    before any search starts, as does a prime field above CODE_LIMIT.
     """
     if not isinstance(p, int) or not isprime(p):
         raise NotPrimeError(f"p = {p} is not prime")
@@ -443,6 +439,8 @@ def build_field(p, n=1, *, modulus=None, log_limit=LOG_TABLE_LIMIT):
     q = p**n
     if q > CODE_LIMIT:
         raise FieldSizeError(f"q = {q} exceeds the element-code limit {CODE_LIMIT}")
+    if n > 1 and q > TABLE_LIMIT:
+        raise FieldSizeError(f"extension field q = {q} exceeds the table limit {TABLE_LIMIT}")
 
     if n == 1:
         if modulus is not None:
@@ -461,24 +459,18 @@ def build_field(p, n=1, *, modulus=None, log_limit=LOG_TABLE_LIMIT):
 
     field.generator = _smallest_generator(field)
 
-    if n > 1 and q <= log_limit:
+    if n > 1:
         field._add_tables = _addition_tables(p, n)
         powers = _powers(field)
         field._alog = np.concatenate([powers, powers])
         field._log = np.zeros(q, dtype=np.int64)
         field._log[powers] = np.arange(q - 1, dtype=np.int64)
 
-    if q <= ETA_TABLE_LIMIT:
+    if q <= TABLE_LIMIT:  # the squares are the even powers of g
+        squares = field._alog[: q - 1 : 2] if n > 1 else np.arange(1, q, dtype=np.int64) ** 2 % p
         eta = np.full(q, -1, dtype=np.int8)
         eta[0] = 0
-        if n == 1:
-            x = np.arange(1, q, dtype=np.int64)
-            eta[(x * x) % p] = 1
-        elif field._log is not None:
-            eta[field._alog[0 : q - 1 : 2]] = 1  # even powers of g are the squares
-        else:
-            for x in range(1, q):
-                eta[field._mul_poly(x, x)] = 1
+        eta[squares] = 1
         field.eta_table = eta
 
     return field

@@ -49,12 +49,17 @@ class NHParams:
             raise ValueError("u must be an element code")
 
 
+def u_third(field: Field):
+    """The code of u = 1/3 (p != 3)."""
+    return field.inv(field.embed(3))
+
+
 def excluded_u_set(field: Field):
     """The parameter set excluded by the uniformity claims:
     {0, +1, -1} in characteristic 3, plus {1/3, -1/3} otherwise."""
     bad = {0, 1, field.neg(1)}
     if field.p != 3:
-        third = field.inv(field.embed(3))
+        third = u_third(field)
         bad |= {third, field.neg(third)}
     return bad
 
@@ -261,15 +266,14 @@ _EXCLUSIONS = (
 )
 
 
-def _lemma_battery(field: Field, u):
+def _lemma_battery(case: CaseAnalysis, counts):
     """(name, applicable, ok) per lemma as per-b boolean arrays, where ok
     means the lemma holds at b or does not apply there: the four exclusion
     implications, the boundary bound delta(1, u +/- 1) <= 4 and the cap
-    delta(1, b) <= DELTA_CAP, all from one a_counts_all()."""
-    case = CaseAnalysis(field, u)
-    counts = case.a_counts_all()
+    delta(1, b) <= DELTA_CAP, all from counts = case.a_counts_all()."""
+    field = case.field
     delta = case._delta_from(counts)
-    eu = field.eta(u)
+    eu = field.eta(case.u)
     eta_boundary = (field.eta(case.one_plus), field.eta(case.one_minus))
     battery = []
     for name, point, sign, full, blocked in _EXCLUSIONS:
@@ -283,9 +287,12 @@ def _lemma_battery(field: Field, u):
     return battery
 
 
-def structural_lemmas_hold(field: Field, u):
-    """Every lemma of the battery holds at every b where it applies."""
-    return all(ok.all() for _, _, ok in _lemma_battery(field, u))
+def structural_lemmas_hold(field: Field, u, counts=None):
+    """Every lemma of the battery holds at every b where it applies; counts,
+    if given, is CaseAnalysis(field, u).a_counts_all() from the caller."""
+    case = CaseAnalysis(field, u)
+    counts = case.a_counts_all() if counts is None else counts
+    return all(ok.all() for _, _, ok in _lemma_battery(case, counts))
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,8 @@ def structural_lemma_checks(field: Field, u, b):
     """Per-b verdicts for the four exclusion implications, the boundary
     bound delta(1, u +/- 1) <= 4, and the overall cap delta(1, b) <= 5.
     A lemma that does not apply at b is reported as ok."""
+    case = CaseAnalysis(field, u)
     return [
         LemmaVerdict(name, bool(applicable[b]), bool(ok[b]))
-        for name, applicable, ok in _lemma_battery(field, u)
+        for name, applicable, ok in _lemma_battery(case, case.a_counts_all())
     ]

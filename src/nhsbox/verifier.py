@@ -35,8 +35,10 @@ from .nh_family import (
     UnsupportedParameterError,
     aij_counts_brute,
     derivative_row_counts,
+    derivative_row_parts,
     excluded_u_set,
     structural_lemmas_hold,
+    u_third,
     uniformity_batch,
 )
 from .spectra import (
@@ -91,16 +93,13 @@ def enumerate_prime_powers(min_q, max_q, congruences=(), p_ne=()):
 class QFilter:
     congruences: tuple = ()
     min_q: int = 3
-    max_q: int | None = None
     p_ne: tuple = ()
     q_in: tuple | None = None
 
     def admits(self, p, n, q):
         if self.q_in is not None:
             return q in self.q_in
-        if q < self.min_q or (self.max_q is not None and q >= self.max_q):
-            return False
-        if p in self.p_ne:
+        if q < self.min_q or p in self.p_ne:
             return False
         return all(q % m == r for m, r in self.congruences)
 
@@ -155,17 +154,13 @@ def conclusion_expected_delta(field: Field, u):
         raise UnsupportedParameterError("u = 0: F_{2,0} = x^2 is in none of the five cases")
     if u in (1, field.neg(1)):
         return (q + 1) // 4, None
-    if field.p != 3 and u in (_u_third(field), field.neg(_u_third(field))):
+    if field.p != 3 and u in (u_third(field), field.neg(u_third(field))):
         thirds = [c for c in CLAIMS.values() if c.evaluate is _rows_delta_third]
         (claim,) = [c for c in thirds if c.q_filter.admits(field.p, field.n, q)]
     else:
         sign = field.eta(field.add(1, u)) * field.eta(field.sub(1, u))
         (claim,) = [c for c in CLAIMS.values() if c.sign == sign]
     return claim.expected, claim.threshold
-
-
-def _u_third(field: Field):
-    return field.inv(field.embed(3))
 
 
 U_MODES = "default | all | sample:K:SEED | fixed:U1,U2,..."
@@ -235,7 +230,7 @@ def _verdict_row(field, claim, u, problems):
 
 
 def _rows_delta_third(field, claim, u_mode, seed):
-    u = _u_third(field)
+    u = u_third(field)
     delta = int(derivative_row_counts(field, NHParams(2, u)).max())
     status = "pass" if delta == claim.expected else "exception"
     return [_row(field, claim, u, delta, claim.expected, status)]
@@ -319,10 +314,11 @@ def _rows_lemma_suite(field, claim, u_mode, seed):
         for u in range(2, q):
             if u == field.neg(1):
                 continue
-            if not np.array_equal(CaseAnalysis(field, u).a_counts_all(), aij_counts_brute(field, u)):
+            counts = CaseAnalysis(field, u).a_counts_all()
+            if not np.array_equal(counts, aij_counts_brute(field, u)):
                 problems.append(f"A_ij closed != brute at u={u}")
                 break
-            if not structural_lemmas_hold(field, u):
+            if not structural_lemmas_hold(field, u, counts):
                 problems.append(f"exclusion/cap lemma failed at u={u}")
                 break
 
@@ -358,14 +354,17 @@ def _sqrt_pair_lemma_holds(field: Field):
 
 
 def _negation_symmetry_holds(field: Field):
-    """delta_{F_{r,-u}}(1, b) = delta_{F_{r,u}}(1, b/(-1)^(r+1)) for r = 2."""
+    """delta_{F_{r,-u}}(1, b) = delta_{F_{r,u}}(1, b/(-1)^(r+1)) for
+    r in {2, q-2}, every u != 0; one (c, d) per r, one row per u."""
+    q = field.q
     neg = field.neg_vec(field.elements())
-    for u in range(1, field.q):
-        for r in (2, field.q - 2):
-            row_u = derivative_row_counts(field, NHParams(r, u))
-            row_nu = derivative_row_counts(field, NHParams(r, field.neg(u)))
-            relabeled = row_u[neg] if r % 2 == 0 else row_u
-            if not np.array_equal(row_nu, relabeled):
+    for r in (2, q - 2):
+        c, d = derivative_row_parts(field, r)
+        rows = [np.bincount(field.add_vec(c, field.mul_vec(np.int64(u), d)), minlength=q)
+                for u in range(q)]
+        for u in range(1, q):
+            relabeled = rows[u][neg] if r % 2 == 0 else rows[u]
+            if not np.array_equal(rows[field.neg(u)], relabeled):
                 return False
     return True
 
@@ -542,50 +541,44 @@ def sweep(config: SweepConfig) -> SweepReport:
     """Run claims over every admissible prime power in [min_q, max_q).
 
     Each (claim, q) is one pool task, handed out as workers free up; the
-    merged report is independent of the worker count.  Raises ValueError
-    for jobs < 1, max_q < min_q, an unknown claim id or a malformed u mode,
-    before any work starts.
+    merged report is independent of the worker count.  A worker that dies
+    (killed by the OS, say) turns every task it leaves unfinished into an
+    error row instead of a hang.  Raises ValueError for jobs < 1,
+    max_q < min_q, an unknown claim id or a malformed u mode, before any
+    work starts.
     """
     if config.jobs < 1:
         raise ValueError("jobs must be >= 1")
     if config.max_q < config.min_q:
         raise ValueError(f"max_q = {config.max_q} is below min_q = {config.min_q}")
     check_request(config.claims, config.u_mode)
-    tasks = []
-    for claim_id in config.claims:
-        claim = CLAIMS[claim_id]
-        flt = claim.q_filter
-        qs = enumerate_prime_powers(
-            max(config.min_q, 3), config.max_q, congruences=flt.congruences, p_ne=flt.p_ne
-        )
-        for p, n, q in qs:
-            if flt.admits(p, n, q):
-                tasks.append((claim_id, p, n, q))
-    tasks.sort(key=lambda t: (t[3], t[0]))
+    tasks = [
+        (claim_id, p, n, q)
+        for p, n, q in enumerate_prime_powers(max(config.min_q, 3), config.max_q)
+        for claim_id in sorted(config.claims)
+        if CLAIMS[claim_id].q_filter.admits(p, n, q)
+    ]
 
     rows, errors = [], []
     if config.jobs == 1 or len(tasks) <= 1:
         rows, errors = _sweep_worker((tasks, config.u_mode, config.seed))
-    else:
-        single = [([t], config.u_mode, config.seed) for t in tasks]
-        with get_context("fork").Pool(processes=min(config.jobs, len(tasks))) as pool:
-            for r, e in pool.imap_unordered(_sweep_worker, single):
-                rows.extend(r)
-                errors.extend(e)
+    else:  # imported here so that in-process sweeps do not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        workers = min(config.jobs, len(tasks))
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            futures = [pool.submit(_sweep_worker, ([t], config.u_mode, config.seed)) for t in tasks]
+        for (claim_id, _, _, q), future in zip(tasks, futures):
+            try:
+                r, e = future.result()
+            except BrokenProcessPool as exc:
+                r, e = [], [(q, claim_id, f"BrokenProcessPool: {exc}")]
+            rows.extend(r)
+            errors.extend(e)
     rows.sort(key=SweepRow.sort_key)
     errors.sort()
-    return SweepReport(
-        rows=rows,
-        errors=errors,
-        config={
-            "claims": list(config.claims),
-            "min_q": config.min_q,
-            "max_q": config.max_q,
-            "jobs": config.jobs,
-            "u_mode": config.u_mode,
-            "seed": config.seed,
-        },
-    )
+    return SweepReport(rows, errors, {**asdict(config), "claims": list(config.claims)})
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +636,7 @@ def lambda_census(field: Field, kind: str, u=None) -> LambdaCensus:
             formula_holds=(num % 16 == 0) and (16 * size == num),
         )
     if kind in ("thm5", "thm6"):
-        u = _u_third(field) if u is None else u
+        u = u_third(field) if u is None else u
         counts = CaseAnalysis(field, u).a_counts_all()
         if kind == "thm5":
             size = int(np.count_nonzero((counts[:, 2] == 2) & (counts[:, 3] == 1)))

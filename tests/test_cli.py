@@ -91,6 +91,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "unknown claim" in err
     code, _, err = run_cli(capsys, "field", "--p", "4")
     assert code == 2
+    code, out, err = run_cli(capsys, "field", "--p", "3", "--n", "15")
+    assert code == 2 and out == "" and err.startswith("error: ") and "table limit" in err
 
 
 def test_sweep_and_verify_input_errors_exit_2(capsys):

@@ -1,13 +1,17 @@
 """Field construction, arithmetic, quadratic character, C_ij machinery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhsbox.gf import (
+    TABLE_LIMIT,
     DegreeError,
     EvenCharacteristicError,
+    Field,
     FieldSizeError,
     NotPrimeError,
     UnsupportedFieldError,
@@ -15,6 +19,7 @@ from nhsbox.gf import (
     cached_field,
     is_irreducible_zp,
     lex_min_irreducible,
+    _smallest_generator,
 )
 
 
@@ -196,8 +201,13 @@ def test_vector_ops_match_scalar():
             assert p5[i] == f.pow(int(xs[i]), 5)
 
 
+def _reference(f):
+    """f without tables: scalar polynomial products and digit-loop addition."""
+    return Field(f.p, f.n, f.modulus, f.generator, None, None, None)
+
+
 def _assert_addition_matches_digit_loop(f, xs, ys, scalar_pairs):
-    ref = build_field(f.p, f.n, modulus=f.modulus, log_limit=1)  # digit-loop fallback
+    ref = _reference(f)
     assert f._add_tables is not None and ref._add_tables is None
     for op in ("add_vec", "sub_vec"):
         got, want = getattr(f, op)(xs, ys), getattr(ref, op)(xs, ys)
@@ -239,7 +249,7 @@ def test_packed_addition_scalar_operands_and_modulus():
         for y in (k, np.int64(k)):
             _assert_addition_matches_digit_loop(f, xs, y, [(int(x), y) for x in xs])
             _assert_addition_matches_digit_loop(f, y, xs, [(y, int(x)) for x in xs])
-    ref = build_field(3, 3, modulus=(2, 2, 0, 1), log_limit=1)
+    ref = _reference(f)
     assert f.add_vec(5, np.int64(22)) == ref.add_vec(5, 22)
     assert f.sub_vec(np.int64(5), 22) == ref.sub_vec(5, 22)
 
@@ -309,15 +319,16 @@ def test_generator_has_full_order():
 
 
 def test_tables_match_scalar_fallback():
-    """The matrix-doubling log/antilog tables against the log_limit=1 fallback,
-    whose powers, products and eta table come from scalar polynomial products."""
+    """The matrix-doubling log/antilog and eta tables against the table-free
+    reference, whose powers and products come from scalar polynomial products."""
     for p, n in ((3, 3), (7, 2), (7, 3), (3, 7), (11, 3)):
         f = build_field(p, n)
-        ref = build_field(p, n, log_limit=1)
+        ref = _reference(f)
         assert ref._log is None and f._log is not None
         q, g = f.q, f.generator
-        assert (g, f.modulus) == (ref.generator, ref.modulus)
-        assert np.array_equal(f.eta_table, ref.eta_table)
+        assert g == _smallest_generator(ref)
+        squares = {ref.mul(x, x) for x in range(1, q)}
+        assert f.eta_table.tolist() == [0] + [1 if x in squares else -1 for x in range(1, q)]
         assert f._alog.shape == (2 * (q - 1),)
         assert [int(v) for v in f._alog[: q - 1]] == [ref.pow(g, k) for k in range(q - 1)]
         assert np.array_equal(f._alog[q - 1 :], f._alog[: q - 1])
@@ -347,3 +358,47 @@ def test_irreducibility_input_checks():
     assert is_irreducible_zp((2, 1), 3)
     assert is_irreducible_zp((4, 0, 1), 3)  # x^2 + 1, coefficients reduced mod p
     assert not is_irreducible_zp((0, 1, 1), 3)
+
+
+def _table_digest(f):
+    """sha256 over the modulus, the generator and every table of f."""
+    h = hashlib.sha256(repr((f.modulus, f.generator)).encode())
+    arrays = [f._log, f._alog, f.eta_table]
+    if f._add_tables is not None:
+        *arrays_add, shift = f._add_tables
+        arrays += arrays_add
+        h.update(repr(shift).encode())
+    for a in arrays:
+        h.update(b"none" if a is None else np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_tables_are_frozen():
+    # digests of the tables as first frozen; any change to the modulus,
+    # generator, log/antilog, eta or packed-addition tables shows here
+    frozen = {
+        (3, 7): "be71c2534e6dbae0b2e1ba7b621a7623cb386e1d4572f54d2f052ee6abfb293d",
+        (11, 3): "d4d5ddd06cdcb0308a40b100dc9fd63b640cd1cb61bed7a0b4fc1d361fc9e2d3",
+        (43, 3): "25ec35e87f9b2401fc805f870bd6b211941f44e1cd549f4fe701a362a4a566ab",
+        (19, 4): "6a372458925e89dc7415d8f669ffe8d42d73f8a4665873412242d35b26666f80",
+        (7, 5): "7670392ffad7559a6d38d1b25d3c866faafd884e589f413bbcf48459379b1555",
+        (104729, 1): "d85de66cab9e616675701c6bdd5e1d565409a047644569396f9dc8e6feded61d",
+    }
+    assert {args: _table_digest(build_field(*args)) for args in frozen} == frozen
+
+
+def test_largest_extension_fields_are_table_backed():
+    f = build_field(3, 13)  # 1 594 323 <= TABLE_LIMIT < 3^14
+    q = f.q
+    assert q <= TABLE_LIMIT < 3 * q
+    assert all(t is not None for t in (f._log, f._alog, f._add_tables, f.eta_table))
+    assert f.cij_partition().counts == {
+        "00": (q - 3) // 4, "01": (q + 1) // 4, "10": (q - 3) // 4, "11": (q - 3) // 4
+    }
+    ref = _reference(f)
+    for x in np.random.default_rng(313).integers(0, q, size=200).tolist():
+        assert f.eta_table[x] == ref.eta(x), x
+    with pytest.raises(FieldSizeError, match="table limit"):
+        build_field(3, 15)
+    big = build_field(4194319)  # the first prime above the limit: no tables, scalar eta
+    assert big.eta_table is None and big._log is None and big.eta(big.q - 1) == -1

@@ -266,6 +266,35 @@ def test_sweep_worker_records_failures():
     assert len(errors) == 1 and errors[0][0] == 15 and "NotPrime" in errors[0][2]
 
 
+def test_sweep_records_a_dead_worker_as_errors(monkeypatch):
+    import os
+    import signal
+
+    from nhsbox import verifier
+
+    real = verifier.verify_claim
+
+    def dies_at_23(claim_id, p, n, q, **kwargs):
+        if q == 23:
+            os._exit(1)  # the worker process ends as if the OS had killed it
+        return real(claim_id, p, n, q, **kwargs)
+
+    def hung(signum, frame):
+        raise TimeoutError("sweep hung after a worker died")
+
+    monkeypatch.setattr(verifier, "verify_claim", dies_at_23)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        rep = sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=8, max_q=400, jobs=2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not rep.ok
+    assert (23, "THM5_DELTA3") in [(q, claim) for q, claim, _ in rep.errors]
+    assert all(msg.startswith("BrokenProcessPool: ") for _, _, msg in rep.errors)
+
+
 def test_report_rendering():
     rows = [
         SweepRow(23, 23, 1, 8, "THM5_DELTA3", "4", "3", "exception", 1.25),
