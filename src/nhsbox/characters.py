@@ -7,6 +7,14 @@ and stay independent of the closed-form code.
 Polynomials over F_q are plain sequences of element codes, low degree
 first.  Bivariate polynomials are {(i, j): code} maps for monomials
 t^i * y^j.
+
+Batches: the Weil sums, the conic counts and the Jacobsthal sums take
+their parameters (coefficients, a2/a1/a0, b, a) as code arrays that
+broadcast against each other, so one call checks a whole family.  The
+parameter axes lead and x, the summation variable, is the last axis: a
+batched ``poly_eval_vec`` returns shape params + xs.shape and the sums
+reduce that axis away.  Scalar parameters give a Python int, arrays give
+an int64 array; the scalar call is the batched one on 0-d arrays.
 """
 
 from __future__ import annotations
@@ -38,11 +46,16 @@ def poly_degree(coeffs):
 
 
 def poly_eval_vec(field: Field, coeffs, xs):
-    """Horner evaluation of a code-coefficient polynomial on an array."""
-    coeffs = poly_trim(coeffs)
-    if not coeffs:
-        return np.zeros_like(np.asarray(xs, dtype=np.int64))
-    acc = np.full_like(np.asarray(xs, dtype=np.int64), coeffs[-1])
+    """Horner evaluation of a code-coefficient polynomial on an array.
+
+    A coefficient may be a code array (a batch of polynomials); the result
+    then has shape broadcast(coefficients) + xs.shape.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    coeffs = [np.asarray(c, dtype=np.int64) for c in coeffs]
+    coeffs = [c.reshape(c.shape + (1,) * xs.ndim) for c in coeffs]  # xs axes last
+    shape = np.broadcast_shapes(*(c.shape for c in coeffs), xs.shape)
+    acc = np.full(shape, coeffs[-1] if coeffs else 0, dtype=np.int64)
     for c in reversed(coeffs[:-1]):
         acc = field.add_vec(field.mul_vec(acc, xs), c)
     return acc
@@ -91,51 +104,77 @@ def poly_is_squarefree(field: Field, coeffs):
 # ---------------------------------------------------------------------------
 
 
+def _result(sums):
+    """A Python int for a 0-d result (scalar parameters), else the int64 array."""
+    sums = np.asarray(sums, dtype=np.int64)
+    return int(sums) if sums.ndim == 0 else sums
+
+
 def weil_sum_brute(field: Field, coeffs):
     """Exact sum of eta(f(x)) over F_q by direct enumeration (the oracle)."""
     values = poly_eval_vec(field, coeffs, field.elements())
-    return int(field.eta_vec(values).astype(np.int64).sum())
+    return _result(field.eta_vec(values).sum(axis=-1, dtype=np.int64))
 
 
 def weil_sum_quadratic_closed(field: Field, a2, a1, a0):
     """Closed form for sum of eta(a2 x^2 + a1 x + a0) over F_q."""
-    if a2 == 0:
+    a2, a1, a0 = (np.asarray(a, dtype=np.int64) for a in (a2, a1, a0))
+    if np.any(a2 == 0):
         raise ValueError("a2 = 0: not a quadratic")
-    d = field.sub(field.mul(a1, a1), field.mul(field.embed(4), field.mul(a0, a2)))
-    if d == 0:
-        return (field.q - 1) * field.eta(a2)
-    return -field.eta(a2)
+    four_a0a2 = field.mul_vec(field.embed(4), field.mul_vec(a0, a2))
+    d = field.sub_vec(field.mul_vec(a1, a1), four_a0a2)
+    eta_a2 = field.eta_vec(a2).astype(np.int64)
+    return _result(np.where(d == 0, (field.q - 1) * eta_a2, -eta_a2))
 
 
 def conic_count_closed(field: Field, a1, a2, b):
     """Number of (x1, x2) with a1 x1^2 + a2 x2^2 = b, in closed form."""
-    if a1 == 0 or a2 == 0:
+    a1, a2, b = (np.asarray(a, dtype=np.int64) for a in (a1, a2, b))
+    if np.any(a1 == 0) or np.any(a2 == 0):
         raise ValueError("a1, a2 must be nonzero")
-    nu = field.q - 1 if b == 0 else -1
-    return field.q + nu * field.eta(field.neg(field.mul(a1, a2)))
+    nu = np.where(b == 0, field.q - 1, -1)
+    return _result(field.q + nu * field.eta_vec(field.neg_vec(field.mul_vec(a1, a2))))
 
 
 def conic_count_brute(field: Field, a1, a2):
-    """Counts of a1 x1^2 + a2 x2^2 = b for every b, by the q^2 double loop."""
+    """Counts of a1 x1^2 + a2 x2^2 = b for every b, by direct enumeration.
+
+    The values v of a x^2 come with their multiplicities m(v) (a bincount
+    over x); every pair of such values adds m1(v1) m2(v2) to the count of
+    v1 + v2, a grid of ((q+1)/2)^2 sums instead of q^2.
+    """
     codes = field.elements()
     sq = field.mul_vec(codes, codes)
-    vals = field.add_vec(
-        field.mul_vec(a1, sq)[:, None], field.mul_vec(a2, sq)[None, :]
-    )
-    return np.bincount(vals.ravel(), minlength=field.q)
+    m1 = np.bincount(field.mul_vec(a1, sq), minlength=field.q)
+    m2 = np.bincount(field.mul_vec(a2, sq), minlength=field.q)
+    v1, v2 = np.flatnonzero(m1), np.flatnonzero(m2)
+    sums = field.add_vec(v1[:, None], v2[None, :])
+    weights = m1[v1][:, None] * m2[v2][None, :]
+    # float weights are exact: every count is at most q^2 < 2^53
+    return np.bincount(sums.ravel(), weights.ravel(), minlength=field.q).astype(np.int64)
+
+
+_BLOCK = 1 << 18  # elements per block of the Jacobsthal a-axis
 
 
 def jacobsthal_sum(field: Field, n_exp, a):
     """H_n(a) = sum of eta(x^(n+1) + a x); prime fields only."""
-    if a == 0:
+    a = np.asarray(a, dtype=np.int64)
+    if np.any(a == 0):
         raise ValueError("a must be nonzero")
     if not field.is_prime_field:
         raise UnsupportedFieldError("Jacobsthal sums are defined over prime fields")
     if n_exp < 1:
         raise ValueError("n must be a positive integer")
     xs = field.elements()
-    vals = field.add_vec(field.pow_vec(xs, n_exp + 1), field.mul_vec(a, xs))
-    return int(field.eta_vec(vals).astype(np.int64).sum())
+    lead = field.pow_vec(xs, n_exp + 1)
+    flat = a.reshape(-1, 1)
+    sums = np.empty(len(flat), dtype=np.int64)
+    rows = max(1, _BLOCK // field.q)
+    for i in range(0, len(flat), rows):
+        vals = field.add_vec(lead, field.mul_vec(flat[i : i + rows], xs))
+        sums[i : i + rows] = field.eta_vec(vals).sum(axis=-1, dtype=np.int64)
+    return _result(sums.reshape(a.shape))
 
 
 def cubic_reciprocal_check(field: Field, a, b, c, d):

@@ -123,6 +123,12 @@ def _spectrum_payload(args, boomerang):
     return 0
 
 
+# the closed sides of the two selftest checks that have no closed-form
+# function: sum of eta(x^4 - 1) and the Jacobsthal sum H_2(a), q = 3 (mod 4)
+_X4_MINUS_1_SUM = -1
+_JACOBSTHAL_H2 = 0
+
+
 def _cmd_charsum_selftest(args):
     """Closed forms vs brute-force oracles over all q <= qmax; prints a table."""
     failures = 0
@@ -131,23 +137,23 @@ def _cmd_charsum_selftest(args):
 
     for p, n, q in enumerate_prime_powers(3, args.qmax + 1, p_ne=(2,)):
         field = build_field(p, n)
-        ok_quad = all(
-            weil_sum_quadratic_closed(field, a2, a1, a0) == weil_sum_brute(field, [a0, a1, a2])
-            for a2 in range(1, min(q, 6))
-            for a1 in range(min(q, 5))
-            for a0 in range(min(q, 5))
+        codes = field.elements()
+        c2, c1, c0 = codes[1:6, None, None], codes[:5, None], codes[:5]  # (a2, a1, a0) axes
+        ok_quad = np.array_equal(
+            weil_sum_quadratic_closed(field, c2, c1, c0), weil_sum_brute(field, [c0, c1, c2])
         )
-        ok_conic = all(
-            np.array_equal(
-                conic_count_brute(field, a1, a2),
-                np.array([conic_count_closed(field, a1, a2, b) for b in range(q)]),
-            )
-            for a1 in range(1, min(q, 4))
-            for a2 in range(1, min(q, 4))
+        s = codes[1:4]
+        ok_conic = np.array_equal(
+            np.array([[conic_count_brute(field, s1, s2) for s2 in s] for s1 in s]),
+            conic_count_closed(field, s[:, None, None], s[None, :, None], codes),
         )
-        ok_quartic = weil_sum_brute(field, [field.neg(1), 0, 0, 0, 1]) == -1 if q % 4 == 3 else True
+        ok_quartic = (
+            weil_sum_brute(field, [field.neg(1), 0, 0, 0, 1]) == _X4_MINUS_1_SUM
+            if q % 4 == 3
+            else True
+        )
         ok_jac = (
-            all(jacobsthal_sum(field, 2, a) == 0 for a in range(1, q))
+            np.all(jacobsthal_sum(field, 2, codes[1:]) == _JACOBSTHAL_H2)
             if (n == 1 and q % 4 == 3)
             else True
         )

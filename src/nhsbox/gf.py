@@ -389,6 +389,9 @@ def _smallest_generator(field):
     raise FieldConstructionError("no generator found")  # unreachable for a true field
 
 
+_ROWS = 1 << 16  # digit rows widened to int32 at a time in _powers
+
+
 def _powers(field):
     """Codes of g^0 .. g^(q-2), g the generator, by matrix doubling.
 
@@ -396,9 +399,10 @@ def _powers(field):
     digits of h * x^i; the rows follow from the companion matrix of the
     modulus.  When rows 0..m-1 of ``digits`` hold g^0 .. g^(m-1), those rows
     times the matrix of g^m are g^m .. g^(2m-1), so about log2(q) matmuls
-    give every power.  Rows are int32: as q <= TABLE_LIMIT, every dot
-    product, at most n (p-1)^2, and every code stay below 2^24.  Checks that
-    g^(q-1) = 1.
+    give every power.  Digits are stored as int8 when p < 128 (else int32)
+    and widened to int32 _ROWS rows at a time for each product: as
+    q <= TABLE_LIMIT, every dot product, at most n (p-1)^2, and every code
+    stay below 2^24.  Checks that g^(q-1) = 1.
     """
     p, n, q = field.p, field.n, field.q
     companion = np.eye(n, k=1, dtype=np.int32)  # x * x^i = x^(i+1)
@@ -407,17 +411,27 @@ def _powers(field):
     step[0] = field.digits(field.generator)
     for i in range(1, n):
         step[i] = step[i - 1] @ companion % p
-    digits = np.zeros((q, n), dtype=np.int32)
+    digits = np.zeros((q, n), dtype=np.int8 if p < 128 else np.int32)
     digits[0, 0] = 1
+
+    def times(rows, matrix):
+        return rows.astype(np.int32, copy=False) @ matrix
+
     m = 1
     while m < q:
         k = min(m, q - m)
-        digits[m : m + k] = digits[:k] @ step % p
+        for i in range(0, k, _ROWS):
+            j = min(i + _ROWS, k)
+            digits[m + i : m + j] = times(digits[i:j], step) % p
         step = step @ step % p
         m += k
     if digits[q - 1].tolist() != digits[0].tolist():
         raise FieldConstructionError("generator order check failed")
-    return (digits[: q - 1] @ np.array(field._pw, dtype=np.int32)).astype(np.int64)
+    pw = np.array(field._pw, dtype=np.int32)
+    codes = np.empty(q - 1, dtype=np.int64)
+    for i in range(0, q - 1, _ROWS):
+        codes[i : i + _ROWS] = times(digits[i : min(i + _ROWS, q - 1)], pw)
+    return codes
 
 
 def build_field(p, n=1, *, modulus=None):

@@ -78,7 +78,7 @@ def test_conic_counts():
         conic_count_closed(f7, 0, 1, 1)
 
 
-def test_conic_closed_vs_double_loop():
+def test_conic_closed_vs_brute_counts():
     for args in ((7, 1), (11, 1), (3, 2), (13, 1)):
         f = cached_field(*args)
         for a1 in range(1, f.q):
@@ -86,6 +86,24 @@ def test_conic_closed_vs_double_loop():
                 direct = conic_count_brute(f, a1, a2)
                 for b in range(f.q):
                     assert direct[b] == conic_count_closed(f, a1, a2, b)
+
+
+def _conic_count_grid(field, a1, a2):
+    """Reference: counts of a1 x1^2 + a2 x2^2 = b over the full q x q grid."""
+    codes = field.elements()
+    sq = field.mul_vec(codes, codes)
+    vals = field.add_vec(field.mul_vec(a1, sq)[:, None], field.mul_vec(a2, sq)[None, :])
+    return np.bincount(vals.ravel(), minlength=field.q)
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (7, 2)])
+def test_conic_brute_matches_full_grid(p, n):
+    f = cached_field(p, n)
+    for a1 in range(f.q):
+        for a2 in range(f.q):
+            got = conic_count_brute(f, a1, a2)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _conic_count_grid(f, a1, a2)), (f.q, a1, a2)
 
 
 def test_jacobsthal():
@@ -106,6 +124,67 @@ def test_jacobsthal_even_vanishing():
         for n_exp in (2, 4, 6):
             for a in range(1, p):
                 assert jacobsthal_sum(f, n_exp, a) == 0
+
+
+def test_jacobsthal_batch_errors():
+    f7 = cached_field(7)
+    with pytest.raises(ValueError):
+        jacobsthal_sum(f7, 2, np.array([1, 0, 3]))
+    with pytest.raises(UnsupportedFieldError):
+        jacobsthal_sum(cached_field(3, 3), 2, np.arange(1, 27))
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (7, 2)])
+def test_weil_brute_batch_matches_scalar_calls(p, n):
+    f = cached_field(p, n)
+    rng = np.random.default_rng(f.q)
+    coeffs = [rng.integers(0, f.q, size=(6, 1, 1)), rng.integers(0, f.q, size=(1, 5, 1)),
+              rng.integers(0, f.q, size=(1, 1, 4)), 1]
+    batch = weil_sum_brute(f, coeffs)
+    assert batch.shape == (6, 5, 4) and batch.dtype == np.int64
+    for i, j, k in np.ndindex(batch.shape):
+        one = weil_sum_brute(f, [int(coeffs[0][i, 0, 0]), int(coeffs[1][0, j, 0]),
+                                 int(coeffs[2][0, 0, k]), 1])
+        assert type(one) is int and batch[i, j, k] == one
+    # a leading coefficient array may hold zeros: those entries are quadratics
+    lead = np.arange(f.q)
+    batch = weil_sum_brute(f, [3, 1, 1, lead])
+    assert list(batch) == [weil_sum_brute(f, [3, 1, 1, int(c)]) for c in lead]
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (3, 2), (3, 3), (11, 1)])
+def test_closed_forms_batch_match_scalar_calls(p, n):
+    f = cached_field(p, n)
+    codes = f.elements()
+    a2, a1, a0 = codes[1:, None, None], codes[:, None], codes
+    batch = weil_sum_quadratic_closed(f, a2, a1, a0)
+    assert batch.shape == (f.q - 1, f.q, f.q)
+    assert np.array_equal(batch, weil_sum_brute(f, [a0, a1, a2]))
+    for c2, c1, c0 in [(1, 0, 0), (2, 1, 1), (f.q - 1, 2, 0)]:
+        one = weil_sum_quadratic_closed(f, c2, c1, c0)
+        assert type(one) is int and batch[c2 - 1, c1, c0] == one
+    for s1 in range(1, f.q):
+        for s2 in range(1, f.q):
+            batch = conic_count_closed(f, s1, s2, codes)
+            scalar = [conic_count_closed(f, s1, s2, b) for b in range(f.q)]
+            assert all(type(c) is int for c in scalar)
+            assert batch.tolist() == scalar
+    with pytest.raises(ValueError):
+        weil_sum_quadratic_closed(f, codes, 1, 1)
+    with pytest.raises(ValueError):
+        conic_count_closed(f, codes, 1, 1)
+
+
+def test_jacobsthal_batch_matches_scalar_calls():
+    for p in (7, 11, 13, 17):
+        f = cached_field(p)
+        a = np.arange(1, p)
+        for n_exp in (1, 2, 3, 4):
+            batch = jacobsthal_sum(f, n_exp, a)
+            scalar = [jacobsthal_sum(f, n_exp, int(x)) for x in a]
+            assert all(type(h) is int for h in scalar)
+            assert batch.tolist() == scalar
+            assert np.array_equal(jacobsthal_sum(f, n_exp, a.reshape(-1, 2)), batch.reshape(-1, 2))
 
 
 def test_cubic_reciprocal_identity():

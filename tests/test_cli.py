@@ -168,3 +168,27 @@ def test_charsum_selftest(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split() == ["q", "result"]
     assert all(line.split()[1] == "pass" for line in lines[1:])
+
+
+def _off_by_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+@pytest.mark.parametrize("name, fails", [
+    ("weil_sum_quadratic_closed", lambda p, n, q: True),
+    ("conic_count_closed", lambda p, n, q: True),
+    ("_JACOBSTHAL_H2", lambda p, n, q: n == 1 and q % 4 == 3),
+    ("_X4_MINUS_1_SUM", lambda p, n, q: q % 4 == 3),
+])
+def test_charsum_selftest_detects_a_wrong_closed_side(capsys, monkeypatch, name, fails):
+    from nhsbox import cli
+    from nhsbox.verifier import enumerate_prime_powers
+
+    old = getattr(cli, name)
+    monkeypatch.setattr(cli, name, old + 1 if isinstance(old, int) else _off_by_one(old))
+    code, out, _ = run_cli(capsys, "charsum", "selftest", "--qmax", "50")
+    assert code == 1
+    got = {int(q): res for q, res in (line.split() for line in out.strip().splitlines()[1:])}
+    want = {q: "FAIL" if fails(p, n, q) else "pass"
+            for p, n, q in enumerate_prime_powers(3, 51, p_ne=(2,))}
+    assert got == want

@@ -1,6 +1,7 @@
 """Field construction, arithmetic, quadratic character, C_ij machinery."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,3 +403,16 @@ def test_largest_extension_fields_are_table_backed():
         build_field(3, 15)
     big = build_field(4194319)  # the first prime above the limit: no tables, scalar eta
     assert big.eta_table is None and big._log is None and big.eta(big.q - 1) == -1
+
+
+def test_powers_memory_bound_at_3_13():
+    # int8 digit rows, widened to int32 in row blocks; a whole int32 digit
+    # matrix with full-height matmul temporaries peaks at about 158 MB
+    tracemalloc.start()
+    try:
+        f = build_field(3, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.pow(f.generator, f.q - 1) == 1
+    assert peak <= 110 * 2**20, peak / 2**20
