@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import mpmath
 import numpy as np
 
 from .gf import Field, UnsupportedFieldError
@@ -310,6 +309,8 @@ class _BoundAccumulator:
         self.m2_pow[om] = self.m2_pow.get(om, 0) + 1
 
     def floor_m2(self):
+        import mpmath  # its only user here; kept off the import path
+
         with mpmath.workdps(60):
             total = mpmath.mpf(self.m2_int)
             for om, count in sorted(self.m2_pow.items()):

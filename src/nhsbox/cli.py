@@ -12,7 +12,6 @@ import json
 import sys
 
 import numpy as np
-from sympy import factorint
 
 from .characters import (
     boomerang_constants,
@@ -24,7 +23,7 @@ from .characters import (
     weil_sum_brute,
     weil_sum_quadratic_closed,
 )
-from .gf import FieldConstructionError, build_field
+from .gf import CODE_LIMIT, FieldConstructionError, build_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
 from .verifier import U_MODES, SweepConfig, check_request, sweep, verify_claim
@@ -35,12 +34,18 @@ class UsageError(ValueError):
 
 
 def _prime_power(q):
-    """(p, n) with q = p^n; UsageError when q is not a prime power."""
-    fac = factorint(q)
+    """(p, n) with q = p^n; UsageError when q is not a prime power or above
+    CODE_LIMIT.  q = 0 and q = -1 pass as (q, 1) for build_field to reject
+    p = q as not prime."""
+    if q > CODE_LIMIT:
+        raise UsageError(f"q = {q} exceeds the element-code limit {CODE_LIMIT}")
+    if q in (0, -1):
+        return q, 1
+    fac = factorize(q) if q > 0 else {}
     if len(fac) != 1:
         raise UsageError(f"q = {q} is not a prime power")
     ((p, n),) = fac.items()
-    return int(p), int(n)
+    return p, n
 
 
 def _field_from_args(args):

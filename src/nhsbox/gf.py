@@ -3,9 +3,10 @@
 Elements are integer codes in [0, q): the polynomial sum(c_i * x^i) is
 encoded as sum(c_i * p^i).  Prime fields use plain modular arithmetic.
 Extension fields take their Z_p polynomial arithmetic (irreducibility,
-the generator search) from sympy's galoistools, and each one carries dense
-tables, so that the bulk (numpy) paths stay table-driven: log/antilog
-tables filled by matrix doubling (see :func:`_powers`), the eta table,
+the generator search) from sympy's galoistools, imported on first use so
+that prime fields never load sympy, and each one carries dense tables, so
+that the bulk (numpy) paths stay table-driven: log/antilog tables filled
+by matrix doubling (see :func:`_powers`), the eta table,
 and carry-free packed digit codes with two normalise tables for addition
 and subtraction (see :func:`_addition_tables`).  Hence TABLE_LIMIT bounds
 extension fields; prime fields go up to CODE_LIMIT.
@@ -21,8 +22,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from sympy import ZZ, factorint, isprime
-from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 TABLE_LIMIT = 1 << 22  # largest extension field; largest prime field with an eta table
 CODE_LIMIT = 1 << 31  # keeps products inside int64 on the numpy paths
@@ -52,6 +51,23 @@ class UnsupportedFieldError(ValueError):
     """Operation requires q = 3 (mod 4) (or another unmet field shape)."""
 
 
+def factorize(m):
+    """{prime: exponent} of an integer m >= 1, by trial division: meant for
+    m <= CODE_LIMIT, where it takes at most about 46k divisions."""
+    if m < 1:
+        raise ValueError(f"m = {m} must be a positive integer")
+    out = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # moduli: irreducible polynomials over Z_p (coefficient tuples, low degree first)
 # ---------------------------------------------------------------------------
@@ -59,6 +75,9 @@ class UnsupportedFieldError(ValueError):
 
 def is_irreducible_zp(coeffs, p):
     """Irreducibility of a monic polynomial over Z_p (coeffs low degree first)."""
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
     coeffs = [c % p for c in coeffs]
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise ValueError("monic polynomial of positive degree expected")
@@ -199,6 +218,9 @@ class Field:
 
     def _mul_poly(self, a, b):
         """a * b by sympy's Z_p polynomial arithmetic (high degree first there)."""
+        from sympy import ZZ
+        from sympy.polys.galoistools import gf_mul, gf_rem
+
         p = self.p
         prod = gf_mul(self.digits(a)[::-1], self.digits(b)[::-1], p, ZZ)
         return int(self.from_digits(gf_rem(prod, self.modulus[::-1], p, ZZ)[::-1]))
@@ -382,7 +404,7 @@ def _addition_tables(p, n):
 
 def _smallest_generator(field):
     q = field.q
-    cofactors = [(q - 1) // f for f in factorint(q - 1)]
+    cofactors = [(q - 1) // f for f in factorize(q - 1)]
     for g in range(2, q):
         if all(field.pow(g, c) != 1 for c in cofactors):
             return g
@@ -444,7 +466,8 @@ def build_field(p, n=1, *, modulus=None):
     comes with its tables; above TABLE_LIMIT it raises FieldSizeError
     before any search starts, as does a prime field above CODE_LIMIT.
     """
-    if not isinstance(p, int) or not isprime(p):
+    # a p above CODE_LIMIT is left to the size check below
+    if not isinstance(p, int) or p < 2 or (p <= CODE_LIMIT and factorize(p) != {p: 1}):
         raise NotPrimeError(f"p = {p} is not prime")
     if p == 2:
         raise EvenCharacteristicError("characteristic 2 is out of scope")

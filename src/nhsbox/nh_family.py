@@ -11,6 +11,12 @@ where tau1 = (1+u)/u and tau2 = (1-u)/u.  Solutions are counted by
 explicit membership of the (distinct) roots in the respective class,
 which is exactly what a brute-force scan over x counts.
 
+Batch convention (as for the character-sum oracles): CaseAnalysis,
+aij_counts_brute and structural_lemmas_hold take one u code or a 1-D
+array of U codes.  The u axis leads, so a batch gives (U, q, 4) counts
+and a (U,) verdict, and a scalar u gives the (q, 4) counts and the bool
+of the batch of one.
+
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d is affine in u, so a chunk of u costs one broadcast
 and one offset bincount.  When q = 3 (mod 4), eta(-1) = -1 gives
@@ -122,8 +128,9 @@ def derivative_row_counts(field: Field, params: NHParams):
     return np.bincount(row, minlength=field.q)
 
 
-# u values per chunk of uniformity_batch (compare spectra._A_BATCH): a chunk
-# of rows stays cache-sized, which beats fewer, larger numpy calls.
+# u values per chunk of uniformity_batch and of the LEMMA_SUITE sweep
+# (compare spectra._A_BATCH): a chunk of rows stays cache-sized, which beats
+# fewer, larger numpy calls.
 _U_CHUNK = 16
 
 
@@ -160,76 +167,117 @@ def uniformity_batch(field: Field, r, u_codes):
 CLASS_00, CLASS_01, CLASS_10, CLASS_11 = 0, 1, 2, 3
 
 
+def _u_axis(field: Field, u):
+    """u (one code or a 1-D array of codes) as a (U, 1) int64 column, and
+    whether u was a scalar."""
+    us = np.asarray(u, dtype=np.int64)
+    if us.ndim > 1:
+        raise ValueError("u must be one element code or a 1-D array of them")
+    if np.any((us < 0) | (us >= field.q)):
+        raise ValueError(f"u holds a value that is not an element code of F_{field.q}")
+    return us.reshape(-1, 1), us.ndim == 0
+
+
 class CaseAnalysis:
-    """Closed-form per-b solution counts of D_1 F_{2,u}(x) = b on each C_ij."""
+    """Closed-form per-b solution counts of D_1 F_{2,u}(x) = b on each C_ij,
+    for one u code or a 1-D array of them (the batch convention above).
+
+    The per-u constants are (U, 1) columns, so every formula broadcasts
+    against the b axis; the public attributes are views of them.
+    """
 
     def __init__(self, field: Field, u):
         if field.q % 4 != 3:
             raise UnsupportedFieldError("the case analysis needs q = 3 (mod 4)")
-        if u in (0, 1, field.neg(1)):
+        us, self._scalar = _u_axis(field, u)
+        if np.any((us == 0) | (us == 1) | (us == field.neg(1))):
             raise UnsupportedParameterError(
                 "u in {0, +1, -1}: use the generic DDT instead of the case split"
             )
+        f = field
         self.field = field
         self.u = u
-        inv_u = field.inv(u)
-        self.one_plus = field.add(1, u)  # D_1F(0)
-        self.one_minus = field.sub(1, u)  # -D_1F(-1) sign-wise: D_1F(-1) = u - 1
-        self.tau1 = field.mul(self.one_plus, inv_u)
-        self.tau2 = field.mul(self.one_minus, inv_u)
-        self._inv_u = inv_u
-        self._inv2 = field.inv(field.embed(2))
-        self._t1t2 = field.mul(self.tau1, self.tau2)
-        self._inv_2p = field.inv(field.mul(field.embed(2), self.one_plus))
-        self._inv_2m = field.inv(field.mul(field.embed(2), self.one_minus))
-        self._classes = field.cij_partition().classes
+        self._us = us
+        self._one_plus = f.add_vec(1, us)  # D_1F(0)
+        self._one_minus = f.sub_vec(1, us)  # -D_1F(-1) sign-wise: D_1F(-1) = u - 1
+        twice = f.mul_vec(f.embed(2), np.stack([self._one_plus, self._one_minus]))
+        # 1/u, 1/(2(1+u)), 1/(2(1-u)) as x^(q-2), in one call
+        inverses = f.pow_vec(np.concatenate([us[None], twice]), f.q - 2)
+        self._inv_u, self._inv_2p, self._inv_2m = inverses
+        self._tau1 = f.mul_vec(self._one_plus, self._inv_u)
+        self._tau2 = f.mul_vec(self._one_minus, self._inv_u)
+        self._inv2 = f.inv(f.embed(2))
+        self._t1t2 = f.mul_vec(self._tau1, self._tau2)
+        self._classes = f.cij_partition().classes
+        self.one_plus, self.one_minus, self.tau1, self.tau2 = (
+            self._column(c) for c in (self._one_plus, self._one_minus, self._tau1, self._tau2)
+        )
+
+    def _view(self, a):
+        """A (U, ...) result as the caller's shape: row 0 for a scalar u."""
+        return a[0] if self._scalar else a
+
+    def _column(self, col):
+        """A (U, 1) constant as the caller's value: an int for a scalar u."""
+        return int(col[0, 0]) if self._scalar else col[:, 0]
+
+    def _boundary(self):
+        """(U, 1) columns (D_1F(0), D_1F(-1)) = (u + 1, u - 1)."""
+        return self._one_plus, self.field.sub_vec(self._us, 1)
 
     @property
     def boundary_values(self):
         """D_1F at the two excluded points: (D_1F(0), D_1F(-1)) = (u+1, u-1)."""
-        return self.one_plus, self.field.sub(self.u, 1)
+        return tuple(self._column(v) for v in self._boundary())
 
     def a_counts(self, b):
-        """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all."""
-        return tuple(int(c) for c in self.a_counts_all()[b])
+        """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all
+        (a tuple for a scalar u, a (U, 4) array for a batch)."""
+        counts = self._counts()[:, b]
+        return tuple(int(c) for c in counts[0]) if self._scalar else counts
 
     def a_counts_all(self):
-        """(q, 4) array of (#A_00, #A_01, #A_10, #A_11) for every b."""
+        """(q, 4) array of (#A_00, #A_01, #A_10, #A_11) for every b; (U, q, 4)
+        for a batch of u."""
+        return self._view(self._counts())
+
+    def _counts(self):
         f = self.field
-        bs = f.elements()
+        bs = f.elements()[None, :]
         classes = self._classes
-        out = np.zeros((f.q, 4), dtype=np.int64)
+        out = np.zeros((len(self._us), f.q, 4), dtype=np.int64)
 
-        x00 = f.mul_vec(f.sub_vec(bs, self.one_plus), np.int64(self._inv_2p))
-        out[:, 0] = classes[x00] == CLASS_00
-        x11 = f.mul_vec(f.sub_vec(bs, self.one_minus), np.int64(self._inv_2m))
-        out[:, 3] = classes[x11] == CLASS_11
+        x00 = f.mul_vec(f.sub_vec(bs, self._one_plus), self._inv_2p)
+        out[..., 0] = classes[x00] == CLASS_00
+        x11 = f.mul_vec(f.sub_vec(bs, self._one_minus), self._inv_2m)
+        out[..., 3] = classes[x11] == CLASS_11
 
-        two_b_over_u = f.mul_vec(f.embed(2), f.mul_vec(bs, np.int64(self._inv_u)))
+        two_b_over_u = f.mul_vec(f.embed(2), f.mul_vec(bs, self._inv_u))
         for col, disc, base in (
-            (1, f.sub_vec(self._t1t2, two_b_over_u), self.tau2),
-            (2, f.add_vec(self._t1t2, two_b_over_u), f.neg(self.tau1)),
+            (1, f.sub_vec(self._t1t2, two_b_over_u), self._tau2),
+            (2, f.add_vec(self._t1t2, two_b_over_u), f.neg_vec(self._tau1)),
         ):
             square = f.eta_vec(disc) >= 0
             s = np.where(square, f.sqrt_table[disc], 0)
             target = CLASS_01 if col == 1 else CLASS_10
-            r1 = f.mul_vec(f.add_vec(np.int64(base), s), np.int64(self._inv2))
-            r2 = f.mul_vec(f.sub_vec(np.int64(base), s), np.int64(self._inv2))
+            r1 = f.mul_vec(f.add_vec(base, s), np.int64(self._inv2))
+            r2 = f.mul_vec(f.sub_vec(base, s), np.int64(self._inv2))
             cnt = (classes[r1] == target).astype(np.int64)
             cnt += ((s != 0) & (classes[r2] == target)).astype(np.int64)
-            out[:, col] = np.where(square, cnt, 0)
+            out[..., col] = np.where(square, cnt, 0)
         return out
 
     def delta_row(self):
         """delta(1, b) for every b, assembled from the closed counts."""
-        return self._delta_from(self.a_counts_all())
+        return self._view(self._delta_from(self._counts()))
 
     def _delta_from(self, counts):
-        """delta(1, b) from the (q, 4) class counts plus the two boundary points."""
-        row = counts.sum(axis=1)
-        d0, dm1 = self.boundary_values
-        row[d0] += 1
-        row[dm1] += 1
+        """(U, q) delta(1, b) from (U, q, 4) class counts plus the two
+        boundary points of each row."""
+        row = counts.sum(axis=-1)
+        rows = np.arange(len(row))[:, None]
+        for point in self._boundary():
+            row[rows, point] += 1
         return row
 
 
@@ -239,17 +287,25 @@ def aij_counts_closed(field: Field, u, b):
 
 
 def aij_counts_brute(field: Field, u):
-    """(q, 4) per-b counts by scanning every x outside {0, -1} (the oracle)."""
-    params = NHParams(2, u)
+    """(q, 4) per-b counts by scanning every x outside {0, -1} (the oracle);
+    (U, q, 4) for a 1-D array of u.
+
+    Builds each table x^2 (1 + u*eta(x)) directly, takes its a = 1 row
+    F(x+1) - F(x) and counts it with one bincount keyed by (u, value,
+    class); nothing here comes from CaseAnalysis.
+    """
+    us, scalar = _u_axis(field, u)
+    q = field.q
     codes = field.elements()
-    table = nh_table(field, params)
-    row = field.sub_vec(table[field.add_vec(codes, 1)], table)
+    eta = field.eta_vec(codes)
+    factor = np.where(eta == 0, 1, np.where(eta > 0, field.add_vec(1, us), field.sub_vec(1, us)))
+    table = field.mul_vec(field.pow_vec(codes, 2), factor)
+    row = field.sub_vec(table[:, field.add_vec(codes, 1)], table)
     classes = field.cij_partition().classes
-    out = np.zeros((field.q, 4), dtype=np.int64)
-    for cls, col in ((CLASS_00, 0), (CLASS_01, 1), (CLASS_10, 2), (CLASS_11, 3)):
-        mask = classes == cls
-        out[:, col] = np.bincount(row[mask], minlength=field.q)
-    return out
+    inside = classes >= 0
+    key = (np.arange(len(us))[:, None] * q + row[:, inside]) * 4 + classes[inside]
+    out = np.bincount(key.ravel(), minlength=len(us) * q * 4).reshape(len(us), q, 4)
+    return out[0] if scalar else out
 
 
 DELTA_CAP = 5  # delta_{F_{2,u}} <= 5 for every u outside {0, +1, -1}
@@ -267,32 +323,38 @@ _EXCLUSIONS = (
 
 
 def _lemma_battery(case: CaseAnalysis, counts):
-    """(name, applicable, ok) per lemma as per-b boolean arrays, where ok
-    means the lemma holds at b or does not apply there: the four exclusion
-    implications, the boundary bound delta(1, u +/- 1) <= 4 and the cap
-    delta(1, b) <= DELTA_CAP, all from counts = case.a_counts_all()."""
+    """(name, applicable, ok) per lemma as (U, q) boolean arrays, where ok
+    means the lemma holds at (u, b) or does not apply there: the four
+    exclusion implications, the boundary bound delta(1, u +/- 1) <= 4 and
+    the cap delta(1, b) <= DELTA_CAP, all from counts = case.a_counts_all()."""
     field = case.field
+    shape = (len(case._us), field.q)
+    counts = np.reshape(counts, shape + (4,))
     delta = case._delta_from(counts)
-    eu = field.eta(case.u)
-    eta_boundary = (field.eta(case.one_plus), field.eta(case.one_minus))
+    eu = field.eta_vec(case._us)
+    eta_boundary = (field.eta_vec(case._one_plus), field.eta_vec(case._one_minus))
     battery = []
     for name, point, sign, full, blocked in _EXCLUSIONS:
-        applicable = np.full(field.q, eta_boundary[point] == sign * eu)
-        clash = (counts[:, full] == 2) & (counts[:, blocked] != 0)
+        applicable = np.broadcast_to(eta_boundary[point] == sign * eu, shape)
+        clash = (counts[..., full] == 2) & (counts[..., blocked] != 0)
         battery.append((name, applicable, ~(applicable & clash)))
-    boundary = np.zeros(field.q, dtype=bool)
-    boundary[list(case.boundary_values)] = True
+    boundary = np.zeros(shape, dtype=bool)
+    rows = np.arange(shape[0])[:, None]
+    for point in case._boundary():
+        boundary[rows, point] = True
     battery.append(("boundary_delta_le_4", boundary, ~boundary | (delta <= 4)))
-    battery.append(("delta_le_5", np.ones(field.q, dtype=bool), delta <= DELTA_CAP))
+    battery.append(("delta_le_5", np.ones(shape, dtype=bool), delta <= DELTA_CAP))
     return battery
 
 
 def structural_lemmas_hold(field: Field, u, counts=None):
-    """Every lemma of the battery holds at every b where it applies; counts,
-    if given, is CaseAnalysis(field, u).a_counts_all() from the caller."""
+    """Every lemma of the battery holds at every b where it applies: a bool
+    for one u, a (U,) boolean array for a 1-D array of u.  counts, if given,
+    is CaseAnalysis(field, u).a_counts_all() from the caller."""
     case = CaseAnalysis(field, u)
     counts = case.a_counts_all() if counts is None else counts
-    return all(ok.all() for _, _, ok in _lemma_battery(case, counts))
+    held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in _lemma_battery(case, counts)])
+    return bool(held[0]) if case._scalar else held
 
 
 @dataclass(frozen=True)
@@ -305,9 +367,11 @@ class LemmaVerdict:
 def structural_lemma_checks(field: Field, u, b):
     """Per-b verdicts for the four exclusion implications, the boundary
     bound delta(1, u +/- 1) <= 4, and the overall cap delta(1, b) <= 5.
-    A lemma that does not apply at b is reported as ok."""
+    A lemma that does not apply at b is reported as ok.  u is one code."""
     case = CaseAnalysis(field, u)
+    if not case._scalar:
+        raise ValueError("structural_lemma_checks takes one u code")
     return [
-        LemmaVerdict(name, bool(applicable[b]), bool(ok[b]))
+        LemmaVerdict(name, bool(applicable[0, b]), bool(ok[0, b]))
         for name, applicable, ok in _lemma_battery(case, case.a_counts_all())
     ]

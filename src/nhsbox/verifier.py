@@ -29,6 +29,7 @@ import numpy as np
 from .characters import boomerang_constants, theorem6_constants
 from .gf import Field, UnsupportedFieldError, cached_field
 from .nh_family import (
+    _U_CHUNK,
     DELTA_CAP,
     CaseAnalysis,
     NHParams,
@@ -310,16 +311,18 @@ def _rows_lemma_suite(field, claim, u_mode, seed):
     if cij != want:
         problems.append(f"C_ij counts {cij} != {want}")
 
-    if q <= 499:
-        for u in range(2, q):
-            if u == field.neg(1):
-                continue
-            counts = CaseAnalysis(field, u).a_counts_all()
-            if not np.array_equal(counts, aij_counts_brute(field, u)):
-                problems.append(f"A_ij closed != brute at u={u}")
-                break
-            if not structural_lemmas_hold(field, u, counts):
-                problems.append(f"exclusion/cap lemma failed at u={u}")
+    if q <= 499:  # every u outside {0, +1, -1}, _U_CHUNK at a time, ascending
+        us = field.elements()[2:]
+        us = us[us != field.neg(1)]
+        for lo in range(0, len(us), _U_CHUNK):
+            chunk = us[lo : lo + _U_CHUNK]
+            counts = CaseAnalysis(field, chunk).a_counts_all()
+            wrong = (counts != aij_counts_brute(field, chunk)).any(axis=(1, 2))
+            failed = wrong | ~structural_lemmas_hold(field, chunk, counts)
+            if failed.any():
+                i = int(np.argmax(failed))
+                what = "A_ij closed != brute" if wrong[i] else "exclusion/cap lemma failed"
+                problems.append(f"{what} at u={chunk[i]}")
                 break
 
     if q <= 199:

@@ -175,23 +175,28 @@ def test_acceptance_6_boomerang(capfd):
 
 
 def _check_all_quadratics(field):
-    """Closed form vs brute for every (a2, a1, a0), vectorized over a0."""
+    """Closed form vs brute for every (a2, a1, a0), vectorized over (a1, a0)
+    for each a2.
+
+    With base(a1, x) = a2 x^2 + a1 x, the sum for (a1, a0) is
+    sum_v #{x : base(a1, x) = v} eta(v + a0): a histogram of base per a1
+    times the matrix eta(v + a0).
+    """
     f = field
     q = f.q
     xs = f.elements()
     sq = f.mul_vec(xs, xs)
-    a0s = f.elements()[:, None]
+    a1x = f.mul_vec(xs[:, None], xs)  # a1 x, shape (a1, x)
+    row_offset = xs[:, None] * q  # histogram bins (a1, v) -> a1 q + v
+    eta_shift = f.eta_vec(f.add_vec(xs[:, None], xs)).astype(np.int64)  # eta(v + a0)
     for a2 in range(1, q):
-        base2 = f.mul_vec(np.int64(a2), sq)
+        base = f.add_vec(f.mul_vec(np.int64(a2), sq), a1x)  # shape (a1, x)
+        hist = np.bincount((base + row_offset).ravel(), minlength=q * q).reshape(q, q)
+        sums = hist @ eta_shift  # shape (a1, a0)
         eta_a2 = f.eta(a2)
-        for a1 in range(q):
-            base1 = f.add_vec(base2, f.mul_vec(np.int64(a1), xs))
-            sums = f.eta_vec(f.add_vec(base1[None, :], a0s)).astype(np.int64).sum(axis=1)
-            disc = f.sub_vec(
-                f.mul(a1, a1), f.mul_vec(f.embed(4), f.mul_vec(np.int64(a2), f.elements()))
-            )
-            closed = np.where(disc == 0, (q - 1) * eta_a2, -eta_a2)
-            assert np.array_equal(sums, closed), (q, a2, a1)
+        disc = f.sub_vec(sq[:, None], f.mul_vec(f.mul(f.embed(4), a2), xs))  # a1^2 - 4 a2 a0
+        closed = np.where(disc == 0, (q - 1) * eta_a2, -eta_a2)
+        assert np.array_equal(sums, closed), (q, a2)
 
 
 def _check_weil_bound_cubics(field):

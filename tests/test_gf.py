@@ -1,7 +1,11 @@
 """Field construction, arithmetic, quadratic character, C_ij machinery."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from nhsbox.gf import (
     UnsupportedFieldError,
     build_field,
     cached_field,
+    factorize,
     is_irreducible_zp,
     lex_min_irreducible,
     _smallest_generator,
@@ -416,3 +421,36 @@ def test_powers_memory_bound_at_3_13():
         tracemalloc.stop()
     assert f.pow(f.generator, f.q - 1) == 1
     assert peak <= 110 * 2**20, peak / 2**20
+
+
+def test_factorize_matches_sympy():
+    from sympy import factorint
+
+    for m in list(range(1, 10**4 + 1)) + [2**31 - 1, 2**31 - 2, 2**22 - 1]:
+        assert factorize(m) == factorint(m), m
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_prime_fields_do_not_load_sympy_or_mpmath():
+    # sympy is for extension fields only and mpmath for the bound constants;
+    # neither sits on the start-up path or on a prime-field claim check
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import nhsbox\n"
+        "from nhsbox import build_field, verify_claim\n"
+        "build_field(4211)\n"
+        "verify_claim('THM2_DELTA5', 4211, 1, 4211, u_mode='fixed:999')\n"
+        "print(sorted(m for m in ('sympy', 'mpmath') if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

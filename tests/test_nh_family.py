@@ -115,6 +115,73 @@ def test_aij_closed_equals_brute_small():
             ), (f.q, u)
 
 
+def _aij_reference(field, u):
+    """The per-u brute scan: nh_table, its a = 1 row, one bincount per class."""
+    codes = field.elements()
+    table = nh_table(field, NHParams(2, u))
+    row = field.sub_vec(table[field.add_vec(codes, 1)], table)
+    classes = field.cij_partition().classes
+    return np.stack(
+        [np.bincount(row[classes == cls], minlength=field.q) for cls in range(4)], axis=1
+    )
+
+
+def _generic_u(field):
+    """Every u outside {0, +1, -1}, ascending."""
+    us = field.elements()[2:]
+    return us[us != field.neg(1)]
+
+
+@pytest.mark.parametrize(
+    "args", [(7, 1), (11, 1), (19, 1), (3, 3), (31, 1), (43, 1), (7, 3), (3, 5)]
+)
+def test_batched_counts_match_per_u_reference(args):
+    # the batch over every u at once, then _U_CHUNK at a time as the
+    # LEMMA_SUITE sweep walks it (F_43 and F_343 end on a partial chunk)
+    f = cached_field(*args)
+    us = _generic_u(f)
+    want = np.stack([_aij_reference(f, u) for u in us.tolist()])
+    assert np.array_equal(aij_counts_brute(f, us), want)
+    assert np.array_equal(CaseAnalysis(f, us).a_counts_all(), want)
+    for lo in range(0, len(us), _U_CHUNK):
+        chunk = us[lo : lo + _U_CHUNK]
+        assert np.array_equal(aij_counts_brute(f, chunk), want[lo : lo + _U_CHUNK])
+        assert np.array_equal(CaseAnalysis(f, chunk).a_counts_all(), want[lo : lo + _U_CHUNK])
+    if args in ((43, 1), (7, 3)):
+        assert len(us) % _U_CHUNK  # a partial last chunk
+
+
+def test_scalar_u_is_the_batch_of_one():
+    f = cached_field(43)
+    us = _generic_u(f)
+    case = CaseAnalysis(f, us)
+    held = structural_lemmas_hold(f, us)
+    assert held.shape == (len(us),) and held.all()
+    assert np.array_equal(case.delta_row(), [derivative_row_counts(f, NHParams(2, u)) for u in us])
+    for i, u in enumerate(us.tolist()):
+        one = CaseAnalysis(f, u)
+        assert one.a_counts_all().shape == aij_counts_brute(f, u).shape == (f.q, 4)
+        assert np.array_equal(one.a_counts_all(), case.a_counts_all()[i])
+        assert (one.tau1, one.tau2, one.boundary_values) == (
+            case.tau1[i], case.tau2[i], (case.boundary_values[0][i], case.boundary_values[1][i]),
+        )
+        assert type(one.tau1) is int and np.array_equal(one.a_counts(5), case.a_counts(5)[i])
+        assert structural_lemmas_hold(f, u) is True
+
+
+def test_batched_u_input_checks():
+    f = cached_field(43)
+    with pytest.raises(UnsupportedParameterError):
+        CaseAnalysis(f, np.array([5, 1, 7]))
+    for bad in (np.array([5, 43]), np.array([-1, 5]), np.array([[5, 7]])):
+        with pytest.raises(ValueError):
+            CaseAnalysis(f, bad)
+        with pytest.raises(ValueError):
+            aij_counts_brute(f, bad)
+    with pytest.raises(ValueError, match="one u"):
+        structural_lemma_checks(f, np.array([5, 7]), 3)
+
+
 def test_aij_scalar_equals_vectorized():
     f = cached_field(19)
     for u in (2, 5, f.inv(3)):

@@ -233,6 +233,67 @@ def test_lemma_suite_claim():
         assert row.status == "pass", row
 
 
+def _closed_counts_wrong_at(monkeypatch, bad_u):
+    """CaseAnalysis.a_counts_all with #A_00(0) off by one at u = bad_u only,
+    for one u or a batch of u."""
+    from nhsbox.nh_family import CaseAnalysis
+
+    real = CaseAnalysis.a_counts_all
+
+    def wrong(self):
+        counts = real(self).copy()
+        us = np.atleast_1d(self.u)
+        counts.reshape(len(us), self.field.q, 4)[us == bad_u, 0, 0] += 1
+        return counts
+
+    monkeypatch.setattr(CaseAnalysis, "a_counts_all", wrong)
+
+
+def _lemma_fails_at(monkeypatch, bad_u):
+    """The delta <= 5 cap of the lemma battery reads false at u = bad_u only."""
+    from nhsbox import nh_family
+
+    real = nh_family._lemma_battery
+
+    def failing(case, counts):
+        battery = real(case, counts)
+        name, applicable, ok = battery[-1]
+        us = np.atleast_1d(case.u)
+        ok = np.array(ok)
+        ok.reshape(len(us), -1)[us == bad_u] = False
+        battery[-1] = (name, applicable, ok)
+        return battery
+
+    monkeypatch.setattr(nh_family, "_lemma_battery", failing)
+
+
+def test_lemma_suite_names_the_u_whose_closed_counts_differ(monkeypatch):
+    _closed_counts_wrong_at(monkeypatch, 17)
+    (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+    assert row.status == "exception" and row.computed == "A_ij closed != brute at u=17"
+
+
+@pytest.mark.parametrize("bad_u", [10, 40])  # 40 lies in the last, partial chunk at q = 43
+def test_lemma_suite_names_the_u_whose_lemma_fails(monkeypatch, bad_u):
+    _lemma_fails_at(monkeypatch, bad_u)
+    (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+    assert row.status == "exception"
+    assert row.computed == f"exclusion/cap lemma failed at u={bad_u}"
+
+
+def test_lemma_suite_reports_the_smallest_failing_u(monkeypatch):
+    # the first failure in ascending u wins, whichever check it is
+    _closed_counts_wrong_at(monkeypatch, 17)
+    for bad_u, want in (
+        (10, "exclusion/cap lemma failed at u=10"),
+        (30, "A_ij closed != brute at u=17"),
+    ):
+        with monkeypatch.context() as m:
+            _lemma_fails_at(m, bad_u)
+            (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+        assert row.computed == want
+
+
 def test_sweep_determinism_across_jobs():
     import json
 
