@@ -309,24 +309,29 @@ class _BoundAccumulator:
         self.m2_pow[om] = self.m2_pow.get(om, 0) + 1
 
     def floor_m2(self):
-        import mpmath  # its only user here; kept off the import path
+        import decimal  # its only user here; kept off the import path
 
-        with mpmath.workdps(60):
-            total = mpmath.mpf(self.m2_int)
+        D = decimal.Decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            total = D(self.m2_int)
             for om, count in sorted(self.m2_pow.items()):
-                total += -5 * count * mpmath.power(om, mpmath.mpf(13) / 3)
-            floored = mpmath.floor(total)
-            if abs(total - floored) < mpmath.mpf("1e-30") or abs(
-                total - floored - 1
-            ) < mpmath.mpf("1e-30"):
+                total += -5 * count * D(om) ** (D(13) / 3)
+            floored = total.to_integral_value(rounding=decimal.ROUND_FLOOR)
+            if abs(total - floored) < D("1e-30") or abs(total - floored - 1) < D("1e-30"):
                 raise ArithmeticError("floor is numerically ambiguous; raise precision")
         return int(floored)
 
 
-def _all_subsets(items):
-    items = tuple(items)
-    for k in range(len(items) + 1):
-        yield from (frozenset(c) for c in combinations(items, k))
+def _subset_degrees(degrees):
+    """(I1, the degree sum over I1) for every subset I1 of the factor
+    indices 1..len(degrees), smallest subsets first."""
+    indices = range(1, len(degrees) + 1)
+    return [
+        (frozenset(I1), sum(degrees[i - 1] for i in I1))
+        for k in range(len(degrees) + 1)
+        for I1 in combinations(indices, k)
+    ]
 
 
 def theorem2_constants():
@@ -338,51 +343,39 @@ def theorem2_constants():
     p7*p8 ~ p5 and p9*p10 ~ p6, which creates the perfect-square subsets
     {5,7,8}, {6,9,10}, {5,..,10} handled by the leading q-terms instead.
     """
-    degrees = (1, 1, 1, 1, 2, 2)
     acc = _BoundAccumulator()
-    subsets = list(_all_subsets(range(1, 7)))
-
-    def degsum(I1):
-        return sum(degrees[i - 1] for i in I1)
+    subsets = _subset_degrees((1, 1, 1, 1, 2, 2))
 
     # no z-factor: gamma(y), both branch sums bounded by -2 d(gamma) sqrt(q)
-    for I1 in subsets:
+    for I1, deg in subsets:
         if I1:
-            acc.add_poly_case(degsum(I1))
+            acc.add_poly_case(deg)
 
     # one z-factor: phi(y) * (z + a) with constant rho, four choices of a
-    for I1 in subsets:
+    for _, deg in subsets:
         for _ in range(4):
-            acc.add_curve_case(degsum(I1), 0)
+            acc.add_curve_case(deg, 0)
 
     # three z-factors: the paired product folds into phi(y), degree + 2
-    for I1 in subsets:
+    for _, deg in subsets:
         for _ in range(4):
-            acc.add_curve_case(degsum(I1) + 2, 0)
+            acc.add_curve_case(deg + 2, 0)
 
     # all four z-factors: fully univariate, p5/p6 may appear squared
-    for I1 in subsets:
+    for I1, deg in subsets:
         if I1 != frozenset({5, 6}):
-            d = degsum(I1) + 4
-            if 5 in I1:
-                d -= 2
-            if 6 in I1:
-                d -= 2
-            acc.add_poly_case(d)
+            acc.add_poly_case(deg + 4 - 2 * (5 in I1) - 2 * (6 in I1))
 
     # paired z-factors {7,8} (fold onto p5) and {9,10} (fold onto p6)
     for fold, skip in ((5, frozenset({5})), (6, frozenset({6}))):
-        for I1 in subsets:
+        for I1, deg in subsets:
             if I1 != skip:
-                d = degsum(I1) + 2
-                if fold in I1:
-                    d -= 2
-                acc.add_poly_case(d)
+                acc.add_poly_case(deg + 2 - 2 * (fold in I1))
 
     # mixed z-pairs {7,9}, {7,10}, {8,9}, {8,10}: rho of degree 2
-    for I1 in subsets:
+    for _, deg in subsets:
         for _ in range(4):
-            acc.add_curve_case(degsum(I1), 2)
+            acc.add_curve_case(deg, 2)
 
     return acc.m1, acc.floor_m2()
 
@@ -395,27 +388,20 @@ def theorem6_constants():
     p6*p7 = p5 and p1*p2 = z^2, giving the square subsets {1,2}, {5,6,7},
     {1,2,5,6,7} that feed the leading 4q - 8 term.
     """
-    degrees = (1, 1, 1, 1, 2)
     acc = _BoundAccumulator()
-    subsets = list(_all_subsets(range(1, 6)))
+    subsets = _subset_degrees((1, 1, 1, 1, 2))
 
-    def degsum(I1):
-        return sum(degrees[i - 1] for i in I1)
-
-    for I1 in subsets:
+    for I1, deg in subsets:
         if I1 and I1 != frozenset({1, 2}):
-            acc.add_poly_case(degsum(I1))
+            acc.add_poly_case(deg)
 
-    for I1 in subsets:
+    for _, deg in subsets:
         for _ in range(2):  # z + 1 and z - 1
-            acc.add_curve_case(degsum(I1), 0)
+            acc.add_curve_case(deg, 0)
 
-    for I1 in subsets:  # both z-factors fold onto p5
+    for I1, deg in subsets:  # both z-factors fold onto p5
         if I1 not in (frozenset({5}), frozenset({1, 2, 5})):
-            d = degsum(I1) + 2
-            if 5 in I1:
-                d -= 2
-            acc.add_poly_case(d)
+            acc.add_poly_case(deg + 2 - 2 * (5 in I1))
 
     return acc.m1, acc.floor_m2()
 
@@ -428,22 +414,18 @@ def boomerang_constants():
     y-product turns into z^2 - y - 2, i.e. a rho of degree 2; no subset
     collapses to a perfect square, so the only leading term is q + 1.
     """
-    degrees = (1, 1, 1, 2, 2)
     acc = _BoundAccumulator()
-    subsets = list(_all_subsets(range(1, 6)))
+    subsets = _subset_degrees((1, 1, 1, 2, 2))
 
-    def degsum(I1):
-        return sum(degrees[i - 1] for i in I1)
-
-    for I1 in subsets:
+    for I1, deg in subsets:
         if I1:
-            acc.add_poly_case(degsum(I1))
+            acc.add_poly_case(deg)
 
-    for I1 in subsets:
+    for _, deg in subsets:
         for _ in range(2):
-            acc.add_curve_case(degsum(I1), 0)
+            acc.add_curve_case(deg, 0)
 
-    for I1 in subsets:  # both y-factors together: rho(z) of degree 2
-        acc.add_curve_case(degsum(I1), 2)
+    for _, deg in subsets:  # both y-factors together: rho(z) of degree 2
+        acc.add_curve_case(deg, 2)
 
     return acc.m1, acc.floor_m2()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -104,26 +105,13 @@ def _spectrum_payload(args, boomerang):
         raise UsageError(f"unknown family {args.family!r}")
     params = NHParams(args.r, parse_u_token(field, args.u))
     table = FunctionTable.from_nh(field, params)
-    reduction = params if args.reduced else None
+    spectrum = boomerang_spectrum if boomerang else differential_spectrum
+    spec = spectrum(table, reduction=params if args.reduced else None)
+    payload = {"q": field.q, "u": params.u, "r": params.r, "spectrum": spec.to_json_dict()}
     if boomerang:
-        spec = boomerang_spectrum(table, reduction=reduction)
-        payload = {
-            "q": field.q,
-            "u": params.u,
-            "r": params.r,
-            "beta": spec.uniformity,
-            "spectrum": spec.to_json_dict(),
-        }
+        payload["beta"] = spec.uniformity
     else:
-        spec = differential_spectrum(table, reduction=reduction)
-        payload = {
-            "q": field.q,
-            "u": params.u,
-            "r": params.r,
-            "delta": spec.uniformity,
-            "spectrum": spec.to_json_dict(),
-            "locally_apn": spec.locally_apn,
-        }
+        payload.update(delta=spec.uniformity, locally_apn=spec.locally_apn)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -192,8 +180,15 @@ def _cmd_sweep(args):
         u_mode=args.u_mode,
         seed=args.seed,
     )
+    start, progress = time.monotonic(), None
+    if sys.stderr.isatty():  # logs and pipes get no progress line
+
+        def progress(done, total, q):  # one line, redrawn: tasks done, the q just done, time
+            line = f"\r{done}/{total} tasks, q={q}, {time.monotonic() - start:.1f}s elapsed"
+            print(line, end="\n" if done == total else "", file=sys.stderr, flush=True)
+
     try:
-        report = sweep(config)
+        report = sweep(config, progress=progress)
     except ValueError as exc:  # sweep validates its config before any work
         raise UsageError(str(exc)) from exc
     rendered = {

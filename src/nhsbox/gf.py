@@ -2,10 +2,10 @@
 
 Elements are integer codes in [0, q): the polynomial sum(c_i * x^i) is
 encoded as sum(c_i * p^i).  Prime fields use plain modular arithmetic.
-Extension fields take their Z_p polynomial arithmetic (irreducibility,
-the generator search) from sympy's galoistools, imported on first use so
-that prime fields never load sympy, and each one carries dense tables, so
-that the bulk (numpy) paths stay table-driven: log/antilog tables filled
+Extension fields do their Z_p polynomial work (the irreducibility test,
+the generator search, the log tables) with n x n multiplication matrices
+over Z_p in numpy (see :func:`_mul_matrix`), and each one carries dense
+tables, so that every path stays table-driven: log/antilog tables filled
 by matrix doubling (see :func:`_powers`), the eta table,
 and carry-free packed digit codes with two normalise tables for addition
 and subtraction (see :func:`_addition_tables`).  Hence TABLE_LIMIT bounds
@@ -73,15 +73,75 @@ def factorize(m):
 # ---------------------------------------------------------------------------
 
 
-def is_irreducible_zp(coeffs, p):
-    """Irreducibility of a monic polynomial over Z_p (coeffs low degree first)."""
-    from sympy import ZZ
-    from sympy.polys.galoistools import gf_irreducible_p
+def _companion(p, modulus):
+    """Multiplication by x modulo the monic modulus f (coefficients low
+    degree first), as an n x n matrix over Z_p: row i holds the digits of
+    x^(i+1).  Int64 while every dot product, at most n (p-1)^2, fits;
+    Python ints (object dtype) beyond that."""
+    n = len(modulus) - 1
+    times_x = np.eye(n, k=1, dtype=np.int64 if n * (p - 1) ** 2 < 1 << 62 else object)
+    times_x[-1] = [-c % p for c in modulus[:n]]  # x^n = -sum(f_i x^i)
+    return times_x
 
+
+def _orbit(row, matrix, p):
+    """The rows row @ matrix^i over Z_p for i < len(matrix), stacked."""
+    rows = [row]
+    for _ in range(1, len(matrix)):
+        rows.append(rows[-1] @ matrix % p)
+    return np.stack(rows)
+
+
+def _mul_matrix(p, modulus, h):
+    """Multiplication by h (its n digits) modulo f: row i holds the digits
+    of h * x^i, so a digit row times the matrix is its product with h."""
+    times_x = _companion(p, modulus)
+    return _orbit(np.array(h, dtype=times_x.dtype) % p, times_x, p)
+
+
+def _pow_rows(rows, matrix, e, p):
+    """rows @ matrix^e over Z_p, by square-and-multiply."""
+    while e:
+        if e & 1:
+            rows = rows @ matrix % p
+        e >>= 1
+        if e:
+            matrix = matrix @ matrix % p
+    return rows
+
+
+def _rank_zp(m, p):
+    """Rank over Z_p of an integer matrix, by Gaussian elimination."""
+    m, rank = m % p, 0
+    for col in range(m.shape[1]):
+        nonzero = rank + np.nonzero(m[rank:, col])[0]
+        if len(nonzero):
+            m[[rank, nonzero[0]]] = m[[nonzero[0], rank]]
+            m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+            m[rank + 1 :] = (m[rank + 1 :] - m[rank + 1 :, col, None] * m[rank]) % p
+            rank += 1
+    return rank
+
+
+def is_irreducible_zp(coeffs, p):
+    """Irreducibility of a monic polynomial over Z_p (coeffs low degree first).
+
+    The Frobenius test: row i of F holds the digits of x^(ip) mod f.  F is
+    the matrix of v -> v^p on Z_p[x]/(f), so F^n = I exactly when f divides
+    x^(p^n) - x (f squarefree, every factor of degree dividing n), and then
+    ker(F - I) has one dimension per irreducible factor (Berlekamp).  Hence
+    f is irreducible iff F^n = I and rank(F - I) = n - 1.
+    """
     coeffs = [c % p for c in coeffs]
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise ValueError("monic polynomial of positive degree expected")
-    return gf_irreducible_p(coeffs[::-1], p, ZZ)
+    times_x = _companion(p, coeffs)
+    n, eye = len(times_x), np.eye(len(times_x), dtype=times_x.dtype)
+    x_to_p = _pow_rows(eye[0], times_x, p, p)
+    frobenius = _orbit(eye[0], _mul_matrix(p, coeffs, x_to_p), p)
+    if not np.array_equal(_pow_rows(eye, frobenius, n, p), eye):
+        return False
+    return _rank_zp(frobenius - eye, p) == n - 1
 
 
 def lex_min_irreducible(p, n):
@@ -112,22 +172,12 @@ class CijPartition:
 
     CLASS_LABELS = ("00", "01", "10", "11")
 
-    def class_of(self, x):
-        idx = int(self.classes[x])
-        return None if idx < 0 else self.CLASS_LABELS[idx]
-
-    def members(self, label):
-        idx = self.CLASS_LABELS.index(label)
-        return np.nonzero(self.classes == idx)[0]
-
 
 class Field:
     """F_{p^n} for odd p, with eta / sqrt / C_ij machinery.
 
-    Use :func:`build_field`; the constructor only wires precomputed parts.
-    Wired without tables, an extension field has only the scalar digit-loop
-    and polynomial arithmetic: the generator search's bootstrap and the
-    tables' test reference.
+    Use :func:`build_field`; the constructor only wires precomputed parts,
+    and an extension field's arithmetic runs on the tables it wires.
     """
 
     def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table):
@@ -163,44 +213,38 @@ class Field:
         return k % self.p
 
     def check_code(self, x, name="x"):
-        """Raise ValueError unless x is an element code in [0, q).
+        """x itself if it is an element code in [0, q); ValueError otherwise.
 
         For scalar entry points only: the vector paths index tables with
         codes and would alias a negative code to q + x silently.
         """
         if not 0 <= x < self.q:
             raise ValueError(f"{name} = {x} is not an element code of F_{self.q}")
+        return x
 
     def digits(self, x):
         return tuple((x // w) % self.p for w in self._pw)
-
-    def from_digits(self, ds):
-        return sum((d % self.p) * w for d, w in zip(ds, self._pw))
 
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a, b):
         if self.n == 1:
             return (a + b) % self.p
-        if self._add_tables is not None:
-            pk = self._add_tables[0]
-            return self._unpack_int(pk.item(a) + pk.item(b))
-        return self.from_digits(x + y for x, y in zip(self.digits(a), self.digits(b)))
+        a, b = self.check_code(a, "a"), self.check_code(b, "b")
+        pk = self._add_tables[0]
+        return self._unpack_int(pk.item(a) + pk.item(b))
 
     def sub(self, a, b):
         if self.n == 1:
             return (a - b) % self.p
-        if self._add_tables is not None:
-            pk, pk_neg = self._add_tables[:2]
-            return self._unpack_int(pk.item(a) + pk_neg.item(b))
-        return self.from_digits(x - y for x, y in zip(self.digits(a), self.digits(b)))
+        a, b = self.check_code(a, "a"), self.check_code(b, "b")
+        pk, pk_neg = self._add_tables[:2]
+        return self._unpack_int(pk.item(a) + pk_neg.item(b))
 
     def neg(self, a):
         if self.n == 1:
             return (-a) % self.p
-        if self._add_tables is not None:
-            return self._unpack_int(self._add_tables[1].item(a))
-        return self.from_digits(-x for x in self.digits(a))
+        return self._unpack_int(self._add_tables[1].item(self.check_code(a, "a")))
 
     def _unpack_int(self, s):
         """Code of the packed digit sum s, a Python int (see :func:`_addition_tables`)."""
@@ -212,18 +256,7 @@ class Field:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return int(self._alog[self._log[a] + self._log[b]])
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a, b):
-        """a * b by sympy's Z_p polynomial arithmetic (high degree first there)."""
-        from sympy import ZZ
-        from sympy.polys.galoistools import gf_mul, gf_rem
-
-        p = self.p
-        prod = gf_mul(self.digits(a)[::-1], self.digits(b)[::-1], p, ZZ)
-        return int(self.from_digits(gf_rem(prod, self.modulus[::-1], p, ZZ)[::-1]))
+        return int(self._alog[self._log[a] + self._log[b]])
 
     def inv(self, a):
         if a == 0:
@@ -240,39 +273,21 @@ class Field:
         e %= self.q - 1
         if self.n == 1:
             return pow(a, e, self.p)
-        if self._log is not None:
-            return int(self._alog[(self._log[a] * e) % (self.q - 1)])
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
+        return int(self._alog[(self._log[a] * e) % (self.q - 1)])
 
     # -- vector arithmetic (numpy int64 code arrays, broadcasting allowed) ---
 
     def add_vec(self, x, y):
         if self.n == 1:
             return (x + y) % self.p
-        if self._add_tables is not None:
-            pk = self._add_tables[0]
-            return self._unpack(pk[x] + pk[y])
-        out = 0
-        for w in self._pw:
-            out = out + ((x // w + y // w) % self.p) * w
-        return out
+        pk = self._add_tables[0]
+        return self._unpack(pk[x] + pk[y])
 
     def sub_vec(self, x, y):
         if self.n == 1:
             return (x - y) % self.p
-        if self._add_tables is not None:
-            pk, pk_neg = self._add_tables[:2]
-            return self._unpack(pk[x] + pk_neg[y])
-        out = 0
-        for w in self._pw:
-            out = out + ((x // w - y // w) % self.p) * w
-        return out
+        pk, pk_neg = self._add_tables[:2]
+        return self._unpack(pk[x] + pk_neg[y])
 
     def neg_vec(self, x):
         return self.sub_vec(0, x) if self.n > 1 else (-x) % self.p
@@ -403,10 +418,20 @@ def _addition_tables(p, n):
 
 
 def _smallest_generator(field):
-    q = field.q
+    """Smallest code g >= 2 with g^((q-1)/r) != 1 for every prime r | q - 1.
+    In an extension field g^c is the first digit row of the multiplication
+    matrix of g raised to c - 1, by square-and-multiply."""
+    p, n, q = field.p, field.n, field.q
     cofactors = [(q - 1) // f for f in factorize(q - 1)]
+    one = [1] + [0] * (n - 1)
     for g in range(2, q):
-        if all(field.pow(g, c) != 1 for c in cofactors):
+        if n == 1:
+            found = all(pow(g, c, p) != 1 for c in cofactors)
+        else:
+            times_g = _mul_matrix(p, field.modulus, field.digits(g))
+            found = all(_pow_rows(times_g[0], times_g, c - 1, p).tolist() != one
+                        for c in cofactors)
+        if found:
             return g
     raise FieldConstructionError("no generator found")  # unreachable for a true field
 
@@ -418,21 +443,15 @@ def _powers(field):
     """Codes of g^0 .. g^(q-2), g the generator, by matrix doubling.
 
     Multiplication by h is the n x n matrix over Z_p whose row i holds the
-    digits of h * x^i; the rows follow from the companion matrix of the
-    modulus.  When rows 0..m-1 of ``digits`` hold g^0 .. g^(m-1), those rows
-    times the matrix of g^m are g^m .. g^(2m-1), so about log2(q) matmuls
-    give every power.  Digits are stored as int8 when p < 128 (else int32)
-    and widened to int32 _ROWS rows at a time for each product: as
-    q <= TABLE_LIMIT, every dot product, at most n (p-1)^2, and every code
+    digits of h * x^i (see :func:`_mul_matrix`).  When rows 0..m-1 of
+    ``digits`` hold g^0 .. g^(m-1), those rows times the matrix of g^m are
+    g^m .. g^(2m-1), so about log2(q) matmuls give every power.  Digits
+    are stored as int8 when p < 128 (else int32) and widened to int32
+    _ROWS rows at a time for each product: as q <= TABLE_LIMIT, every dot product, at most n (p-1)^2, and every code
     stay below 2^24.  Checks that g^(q-1) = 1.
     """
     p, n, q = field.p, field.n, field.q
-    companion = np.eye(n, k=1, dtype=np.int32)  # x * x^i = x^(i+1)
-    companion[-1] = [-c % p for c in field.modulus[:n]]  # x^n = -sum(f_i x^i)
-    step = np.empty((n, n), dtype=np.int32)  # the matrix of g^m, m = 1 first
-    step[0] = field.digits(field.generator)
-    for i in range(1, n):
-        step[i] = step[i - 1] @ companion % p
+    step = _mul_matrix(p, field.modulus, field.digits(field.generator)).astype(np.int32)
     digits = np.zeros((q, n), dtype=np.int8 if p < 128 else np.int32)
     digits[0, 0] = 1
 
@@ -445,7 +464,7 @@ def _powers(field):
         for i in range(0, k, _ROWS):
             j = min(i + _ROWS, k)
             digits[m + i : m + j] = times(digits[i:j], step) % p
-        step = step @ step % p
+        step = step @ step % p  # the matrix of g^m, for the next m
         m += k
     if digits[q - 1].tolist() != digits[0].tolist():
         raise FieldConstructionError("generator order check failed")
@@ -482,7 +501,6 @@ def build_field(p, n=1, *, modulus=None):
     if n == 1:
         if modulus is not None:
             raise FieldConstructionError("prime fields take no modulus")
-        field = Field(p, 1, None, 0, None, None, None)
     else:
         if modulus is None:
             modulus = lex_min_irreducible(p, n)
@@ -492,8 +510,7 @@ def build_field(p, n=1, *, modulus=None):
                 raise FieldConstructionError("modulus must be monic of degree n")
             if not is_irreducible_zp(modulus, p):
                 raise FieldConstructionError("modulus is reducible over Z_p")
-        field = Field(p, n, modulus, 0, None, None, None)
-
+    field = Field(p, n, modulus, 0, None, None, None)
     field.generator = _smallest_generator(field)
 
     if n > 1:

@@ -27,6 +27,7 @@ pair is evaluated once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -233,15 +234,17 @@ class CaseAnalysis:
     def a_counts(self, b):
         """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all
         (a tuple for a scalar u, a (U, 4) array for a batch)."""
-        counts = self._counts()[:, b]
+        counts = self._counts[:, b]
         return tuple(int(c) for c in counts[0]) if self._scalar else counts
 
     def a_counts_all(self):
         """(q, 4) array of (#A_00, #A_01, #A_10, #A_11) for every b; (U, q, 4)
-        for a batch of u."""
-        return self._view(self._counts())
+        for a batch of u.  Read-only: every call returns the same array."""
+        return self._view(self._counts)
 
+    @cached_property
     def _counts(self):
+        """The (U, q, 4) closed counts, computed once per case."""
         f = self.field
         bs = f.elements()[None, :]
         classes = self._classes
@@ -265,11 +268,12 @@ class CaseAnalysis:
             cnt = (classes[r1] == target).astype(np.int64)
             cnt += ((s != 0) & (classes[r2] == target)).astype(np.int64)
             out[..., col] = np.where(square, cnt, 0)
+        out.flags.writeable = False  # every caller shares this array
         return out
 
     def delta_row(self):
         """delta(1, b) for every b, assembled from the closed counts."""
-        return self._view(self._delta_from(self._counts()))
+        return self._view(self._delta_from(self._counts))
 
     def _delta_from(self, counts):
         """(U, q) delta(1, b) from (U, q, 4) class counts plus the two
@@ -322,14 +326,14 @@ _EXCLUSIONS = (
 )
 
 
-def _lemma_battery(case: CaseAnalysis, counts):
+def _lemma_battery(case: CaseAnalysis):
     """(name, applicable, ok) per lemma as (U, q) boolean arrays, where ok
     means the lemma holds at (u, b) or does not apply there: the four
     exclusion implications, the boundary bound delta(1, u +/- 1) <= 4 and
-    the cap delta(1, b) <= DELTA_CAP, all from counts = case.a_counts_all()."""
+    the cap delta(1, b) <= DELTA_CAP, all from the case's closed counts."""
     field = case.field
     shape = (len(case._us), field.q)
-    counts = np.reshape(counts, shape + (4,))
+    counts = case._counts
     delta = case._delta_from(counts)
     eu = field.eta_vec(case._us)
     eta_boundary = (field.eta_vec(case._one_plus), field.eta_vec(case._one_minus))
@@ -347,13 +351,12 @@ def _lemma_battery(case: CaseAnalysis, counts):
     return battery
 
 
-def structural_lemmas_hold(field: Field, u, counts=None):
+def structural_lemmas_hold(field: Field, u, case=None):
     """Every lemma of the battery holds at every b where it applies: a bool
-    for one u, a (U,) boolean array for a 1-D array of u.  counts, if given,
-    is CaseAnalysis(field, u).a_counts_all() from the caller."""
-    case = CaseAnalysis(field, u)
-    counts = case.a_counts_all() if counts is None else counts
-    held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in _lemma_battery(case, counts)])
+    for one u, a (U,) boolean array for a 1-D array of u.  case, if given,
+    is the caller's CaseAnalysis(field, u), whose closed counts are reused."""
+    case = CaseAnalysis(field, u) if case is None else case
+    held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in _lemma_battery(case)])
     return bool(held[0]) if case._scalar else held
 
 
@@ -373,5 +376,5 @@ def structural_lemma_checks(field: Field, u, b):
         raise ValueError("structural_lemma_checks takes one u code")
     return [
         LemmaVerdict(name, bool(applicable[0, b]), bool(ok[0, b]))
-        for name, applicable, ok in _lemma_battery(case, case.a_counts_all())
+        for name, applicable, ok in _lemma_battery(case)
     ]

@@ -38,10 +38,6 @@ class FunctionTable:
         object.__setattr__(self, "values", values.astype(np.int64, copy=False))
 
     @classmethod
-    def from_callable(cls, field, fn):
-        return cls(field, np.array([fn(x) for x in range(field.q)], dtype=np.int64))
-
-    @classmethod
     def from_nh(cls, field, params: NHParams):
         return cls(field, nh_table(field, params))
 

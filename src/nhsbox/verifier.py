@@ -316,9 +316,9 @@ def _rows_lemma_suite(field, claim, u_mode, seed):
         us = us[us != field.neg(1)]
         for lo in range(0, len(us), _U_CHUNK):
             chunk = us[lo : lo + _U_CHUNK]
-            counts = CaseAnalysis(field, chunk).a_counts_all()
-            wrong = (counts != aij_counts_brute(field, chunk)).any(axis=(1, 2))
-            failed = wrong | ~structural_lemmas_hold(field, chunk, counts)
+            case = CaseAnalysis(field, chunk)
+            wrong = (case.a_counts_all() != aij_counts_brute(field, chunk)).any(axis=(1, 2))
+            failed = wrong | ~structural_lemmas_hold(field, chunk, case)
             if failed.any():
                 i = int(np.argmax(failed))
                 what = "A_ij closed != brute" if wrong[i] else "exclusion/cap lemma failed"
@@ -336,39 +336,32 @@ def _rows_lemma_suite(field, claim, u_mode, seed):
 
 def _sqrt_pair_lemma_holds(field: Field):
     """For u, u' nonzero squares with u + u' = a^2: eta(a + sqrt(u)) equals
-    eta(a - sqrt(u)) and equals eta(2) * eta(a + sqrt(u'))."""
-    eta = field.eta_vec(field.elements()).astype(np.int64)
-    sq = field.sqrt_table
-    eta2 = field.eta(field.embed(2))
+    eta(a - sqrt(u)) and equals eta(2) * eta(a + sqrt(u')), over the whole
+    (a, u) grid at once."""
     codes = field.elements()
-    for a in range(field.q):
-        a2 = field.mul(a, a)
-        us = codes[(eta == 1) & (field.eta_vec(field.sub_vec(a2, codes)) == 1)]
-        if len(us) == 0:
-            continue
-        ups = field.sub_vec(a2, us)
-        r, rp = sq[us], sq[ups]
-        plus = eta[field.add_vec(a, r)]
-        minus = eta[field.sub_vec(a, r)]
-        plus_p = eta[field.add_vec(a, rp)]
-        if not (np.all(plus == minus) and np.all(plus == eta2 * plus_p)):
-            return False
-    return True
+    eta = field.eta_vec(codes).astype(np.int64)
+    a, u = np.meshgrid(codes, codes, indexing="ij")
+    up = field.sub_vec(field.mul_vec(a, a), u)
+    pairs = (eta[u] == 1) & (eta[up] == 1)
+    a, r, rp = a[pairs], field.sqrt_table[u[pairs]], field.sqrt_table[up[pairs]]
+    plus, eta2 = eta[field.add_vec(a, r)], field.eta(field.embed(2))
+    minus, plus_p = eta[field.sub_vec(a, r)], eta[field.add_vec(a, rp)]
+    return bool(np.all(plus == minus) and np.all(plus == eta2 * plus_p))
 
 
 def _negation_symmetry_holds(field: Field):
     """delta_{F_{r,-u}}(1, b) = delta_{F_{r,u}}(1, b/(-1)^(r+1)) for
-    r in {2, q-2}, every u != 0; one (c, d) per r, one row per u."""
-    q = field.q
-    neg = field.neg_vec(field.elements())
+    r in {2, q-2}, every u != 0; one (c, d) and one bincount of all q rows
+    per r."""
+    q, codes = field.q, field.elements()
+    neg = field.neg_vec(codes)
     for r in (2, q - 2):
         c, d = derivative_row_parts(field, r)
-        rows = [np.bincount(field.add_vec(c, field.mul_vec(np.int64(u), d)), minlength=q)
-                for u in range(q)]
-        for u in range(1, q):
-            relabeled = rows[u][neg] if r % 2 == 0 else rows[u]
-            if not np.array_equal(rows[field.neg(u)], relabeled):
-                return False
+        keys = field.add_vec(c, field.mul_vec(codes[:, None], d)) + q * codes[:, None]
+        rows = np.bincount(keys.ravel(), minlength=q * q).reshape(q, q)  # row u: delta(1, .)
+        relabeled = rows[:, neg] if r % 2 == 0 else rows
+        if not np.array_equal(rows[neg][1:], relabeled[1:]):
+            return False
     return True
 
 
@@ -540,15 +533,16 @@ def _sweep_worker(args):
     return rows, errors
 
 
-def sweep(config: SweepConfig) -> SweepReport:
+def sweep(config: SweepConfig, progress=None) -> SweepReport:
     """Run claims over every admissible prime power in [min_q, max_q).
 
     Each (claim, q) is one pool task, handed out as workers free up; the
     merged report is independent of the worker count.  A worker that dies
     (killed by the OS, say) turns every task it leaves unfinished into an
-    error row instead of a hang.  Raises ValueError for jobs < 1,
-    max_q < min_q, an unknown claim id or a malformed u mode, before any
-    work starts.
+    error row instead of a hang.  progress, if given, is called as
+    progress(done, total, q) as each task finishes, in completion order.
+    Raises ValueError for jobs < 1, max_q < min_q, an unknown claim id or
+    a malformed u mode, before any work starts.
     """
     if config.jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -563,22 +557,32 @@ def sweep(config: SweepConfig) -> SweepReport:
     ]
 
     rows, errors = [], []
+
+    def merge(done, task, result):
+        rows.extend(result[0])
+        errors.extend(result[1])
+        if progress is not None:
+            progress(done, len(tasks), task[3])
+
     if config.jobs == 1 or len(tasks) <= 1:
-        rows, errors = _sweep_worker((tasks, config.u_mode, config.seed))
+        for done, task in enumerate(tasks, 1):
+            merge(done, task, _sweep_worker(([task], config.u_mode, config.seed)))
     else:  # imported here so that in-process sweeps do not load the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
         workers = min(config.jobs, len(tasks))
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            futures = [pool.submit(_sweep_worker, ([t], config.u_mode, config.seed)) for t in tasks]
-        for (claim_id, _, _, q), future in zip(tasks, futures):
-            try:
-                r, e = future.result()
-            except BrokenProcessPool as exc:
-                r, e = [], [(q, claim_id, f"BrokenProcessPool: {exc}")]
-            rows.extend(r)
-            errors.extend(e)
+            futures = {
+                pool.submit(_sweep_worker, ([t], config.u_mode, config.seed)): t for t in tasks
+            }
+            for done, future in enumerate(as_completed(futures), 1):
+                claim_id, _, _, q = task = futures[future]
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    result = [], [(q, claim_id, f"BrokenProcessPool: {exc}")]
+                merge(done, task, result)
     rows.sort(key=SweepRow.sort_key)
     errors.sort()
     return SweepReport(rows, errors, {**asdict(config), "claims": list(config.claims)})

@@ -323,6 +323,27 @@ def test_theorem2_constants_exact():
     assert theorem2_constants() == (-98312, -325643353)
 
 
+def test_floor_m2_matches_mpmath_and_keeps_its_guard():
+    import mpmath
+
+    from nhsbox.characters import _BoundAccumulator
+
+    rng = np.random.default_rng(6060)
+    for _ in range(50):
+        acc = _BoundAccumulator()
+        for deg_phi, deg_rho in rng.integers(0, 6, size=(int(rng.integers(1, 12)), 2)).tolist():
+            acc.add_curve_case(deg_phi, deg_rho)
+        with mpmath.workdps(60):
+            total = mpmath.mpf(acc.m2_int) + sum(
+                -5 * c * mpmath.power(om, mpmath.mpf(13) / 3) for om, c in acc.m2_pow.items()
+            )
+            assert acc.floor_m2() == int(mpmath.floor(total))
+    exact = _BoundAccumulator()  # no fractional power: the sum is an integer
+    exact.m2_int = -7
+    with pytest.raises(ArithmeticError, match="ambiguous"):
+        exact.floor_m2()
+
+
 def test_companion_engine_constants():
     # same engine, adapted case splits; sqrt-coefficients match the quoted
     # aggregates exactly, and for the delta = 4 engine the constant term

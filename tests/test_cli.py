@@ -142,6 +142,29 @@ def test_sweep_csv_and_exit(capsys, tmp_path):
     assert out_file.read_text().splitlines()[0] == header
 
 
+def test_sweep_progress_only_on_a_terminal(capsys, monkeypatch):
+    import re
+    import sys
+
+    argv = ("sweep", "--min", "8", "--max", "200", "--claims", "THM5_DELTA3", "BOOM_F21",
+            "--format", "csv")
+    code, plain_out, plain_err = run_cli(capsys, *argv)
+    assert code == 0 and "tasks" not in plain_err
+    tasks = {(line.split(",")[4], line.split(",")[0]) for line in plain_out.splitlines()[1:]}
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code == 0 and out == plain_out  # the report is unchanged
+        progress, summary = err.split("\n", 1)  # one redrawn line, then the summary
+        assert summary == plain_err
+        line = r"\r(\d+)/(\d+) tasks, q=(\d+), \d+\.\ds elapsed"
+        assert re.fullmatch(f"({line})+", progress)
+        seen = re.findall(line, progress)
+        assert [int(d) for d, _, _ in seen] == list(range(1, len(tasks) + 1))
+        assert {int(t) for _, t, _ in seen} == {len(tasks)}
+        assert sorted(q for _, _, q in seen) == sorted(q for _, q in tasks)
+
+
 def test_sweep_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--min", "8", "--max", "100", "--claims", "REMARK_11_19_43",

@@ -25,7 +25,6 @@ from nhsbox.gf import (
     factorize,
     is_irreducible_zp,
     lex_min_irreducible,
-    _smallest_generator,
 )
 
 
@@ -93,6 +92,22 @@ def test_irreducibility_test_against_root_search():
                 assert is_irreducible_zp(cs, p) == (not has_root)
 
 
+def test_irreducibility_matches_sympy_on_every_small_monic():
+    from itertools import product
+
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    checked = 0
+    for p, degrees in ((3, range(2, 7)), (5, range(2, 5)), (7, range(2, 5)), (11, range(2, 4))):
+        for n in degrees:
+            for cs in product(range(p), repeat=n):
+                f = cs + (1,)
+                assert is_irreducible_zp(f, p) == gf_irreducible_p(list(f[::-1]), p, ZZ), (p, f)
+                checked += 1
+    assert checked == 6109
+
+
 def test_lex_min_is_first_in_low_degree_first_order():
     from itertools import product
 
@@ -156,11 +171,9 @@ def test_cij_f7_exact_sets():
     f = build_field(7)
     part = f.cij_partition()
     assert part.counts == {"00": 1, "01": 2, "10": 1, "11": 1}
-    assert part.members("00").tolist() == [1]
-    assert part.members("01").tolist() == [2, 4]
-    assert part.members("10").tolist() == [3]
-    assert part.members("11").tolist() == [5]
-    assert part.class_of(0) is None and part.class_of(6) is None
+    members = [np.nonzero(part.classes == k)[0].tolist() for k in range(4)]
+    assert members == [[1], [2, 4], [3], [5]]  # C_00, C_01, C_10, C_11
+    assert part.classes[0] == part.classes[6] == -1
 
 
 def test_cij_counts_match_closed_forms():
@@ -207,9 +220,54 @@ def test_vector_ops_match_scalar():
             assert p5[i] == f.pow(int(xs[i]), 5)
 
 
+class _TableFree(Field):
+    """An extension field without tables: digit-loop addition and schoolbook
+    polynomial products reduced modulo f.modulus, sharing no code with
+    _powers, _mul_matrix or _addition_tables."""
+
+    def _code(self, ds):
+        return sum((d % self.p) * w for d, w in zip(ds, self._pw))
+
+    def add(self, a, b):
+        return self._code(x + y for x, y in zip(self.digits(a), self.digits(b)))
+
+    def sub(self, a, b):
+        return self._code(x - y for x, y in zip(self.digits(a), self.digits(b)))
+
+    def neg(self, a):
+        return self._code(-x for x in self.digits(a))
+
+    def add_vec(self, x, y):
+        return sum(((x // w + y // w) % self.p) * w for w in self._pw)
+
+    def sub_vec(self, x, y):
+        return sum(((x // w - y // w) % self.p) * w for w in self._pw)
+
+    def mul(self, a, b):
+        n, f = self.n, self.modulus
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for k in range(2 * n - 2, n - 1, -1):  # x^k = -x^(k-n) * sum(f_i x^i), i < n
+            c, prod[k] = prod[k], 0
+            for i in range(n):
+                prod[k - n + i] -= c * f[i]
+        return self._code(prod[:n])
+
+    def pow(self, a, e):
+        result, e = 1, e % (self.q - 1)
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+
 def _reference(f):
-    """f without tables: scalar polynomial products and digit-loop addition."""
-    return Field(f.p, f.n, f.modulus, f.generator, None, None, None)
+    """f without tables (see _TableFree)."""
+    return _TableFree(f.p, f.n, f.modulus, f.generator, None, None, None)
 
 
 def _assert_addition_matches_digit_loop(f, xs, ys, scalar_pairs):
@@ -270,10 +328,18 @@ def test_packed_addition_rejects_codes_out_of_range():
                      lambda: f.neg_vec(bad)):
             with pytest.raises(IndexError):
                 call()
-    for call in (lambda: f.add(q, 0), lambda: f.add(0, q), lambda: f.sub(q, 1),
-                 lambda: f.sub(1, q), lambda: f.neg(q)):
-        with pytest.raises(IndexError):
-            call()
+
+
+def test_scalar_addition_rejects_codes_outside_the_field():
+    # a negative code must not alias to q + x, nor q escape as an IndexError
+    for args in ((3, 7), (11, 3)):
+        f = build_field(*args)
+        for bad in (-1, f.q, -f.q):
+            for call in (lambda: f.add(bad, 0), lambda: f.add(0, bad), lambda: f.sub(bad, 1),
+                         lambda: f.sub(1, bad), lambda: f.neg(bad)):
+                with pytest.raises(ValueError, match="not an element code"):
+                    call()
+        assert f.add(f.q - 1, 1) == f.sub(f.q - 1, f.neg(1)) and f.neg(0) == 0
 
 
 def test_representation_independence_cij():
@@ -325,18 +391,23 @@ def test_generator_has_full_order():
 
 
 def test_tables_match_scalar_fallback():
-    """The matrix-doubling log/antilog and eta tables against the table-free
-    reference, whose powers and products come from scalar polynomial products."""
+    """The matrix-doubling log/antilog and eta tables and the generator search
+    against the table-free reference, whose powers and products come from
+    schoolbook polynomial products."""
     for p, n in ((3, 3), (7, 2), (7, 3), (3, 7), (11, 3)):
         f = build_field(p, n)
         ref = _reference(f)
         assert ref._log is None and f._log is not None
         q, g = f.q, f.generator
-        assert g == _smallest_generator(ref)
+        cofactors = [(q - 1) // r for r in factorize(q - 1)]
+        assert g == next(h for h in range(2, q) if all(ref.pow(h, c) != 1 for c in cofactors))
         squares = {ref.mul(x, x) for x in range(1, q)}
         assert f.eta_table.tolist() == [0] + [1 if x in squares else -1 for x in range(1, q)]
         assert f._alog.shape == (2 * (q - 1),)
-        assert [int(v) for v in f._alog[: q - 1]] == [ref.pow(g, k) for k in range(q - 1)]
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(ref.mul(powers[-1], g))
+        assert [int(v) for v in f._alog[: q - 1]] == powers
         assert np.array_equal(f._alog[q - 1 :], f._alog[: q - 1])
         assert np.array_equal(f._log[f._alog[: q - 1]], np.arange(q - 1))
         assert f._log[0] == 0
@@ -432,9 +503,9 @@ def test_factorize_matches_sympy():
         factorize(0)
 
 
-def test_prime_fields_do_not_load_sympy_or_mpmath():
-    # sympy is for extension fields only and mpmath for the bound constants;
-    # neither sits on the start-up path or on a prime-field claim check
+def test_runtime_does_not_load_sympy_or_mpmath():
+    # numpy is the only runtime dependency: prime and extension fields, a
+    # prime-field claim check and the bound constants load neither module
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     code = (
@@ -443,6 +514,10 @@ def test_prime_fields_do_not_load_sympy_or_mpmath():
         "from nhsbox import build_field, verify_claim\n"
         "build_field(4211)\n"
         "verify_claim('THM2_DELTA5', 4211, 1, 4211, u_mode='fixed:999')\n"
+        "build_field(3, 7)\n"
+        "build_field(11, 3)\n"
+        "from nhsbox.characters import theorem2_constants\n"
+        "assert theorem2_constants() == (-98312, -325643353)\n"
         "print(sorted(m for m in ('sympy', 'mpmath') if m in sys.modules))\n"
     )
     result = subprocess.run(

@@ -128,7 +128,7 @@ def test_locally_apn():
 def test_bct_linear_function():
     f = cached_field(11)
     c = 4
-    table = FunctionTable.from_callable(f, lambda x: f.mul(c, x))
+    table = FunctionTable(f, f.mul_vec(np.int64(c), f.elements()))
     for a in (1, 5):
         for b in (0, 1, 7):
             assert bct_entry(table, a, b) == 11

@@ -233,6 +233,23 @@ def test_lemma_suite_claim():
         assert row.status == "pass", row
 
 
+def test_lemma_suite_builds_one_case_per_chunk(monkeypatch):
+    from nhsbox.nh_family import _U_CHUNK, CaseAnalysis
+
+    built = []
+    real = CaseAnalysis.__init__
+
+    def counting(self, field, u):
+        built.append(len(np.atleast_1d(u)))
+        real(self, field, u)
+
+    monkeypatch.setattr(CaseAnalysis, "__init__", counting)
+    (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+    assert row.status == "pass"
+    # every u outside {0, +1, -1}, one CaseAnalysis per chunk of _U_CHUNK
+    assert sum(built) == 43 - 3 and len(built) == -(-(43 - 3) // _U_CHUNK)
+
+
 def _closed_counts_wrong_at(monkeypatch, bad_u):
     """CaseAnalysis.a_counts_all with #A_00(0) off by one at u = bad_u only,
     for one u or a batch of u."""
@@ -255,8 +272,8 @@ def _lemma_fails_at(monkeypatch, bad_u):
 
     real = nh_family._lemma_battery
 
-    def failing(case, counts):
-        battery = real(case, counts)
+    def failing(case):
+        battery = real(case)
         name, applicable, ok = battery[-1]
         us = np.atleast_1d(case.u)
         ok = np.array(ok)
