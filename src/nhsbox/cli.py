@@ -24,7 +24,7 @@ from .characters import (
     weil_sum_brute,
     weil_sum_quadratic_closed,
 )
-from .gf import CODE_LIMIT, FieldConstructionError, build_field, factorize
+from .gf import CODE_LIMIT, FieldConstructionError, UnsupportedFieldError, build_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
 from .verifier import U_MODES, SweepConfig, check_request, sweep, verify_claim
@@ -103,7 +103,11 @@ def _spectrum_payload(args, boomerang):
     field = _field_from_args(args)
     if args.family != "nh":
         raise UsageError(f"unknown family {args.family!r}")
-    params = NHParams(args.r, parse_u_token(field, args.u))
+    u = parse_u_token(field, args.u)
+    try:
+        params = NHParams(args.r, u)
+    except ValueError as exc:  # r < 1
+        raise UsageError(str(exc)) from exc
     table = FunctionTable.from_nh(field, params)
     spectrum = boomerang_spectrum if boomerang else differential_spectrum
     spec = spectrum(table, reduction=params if args.reduced else None)
@@ -287,7 +291,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FieldConstructionError) as exc:
+    except (UsageError, FieldConstructionError, UnsupportedFieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -222,6 +222,13 @@ class Field:
             raise ValueError(f"{name} = {x} is not an element code of F_{self.q}")
         return x
 
+    def require_3_mod_4(self, what):
+        """Raise UnsupportedFieldError unless q = 3 (mod 4).  There eta(-1) = -1,
+        which the canonical sqrt, the C_ij split and the row-1 reduction (every
+        DDT/BCT row a of F_{r,u} is row 1 with b relabelled) all rest on."""
+        if self.q % 4 != 3:
+            raise UnsupportedFieldError(f"{what} needs q = 3 (mod 4), and q = {self.q}")
+
     def digits(self, x):
         return tuple((x // w) % self.p for w in self._pw)
 
@@ -345,8 +352,7 @@ class Field:
 
     def sqrt(self, x):
         """Canonical root x^((q+1)/4); None when x is a non-square."""
-        if self.q % 4 != 3:
-            raise UnsupportedFieldError("canonical sqrt needs q = 3 (mod 4)")
+        self.require_3_mod_4("the canonical sqrt")
         if x == 0:
             return 0
         if self.eta(x) == -1:
@@ -356,8 +362,7 @@ class Field:
     @property
     def sqrt_table(self):
         """Dense canonical-root table; -1 marks non-squares."""
-        if self.q % 4 != 3:
-            raise UnsupportedFieldError("canonical sqrt needs q = 3 (mod 4)")
+        self.require_3_mod_4("the canonical sqrt")
         if self._sqrt_table is None:
             codes = self.elements()
             roots = self.pow_vec(codes, (self.q + 1) // 4)
@@ -367,8 +372,7 @@ class Field:
         return self._sqrt_table
 
     def cij_partition(self):
-        if self.q % 4 != 3:
-            raise UnsupportedFieldError("C_ij partition needs q = 3 (mod 4)")
+        self.require_3_mod_4("the C_ij partition")
         if self._cij is None:
             codes = self.elements()
             e0 = self.eta_vec(codes)

@@ -19,9 +19,10 @@ of the batch of one.
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d is affine in u, so a chunk of u costs one broadcast
-and one offset bincount.  When q = 3 (mod 4), eta(-1) = -1 gives
-F_{r,-u}(x) = (-1)^r F_{r,u}(-x), so u and -u share one delta and each
-pair is evaluated once.
+and one offset bincount.  And delta is the maximum of that row alone, by
+the row-1 reduction (see :mod:`nhsbox.spectra`), which also gives u and -u
+one delta, so each pair is evaluated once.  Like everything here beyond
+F_{r,u} itself, it needs q = 3 (mod 4) (Field.require_3_mod_4).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import Field, UnsupportedFieldError
+from .gf import Field
 
 
 class UnsupportedParameterError(ValueError):
@@ -137,18 +138,17 @@ _U_CHUNK = 16
 
 def uniformity_batch(field: Field, r, u_codes):
     """delta_{F_{r,u}} for every u in u_codes (via the a = 1 row reduction),
-    in input order.
+    in input order; UnsupportedFieldError unless q = 3 (mod 4).
 
     The a = 1 row is c + u*d (derivative_row_parts), _U_CHUNK values of u
-    at a time; prime fields compute it in int32 while q^2 < 2^31.  When
-    q = 3 (mod 4), F_{r,-u}(x) = (-1)^r F_{r,u}(-x) is affine-equivalent
-    to F_{r,u}, so only min(u, -u) is evaluated and its delta copied to
-    both; when q = 1 (mod 4) no u is paired.
+    at a time; prime fields compute it in int32 while q^2 < 2^31.
+    F_{r,-u}(x) = (-1)^r F_{r,u}(-x) is affine-equivalent to F_{r,u}, so
+    only min(u, -u) is evaluated and its delta copied to both.
     """
+    field.require_3_mod_4("uniformity_batch (the row-1 reduction)")
     q = field.q
     u_codes = np.asarray(u_codes, dtype=np.int64)
-    reps = np.minimum(u_codes, field.neg_vec(u_codes)) if q % 4 == 3 else u_codes
-    reps, back = np.unique(reps, return_inverse=True)
+    reps, back = np.unique(np.minimum(u_codes, field.neg_vec(u_codes)), return_inverse=True)
     dtype = np.int32 if q * q < 1 << 31 else np.int64
     c, d = (v.astype(dtype) for v in derivative_row_parts(field, r))
     offsets = np.arange(_U_CHUNK, dtype=dtype)[:, None] * q
@@ -188,8 +188,7 @@ class CaseAnalysis:
     """
 
     def __init__(self, field: Field, u):
-        if field.q % 4 != 3:
-            raise UnsupportedFieldError("the case analysis needs q = 3 (mod 4)")
+        field.require_3_mod_4("the case analysis")
         us, self._scalar = _u_axis(field, u)
         if np.any((us == 0) | (us == 1) | (us == field.neg(1))):
             raise UnsupportedParameterError(

@@ -4,8 +4,12 @@ DDT rows, BCT rows and the locally-APN check share one kernel over the
 fibers of D_a F: the fiber sizes are the DDT row, and the BCT row tallies
 F(x) - F(y) over the pairs inside each fiber, in O(q + sum k^2) work.  The
 generic paths work for any table; the reduced paths exploit the row-1
-reduction available to F_{r,u} (every row a is a b-relabelling of row 1,
-so whole-table spectra are (q-1) copies of the row-1 tally).
+reduction available to F_{r,u}.  It needs q = 3 (mod 4), where eta(-1) = -1
+gives F_{r,-u}(x) = (-1)^r F_{r,u}(-x), and hence
+delta(a, b) = delta(1, s*b*a^-r) with s = +/-1, and likewise for beta: every
+row a is a b-relabelling of row 1, so whole-table spectra are (q-1) copies
+of the row-1 tally.  The reduced paths check that condition with
+Field.require_3_mod_4 and raise UnsupportedFieldError without it.
 """
 
 from __future__ import annotations
@@ -134,12 +138,6 @@ def _fiber_kernel(table: FunctionTable, a, bct=False):
     return ddt, row
 
 
-def _ddt_batches(table: FunctionTable):
-    """The DDT rows a = 1..q-1, _A_BATCH rows at a time."""
-    a = np.arange(1, table.field.q)
-    return (_fiber_kernel(table, a[lo : lo + _A_BATCH]) for lo in range(0, len(a), _A_BATCH))
-
-
 def derivative_row(table: FunctionTable, a):
     """D_a F(x) for every x, as a length-q array."""
     f = table.field
@@ -163,70 +161,54 @@ def _outside_prime_subfield(field: Field):
     return slice(field.p if field.n > 1 else 1, None)
 
 
+def _row1_outside(field: Field, r):
+    """The row-1 positions that the locally-APN maximum of F_{r,u} reads.
+
+    delta(a, b) = row[s*b*a^-r], so b outside the prime subfield reads the
+    positions outside the line a^-r * F_p.  These lines all equal F_p when
+    (q-1) | r(p-1), that is when every a^-r lies in F_p*; otherwise two of
+    them differ and meet only in 0, so the union of their complements is
+    every position but 0.
+    """
+    if r * (field.p - 1) % (field.q - 1) == 0:
+        return _outside_prime_subfield(field)
+    return slice(1, None)
+
+
 def locally_apn_check(table: FunctionTable):
     """True iff max{delta(a, b): a != 0, b outside the prime subfield} == 2."""
-    outside = _outside_prime_subfield(table.field)
-    best = 0
-    for rows in _ddt_batches(table):
-        best = max(best, int(rows[:, outside].max()))
-        if best > 2:
-            return False
-    return best == 2
+    return differential_spectrum(table).locally_apn
 
 
 def _check_reduction(table: FunctionTable, reduction: NHParams):
+    table.field.require_3_mod_4("the row-1 reduction")
     expected = nh_table(table.field, reduction)
     if not np.array_equal(expected, table.values):
         raise ConsistencyError("table does not match F_{r,u} for the given (r, u)")
 
 
-def _locally_apn_from_row(field: Field, row_counts, r):
-    """Locally-APN from the a = 1 row of an F_{r,u} table.
-
-    delta(a, b) = row[s*b*a^-r] with s = +/-1, so the b-values outside the
-    prime subfield correspond, per a, to row positions outside one line
-    mu*F_p through 0 (mu = a^-r; the sign does not change the line).
-    """
-    if field.n == 1:
-        return int(row_counts[_outside_prime_subfield(field)].max()) == 2
-    subfield = np.arange(field.p, dtype=np.int64)
-    seen = set()
-    overall = 0
-    for a in range(1, field.q):
-        line = field.mul_vec(np.int64(field.inv(field.pow(a, r))), subfield)
-        key = int(line[line > 0].min())
-        if key in seen:
-            continue
-        seen.add(key)
-        outside = np.ones(field.q, dtype=bool)
-        outside[line] = False
-        overall = max(overall, int(row_counts[outside].max()))
-        if overall > 2:
-            return False
-    return overall == 2
-
-
 def differential_spectrum(table: FunctionTable, reduction: NHParams | None = None):
     """Full DDT aggregation, or the (q-1)-fold expansion of row a = 1.
 
-    Both paths produce identical spectra for F_{r,u}: each row's count
-    multiset is a b-relabelling of row 1 (relabelling depends on eta(a)
-    and the parity of r but is always a bijection on b).
+    Both paths produce identical spectra for F_{r,u} when q = 3 (mod 4):
+    each row's count multiset is a b-relabelling of row 1 (see the module
+    docstring).  The reduced path raises UnsupportedFieldError otherwise.
     """
     f = table.field
     q = f.q
     if reduction is not None:
         _check_reduction(table, reduction)
         row = _fiber_kernel(table, 1)[0]
-        tally = np.bincount(row) * (q - 1)
-        omega = {i: int(w) for i, w in enumerate(tally) if w and i > 0}
-        omega[0] = int(tally[0])
-        return DifferentialSpectrum(omega, int(row.max()), _locally_apn_from_row(f, row, reduction.r))
+        omega = _tally_to_sparse(np.bincount(row) * (q - 1))
+        apn = int(row[_row1_outside(f, reduction.r)].max()) == 2
+        return DifferentialSpectrum(omega, int(row.max()), apn)
 
     tally = np.zeros(1, dtype=np.int64)
     outside = _outside_prime_subfield(f)
     best_outside = 0
-    for rows in _ddt_batches(table):
+    a = np.arange(1, q)
+    for lo in range(0, q - 1, _A_BATCH):
+        rows = _fiber_kernel(table, a[lo : lo + _A_BATCH])
         tally = _tally_add(tally, rows)
         best_outside = max(best_outside, int(rows[:, outside].max()))
     # every row has a nonzero count, so the tally ends on the uniformity
@@ -277,8 +259,7 @@ def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):
     for a in range(1, q):
         tally = _tally_add(tally, boomerang_row(table, a)[1:])
     nu = {i: int(w) for i, w in enumerate(tally) if w}
-    uniformity = max(nu) if nu else 0
-    return BoomerangSpectrum(nu=nu, uniformity=uniformity)
+    return BoomerangSpectrum(nu=nu, uniformity=max(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +283,7 @@ def closed_form_spectrum_F21(field: Field):
     any non-exact division signals a computation bug upstream.
     """
     q = field.q
-    if q % 4 != 3:
-        raise UnsupportedFieldError("needs q = 3 (mod 4)")
+    field.require_3_mod_4("closed_form_spectrum_F21")
     if q <= 7:
         raise UnsupportedFieldError("q <= 7: the (q+1)/4 class collides with 2")
     T = cubic_character_sum(field)
@@ -337,8 +317,7 @@ def boomerang_case_counts_F21(field: Field, b):
     """
     if b == 0:
         raise ValueError("b = 0 is outside the boomerang case analysis")
-    if field.q % 4 != 3:
-        raise UnsupportedFieldError("needs q = 3 (mod 4)")
+    field.require_3_mod_4("boomerang_case_counts_F21")
     f = field
     inv2 = f.inv(f.embed(2))
     counts = {label: 0 for label in BOOMERANG_CLASSES}

@@ -27,7 +27,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .characters import boomerang_constants, theorem6_constants
-from .gf import Field, UnsupportedFieldError, cached_field
+from .gf import Field, cached_field
 from .nh_family import (
     _U_CHUNK,
     DELTA_CAP,
@@ -149,8 +149,7 @@ def conclusion_expected_delta(field: Field, u):
     q = field.q
     if not 0 <= u < q:
         raise ValueError(f"u code {u} out of range for q = {q}")
-    if q % 4 != 3:
-        raise UnsupportedFieldError("the five-case table needs q = 3 (mod 4)")
+    field.require_3_mod_4("the five-case table")
     if u == 0:
         raise UnsupportedParameterError("u = 0: F_{2,0} = x^2 is in none of the five cases")
     if u in (1, field.neg(1)):
@@ -522,15 +521,14 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_worker(args):
-    chunk, u_mode, seed = args
-    rows, errors = [], []
-    for claim_id, p, n, q in chunk:
-        try:
-            rows.extend(verify_claim(claim_id, p, n, q, u_mode=u_mode, seed=seed))
-        except Exception as exc:  # noqa: BLE001 - capture per-q, keep partial results
-            errors.append((q, claim_id, f"{type(exc).__name__}: {exc}"))
-    return rows, errors
+def _sweep_worker(task, u_mode, seed):
+    """(rows, errors) of one (claim_id, p, n, q) task: an error row, not a
+    raise, when it fails, so the sweep goes on."""
+    claim_id, p, n, q = task
+    try:
+        return verify_claim(claim_id, p, n, q, u_mode=u_mode, seed=seed), []
+    except Exception as exc:  # noqa: BLE001 - a failed task is an error row
+        return [], [(q, claim_id, f"{type(exc).__name__}: {exc}")]
 
 
 def sweep(config: SweepConfig, progress=None) -> SweepReport:
@@ -566,16 +564,14 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
 
     if config.jobs == 1 or len(tasks) <= 1:
         for done, task in enumerate(tasks, 1):
-            merge(done, task, _sweep_worker(([task], config.u_mode, config.seed)))
+            merge(done, task, _sweep_worker(task, config.u_mode, config.seed))
     else:  # imported here so that in-process sweeps do not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
         workers = min(config.jobs, len(tasks))
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            futures = {
-                pool.submit(_sweep_worker, ([t], config.u_mode, config.seed)): t for t in tasks
-            }
+            futures = {pool.submit(_sweep_worker, t, config.u_mode, config.seed): t for t in tasks}
             for done, future in enumerate(as_completed(futures), 1):
                 claim_id, _, _, q = task = futures[future]
                 try:

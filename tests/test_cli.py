@@ -95,6 +95,17 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and out == "" and err.startswith("error: ") and "table limit" in err
 
 
+def test_spectrum_rejects_r_below_1_exit_2(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--q", "11", "--u", "1", "--r", "0")
+    assert code == 2 and out == "" and err.startswith("error: ") and "positive" in err
+
+
+def test_reduced_spectra_at_q_1_mod_4_exit_2(capsys):
+    for command in ("spectrum", "boomerang"):
+        code, out, err = run_cli(capsys, command, "--q", "13", "--u", "2", "--reduced")
+        assert code == 2 and out == "" and err.startswith("error: ") and "q = 3 (mod 4)" in err
+
+
 def test_sweep_and_verify_input_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "sweep", "--min", "5000", "--max", "4000", "--claims", "BOOM_F21")
     assert code == 2 and out == "" and "below min_q" in err

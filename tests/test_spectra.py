@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nhsbox import spectra
 from nhsbox.gf import UnsupportedFieldError, build_field, cached_field
-from nhsbox.nh_family import ConsistencyError, NHParams, nh_table
+from nhsbox.nh_family import CaseAnalysis, ConsistencyError, NHParams, nh_table, uniformity_batch
 from nhsbox.spectra import (
     BOOMERANG_CLASSES,
     DifferentialSpectrum,
@@ -28,6 +28,7 @@ from nhsbox.spectra import (
     differential_spectrum,
     locally_apn_check,
 )
+from nhsbox.verifier import conclusion_expected_delta
 
 
 def f21(field):
@@ -78,7 +79,8 @@ def test_spectrum_identities_and_reduction_agreement():
     for args in ((11, 1), (19, 1), (3, 3), (31, 1)):
         f = cached_field(*args)
         for u in range(f.q):
-            for r in (2, f.q - 2):
+            # (q-1)/(p-1) takes the prime-subfield branch of _row1_outside
+            for r in (2, f.q - 2, (f.q - 1) // (f.p - 1)):
                 params = NHParams(r, u)
                 table = FunctionTable.from_nh(f, params)
                 full = differential_spectrum(table)
@@ -87,6 +89,46 @@ def test_spectrum_identities_and_reduction_agreement():
                 assert full.uniformity == red.uniformity
                 assert full.locally_apn == red.locally_apn
                 assert full.identities_hold(f.q)
+
+
+@pytest.mark.parametrize("args", [(13, 1), (5, 2), (5, 3)], ids=["F13", "F25", "F125"])
+def test_row1_reduction_needs_q_3_mod_4(args):
+    # at q = 1 (mod 4) the rows a are no relabelling of row 1: at F_13, u = 2,
+    # row 1 peaks at 3 where the full DDT gives delta = 5.  Every path that
+    # rests on eta(-1) = -1 refuses such a field with the one guard's message.
+    f = cached_field(*args)
+    params = NHParams(2, 2)
+    table = FunctionTable.from_nh(f, params)
+    for call in (
+        lambda: differential_spectrum(table, reduction=params),
+        lambda: boomerang_spectrum(table, reduction=params),
+        lambda: uniformity_batch(f, 2, f.elements()),
+        lambda: f.sqrt(2),
+        lambda: f.sqrt_table,
+        lambda: f.cij_partition(),
+        lambda: CaseAnalysis(f, 2),
+        lambda: closed_form_spectrum_F21(f),
+        lambda: boomerang_case_counts_F21(f, 1),
+        lambda: conclusion_expected_delta(f, 2),
+    ):
+        with pytest.raises(UnsupportedFieldError, match=rf"needs q = 3 \(mod 4\), and q = {f.q}$"):
+            call()
+
+
+@pytest.mark.parametrize("args", [(7, 1), (3, 3), (3, 5), (7, 3)])
+def test_row1_outside_is_the_union_of_line_complements(args):
+    # delta(a, b) = row1[s*b*a^-r]: b outside F_p reads the row-1 positions
+    # outside the line a^-r * F_p.  Their union over a, by brute force.  A
+    # prime field excludes b = 0 alone, as locally-APN does there.
+    f = cached_field(*args)
+    q, p = f.q, f.p
+    excluded = [f.embed(k) for k in range(p)] if f.n > 1 else [0]
+    for r in (2, q - 2, (q - 1) // (p - 1), q - 1):
+        union = set()
+        for a in range(1, q):
+            mu = f.inv(f.pow(a, r))
+            union |= set(range(q)) - {f.mul(mu, b) for b in excluded}
+        assert set(range(q)[spectra._row1_outside(f, r)]) == union, (q, r)
 
 
 def test_reduction_consistency_error():

@@ -339,7 +339,7 @@ def test_sweep_rejects_inverted_range_and_unknown_claims():
 
 def test_sweep_worker_records_failures():
     # 15 = 7 (mod 8) passes the filter, then field construction fails
-    rows, errors = _sweep_worker(([("THM5_DELTA3", 15, 1, 15)], "default", 0))
+    rows, errors = _sweep_worker(("THM5_DELTA3", 15, 1, 15), "default", 0)
     assert rows == []
     assert len(errors) == 1 and errors[0][0] == 15 and "NotPrime" in errors[0][2]
 
