@@ -444,7 +444,8 @@ _ROWS = 1 << 16  # digit rows widened to int32 at a time in _powers
 
 
 def _powers(field):
-    """Codes of g^0 .. g^(q-2), g the generator, by matrix doubling.
+    """The doubled antilog table: codes of g^0 .. g^(q-2), g the generator,
+    by matrix doubling, then the same q - 1 codes again.
 
     Multiplication by h is the n x n matrix over Z_p whose row i holds the
     digits of h * x^i (see :func:`_mul_matrix`).  When rows 0..m-1 of
@@ -473,9 +474,12 @@ def _powers(field):
     if digits[q - 1].tolist() != digits[0].tolist():
         raise FieldConstructionError("generator order check failed")
     pw = np.array(field._pw, dtype=np.int32)
-    codes = np.empty(q - 1, dtype=np.int64)
+    codes = np.empty(2 * (q - 1), dtype=np.int64)
     for i in range(0, q - 1, _ROWS):
-        codes[i : i + _ROWS] = times(digits[i : min(i + _ROWS, q - 1)], pw)
+        j = min(i + _ROWS, q - 1)
+        codes[i:j] = times(digits[i:j], pw)
+    del digits  # freed before the second half's pages are touched
+    codes[q - 1 :] = codes[: q - 1]
     return codes
 
 
@@ -519,10 +523,9 @@ def build_field(p, n=1, *, modulus=None):
 
     if n > 1:
         field._add_tables = _addition_tables(p, n)
-        powers = _powers(field)
-        field._alog = np.concatenate([powers, powers])
+        field._alog = _powers(field)
         field._log = np.zeros(q, dtype=np.int64)
-        field._log[powers] = np.arange(q - 1, dtype=np.int64)
+        field._log[field._alog[: q - 1]] = np.arange(q - 1, dtype=np.int64)
 
     if q <= TABLE_LIMIT:  # the squares are the even powers of g
         squares = field._alog[: q - 1 : 2] if n > 1 else np.arange(1, q, dtype=np.int64) ** 2 % p

@@ -18,11 +18,14 @@ and a (U,) verdict, and a scalar u gives the (q, 4) counts and the bool
 of the batch of one.
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
-D_1 F_{r,u} = c + u*d is affine in u, so a chunk of u costs one broadcast
-and one offset bincount.  And delta is the maximum of that row alone, by
-the row-1 reduction (see :mod:`nhsbox.spectra`), which also gives u and -u
-one delta, so each pair is evaluated once.  Like everything here beyond
-F_{r,u} itself, it needs q = 3 (mod 4) (Field.require_3_mod_4).
+D_1 F_{r,u} = c + u*d is affine in u, so in a prime field a window of
+consecutive u costs one modular reduction (the row of its first u);
+every other row adds a precomputed k*d mod q and subtracts q where the
+sum reaches it, and a chunk of rows goes through one offset bincount.
+And delta is the maximum of that row alone, by the row-1 reduction (see
+:mod:`nhsbox.spectra`), which also gives u and -u one delta, so each pair
+is evaluated once.  Like everything here beyond F_{r,u} itself, it needs
+q = 3 (mod 4) (Field.require_3_mod_4).
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ class ConsistencyError(ValueError):
     """A table handed in as F_{r,u} does not match the family definition."""
 
 
+def _check_r(r):
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+
+
 @dataclass(frozen=True)
 class NHParams:
     """Family parameters: the exponent r and the coefficient u (a code)."""
@@ -51,8 +59,7 @@ class NHParams:
     u: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be a positive integer")
+        _check_r(self.r)
         if self.u < 0:
             raise ValueError("u must be an element code")
 
@@ -132,36 +139,74 @@ def derivative_row_counts(field: Field, params: NHParams):
 
 # u values per chunk of uniformity_batch and of the LEMMA_SUITE sweep
 # (compare spectra._A_BATCH): a chunk of rows stays cache-sized, which beats
-# fewer, larger numpy calls.
+# fewer, larger numpy calls.  It is also the width of uniformity_batch's
+# windows of u in a prime field.
 _U_CHUNK = 16
 
 
 def uniformity_batch(field: Field, r, u_codes):
     """delta_{F_{r,u}} for every u in u_codes (via the a = 1 row reduction),
-    in input order; UnsupportedFieldError unless q = 3 (mod 4).
+    in input order; UnsupportedFieldError unless q = 3 (mod 4), ValueError
+    for r < 1 or a u that is not an element code.
 
-    The a = 1 row is c + u*d (derivative_row_parts), _U_CHUNK values of u
-    at a time; prime fields compute it in int32 while q^2 < 2^31.
     F_{r,-u}(x) = (-1)^r F_{r,u}(-x) is affine-equivalent to F_{r,u}, so
-    only min(u, -u) is evaluated and its delta copied to both.
+    only min(u, -u) is evaluated and its delta copied to both.  The a = 1
+    row is c + u*d (derivative_row_parts), and the sorted representatives
+    go width at a time through one bincount, row i offset by i*q.
+    Extension fields compute the rows with add_vec/mul_vec.  A prime field
+    cuts u into windows [u0, u0 + width), u0 = reps[0] (mod width): the
+    base row (c + u0*d) mod q is the window's one modular reduction, made
+    once for every window that a chunk touches, and the row of u is
+    base + steps[u - u0], steps[k] = k*d mod q, brought below q by one
+    conditional subtract.  So a run of consecutive u pays one reduction
+    per width rows and a sparse set one per row.
+
+    dtypes: the base sum c + u0*d < q^2 is int32 while that fits, else
+    int64, reduced as s - s // q * q (floor_divide by a scalar is
+    vectorised, % is not); the rows are uint32, which holds the unreduced
+    sum below 2q <= 2^32 (q < CODE_LIMIT = 2^31); width <= 2^32 / q keeps
+    steps and offsets below width*q <= 2^32.  The buffers live for the
+    whole call: a chunk-sized array allocated afresh is page-faulted anew,
+    which costs about as much as the arithmetic.
     """
     field.require_3_mod_4("uniformity_batch (the row-1 reduction)")
+    _check_r(r)
+    us = _u_axis(field, u_codes)[0].ravel()
     q = field.q
-    u_codes = np.asarray(u_codes, dtype=np.int64)
-    reps, back = np.unique(np.minimum(u_codes, field.neg_vec(u_codes)), return_inverse=True)
-    dtype = np.int32 if q * q < 1 << 31 else np.int64
-    c, d = (v.astype(dtype) for v in derivative_row_parts(field, r))
-    offsets = np.arange(_U_CHUNK, dtype=dtype)[:, None] * q
+    reps, back = np.unique(np.minimum(us, field.neg_vec(us)), return_inverse=True)
+    c, d = derivative_row_parts(field, r)
+    width = min(_U_CHUNK, (1 << 32) // q)
+    offsets = np.arange(width, dtype=np.uint32)[:, None] * np.uint32(q)
+    keys = np.empty((width, q), dtype=np.int64)
+    if field.is_prime_field:
+        wide = np.int32 if q * q < 1 << 31 else np.int64
+        c, d = c.astype(wide), d.astype(wide)
+        step = (reps - reps[:1]) % width  # u - u0
+        starts, window = np.unique(reps - step, return_inverse=True)
+        starts = starts.astype(wide)[:, None]
+        steps = np.arange(width, dtype=np.uint32)[:, None] * d.astype(np.uint32)
+        steps -= steps // np.uint32(q) * np.uint32(q)
+        sums, quotients = np.empty((2, width, q), dtype=wide)
+        bases, rows, wrapped = np.empty((3, width, q), dtype=np.uint32)
     deltas = np.empty(len(reps), dtype=np.int64)
-    for lo in range(0, len(reps), _U_CHUNK):
-        us = reps[lo : lo + _U_CHUNK, None].astype(dtype)
+    for lo in range(0, len(reps), width):
+        hi = min(lo + width, len(reps))
         if field.is_prime_field:
-            rows = (c + us * d) % q
+            w0, w1 = window[lo], window[hi - 1] + 1
+            s, quot = sums[: w1 - w0], quotients[: w1 - w0]
+            np.add(np.multiply(starts[w0:w1], d, out=s), c, out=s)
+            np.multiply(np.floor_divide(s, q, out=quot), q, out=quot)
+            np.subtract(s, quot, out=bases[: w1 - w0], casting="unsafe")
+            row, wrap = rows[: hi - lo], wrapped[: hi - lo]
+            np.take(bases, window[lo:hi] - w0, axis=0, out=wrap, mode="clip")
+            np.take(steps, step[lo:hi], axis=0, out=row, mode="clip")
+            row += wrap
+            np.minimum(row, np.subtract(row, np.uint32(q), out=wrap), out=row)
         else:
-            rows = field.add_vec(c, field.mul_vec(us, d))
-        rows += offsets[: len(us)]
-        counts = np.bincount(rows.ravel(), minlength=len(us) * q)
-        deltas[lo : lo + len(us)] = counts.reshape(len(us), q).max(axis=1)
+            row = field.add_vec(c, field.mul_vec(reps[lo:hi, None], d))
+        key = np.add(row, offsets[: hi - lo], out=keys[: hi - lo])
+        counts = np.bincount(key.ravel(), minlength=key.size)
+        deltas[lo:hi] = counts.reshape(-1, q).max(axis=1)
     return deltas[back]
 
 

@@ -294,22 +294,23 @@ def test_negation_symmetry_delta():
                 assert np.array_equal(row_nu, expected)
 
 
-def _delta_oracle(field, u):
-    """delta_{F_{2,u}} from its own a = 1 row: no batching, no pairing."""
-    return int(derivative_row_counts(field, NHParams(2, u)).max())
+def _delta_oracle(field, u, r=2):
+    """delta_{F_{r,u}} from its own a = 1 row: no batching, no pairing."""
+    return int(derivative_row_counts(field, NHParams(r, u)).max())
 
 
 def test_uniformity_batch_matches_rows():
     # every nonzero u, so the distinct u (one per u/-u pair) fill several
     # _U_CHUNK chunks plus a partial one; F_343 and F_3^5 are also the
-    # every-u mirror checks for extension fields of odd degree
-    for args in ((167, 1), (7, 3), (3, 5)):
+    # every-u mirror checks for extension fields of odd degree, and r = 3
+    # checks the pairing for odd r
+    for args, r in (((167, 1), 2), ((167, 1), 3), ((7, 3), 2), ((3, 5), 2)):
         f = cached_field(*args)
         us = np.arange(1, f.q)
         distinct = len(us) // 2
         assert distinct > 2 * _U_CHUNK and distinct % _U_CHUNK
-        batch = uniformity_batch(f, 2, us)
-        assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
+        batch = uniformity_batch(f, r, us)
+        assert batch.tolist() == [_delta_oracle(f, u, r) for u in us.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -318,6 +319,12 @@ def test_uniformity_batch_matches_rows():
         ((23, 1), None),
         ((3, 3), None),
         ((3, 7), 200),
+        # the first prime q = 3 (mod 4) above 46341, where q^2 passes 2^31
+        # (int64 base rows): 40 u spread over 23175 pairs fall in 38
+        # windows, so nearly every row pays its own base reduction
+        ((46351, 1), 40),
+        # 2^17 - 1, where c + u0*d (u0 <= (q - 1) / 2) passes 2^31 for most u
+        ((131071, 1), 40),
     ],
 )
 def test_uniformity_batch_mirror_matches_oracle(args, count):
@@ -329,6 +336,20 @@ def test_uniformity_batch_mirror_matches_oracle(args, count):
     assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
 
 
+def test_uniformity_batch_on_the_thm2_selection():
+    # the u an exhaustive THM2_DELTA5 sweep hands over at q = 839: about
+    # half of the pairs, so the windows of u have gaps and a chunk of
+    # _U_CHUNK of them touches up to four windows
+    from nhsbox.verifier import CLAIMS, _select_condition_us
+
+    f = cached_field(839)
+    us = _select_condition_us(f, CLAIMS["THM2_DELTA5"], "all", 0)
+    gaps = np.diff(np.unique(np.minimum(us, f.neg_vec(us))))
+    assert gaps.max() > 1 and np.any(gaps[gaps > 1] < _U_CHUNK)
+    batch = uniformity_batch(f, 2, us)
+    assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
+
+
 def test_uniformity_batch_keeps_input_order():
     for args in ((23, 1), (3, 3)):
         f = cached_field(*args)
@@ -336,6 +357,18 @@ def test_uniformity_batch_keeps_input_order():
         batch = uniformity_batch(f, 2, us)
         assert batch.tolist() == [_delta_oracle(f, u) for u in us]
     assert uniformity_batch(cached_field(23), 2, []).tolist() == []
+
+
+def test_uniformity_batch_rejects_bad_inputs():
+    # a code outside [0, q) would alias in a prime field (28 and -3 read
+    # as 5 and 20 at F_23) and index past a table in an extension field
+    for args, bad in (((23, 1), [28, -3]), ((3, 3), [40, -1])):
+        f = cached_field(*args)
+        for u in bad:
+            with pytest.raises(ValueError, match="element code"):
+                uniformity_batch(f, 2, [2, u])
+        with pytest.raises(ValueError, match="positive integer"):
+            uniformity_batch(f, 0, [2])
 
 
 def test_uniformity_batch_counterexamples():
