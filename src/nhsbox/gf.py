@@ -409,7 +409,7 @@ def _addition_tables(p, n):
         rest //= p
         w = B**i if i < h else B ** (i - h) << shift
         pk += d * w
-        pk_neg += (-d % p) * w
+        pk_neg += np.remainder(-d, p, out=d) * w  # d is not read again, so it holds -d % p
 
     def normalise(m, offset):
         s = np.arange(B**m, dtype=np.int64)
@@ -525,7 +525,9 @@ def build_field(p, n=1, *, modulus=None):
         field._add_tables = _addition_tables(p, n)
         field._alog = _powers(field)
         field._log = np.zeros(q, dtype=np.int64)
-        field._log[field._alog[: q - 1]] = np.arange(q - 1, dtype=np.int64)
+        for i in range(0, q - 1, _ROWS):  # no (q-1)-long temporary
+            j = min(i + _ROWS, q - 1)
+            field._log[field._alog[i:j]] = np.arange(i, j, dtype=np.int64)
 
     if q <= TABLE_LIMIT:  # the squares are the even powers of g
         squares = field._alog[: q - 1 : 2] if n > 1 else np.arange(1, q, dtype=np.int64) ** 2 % p

@@ -319,11 +319,13 @@ def test_uniformity_batch_matches_rows():
         ((23, 1), None),
         ((3, 3), None),
         ((3, 7), 200),
+        # the largest prime q = 3 (mod 4) with q^2 < 2^31, the last field
+        # whose rows are int32
+        ((46327, 1), 40),
         # the first prime q = 3 (mod 4) above 46341, where q^2 passes 2^31
-        # (int64 base rows): 40 u spread over 23175 pairs fall in 38
-        # windows, so nearly every row pays its own base reduction
+        # (int64 rows): 40 u spread over 23175 pairs, far apart
         ((46351, 1), 40),
-        # 2^17 - 1, where c + u0*d (u0 <= (q - 1) / 2) passes 2^31 for most u
+        # 2^17 - 1, where c + u*d (u <= (q - 1) / 2) passes 2^31 for most u
         ((131071, 1), 40),
     ],
 )
@@ -338,8 +340,8 @@ def test_uniformity_batch_mirror_matches_oracle(args, count):
 
 def test_uniformity_batch_on_the_thm2_selection():
     # the u an exhaustive THM2_DELTA5 sweep hands over at q = 839: about
-    # half of the pairs, so the windows of u have gaps and a chunk of
-    # _U_CHUNK of them touches up to four windows
+    # half of the pairs, so the sorted representatives have gaps, some of
+    # them shorter than a chunk of _U_CHUNK
     from nhsbox.verifier import CLAIMS, _select_condition_us
 
     f = cached_field(839)
@@ -391,3 +393,8 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
             derivative_value(f, params, 1, x)
         with pytest.raises(ValueError, match="element code"):
             derivative_value(f, params, x, 1)
+    # a u past q would alias to u mod q in a prime field (28 reads as 5 at
+    # F_23) and index past the tables in an extension field
+    for field, u in ((cached_field(23), 28), (f, 40)):
+        with pytest.raises(ValueError, match="element code"):
+            derivative_row_counts(field, NHParams(2, u))
