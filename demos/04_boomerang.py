@@ -24,7 +24,7 @@ table = FunctionTable.from_nh(field, NHParams(2, 1))
 row = boomerang_row(table, 1)
 print(f"q = {q}: max over b != 0 of beta(1, b) =", int(row[1:].max()))
 
-# The derivative-fiber kernel agrees with O(q^2) pair enumeration.
+# The fiber-bucketed BCT row agrees with O(q^2) pair enumeration.
 for b in (1, 2, 17, 100):
     fast, slow = bct_entry(table, 1, b), bct_entry_bruteforce(table, 1, b)
     assert fast == slow == row[b]

@@ -1,6 +1,9 @@
 """The binomial family F_{r,u}(x) = x^r (1 + u*eta(x)) and its closed
 derivative-count analysis at r = 2.
 
+F_{r,u} = s + u*t with s = x^r and t = x^r eta(x) (_value_parts): nh_table
+and derivative_row_parts both read that one split.
+
 For u outside {0, +1, -1} the equation D_1 F_{2,u}(x) = b splits over the
 four C_ij classes: two linear cases (C_00, C_11) and two quadratic cases
 (C_01, C_10) with discriminants
@@ -18,9 +21,9 @@ and a (U,) verdict, and a scalar u gives the (q, 4) counts and the bool
 of the batch of one.
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
-D_1 F_{r,u} = c + u*d is affine in u, so each row costs one multiply-add
-and one reduction mod q, and a chunk of rows goes through one offset
-bincount.  And delta is the maximum of that row alone, by the row-1
+D_1 F_{r,u} = c + u*d (the a = 1 differences of s and t) is affine in u,
+so each row costs one multiply-add and one reduction mod q, and a chunk
+of rows goes through one offset bincount.  And delta is the maximum of that row alone, by the row-1
 reduction (see :mod:`nhsbox.spectra`), which also gives u and -u one
 delta, so each pair is evaluated once.  Like everything here beyond
 F_{r,u} itself, it needs q = 3 (mod 4) (Field.require_3_mod_4).
@@ -85,16 +88,19 @@ def eval_F(field: Field, params: NHParams, x):
     return field.mul(field.pow(x, params.r), factor)
 
 
+def _value_parts(field: Field, r):
+    """Vectors (s, t) = (x^r, x^r eta(x)) over all of F_q, so that
+    F_{r,u} = s + u*t for every u."""
+    codes = field.elements()
+    s = field.pow_vec(codes, r)
+    return s, np.where(field.eta_vec(codes) < 0, field.neg_vec(s), s)
+
+
 def nh_table(field: Field, params: NHParams):
     """Dense value table of F_{r,u} over all of F_q."""
     field.check_code(params.u, "u")
-    codes = field.elements()
-    xr = field.pow_vec(codes, params.r)
-    eta = field.eta_vec(codes)
-    c_plus = field.add(1, params.u)
-    c_minus = field.sub(1, params.u)
-    factor = np.where(eta == 0, np.int64(1), np.where(eta > 0, np.int64(c_plus), np.int64(c_minus)))
-    return field.mul_vec(xr, factor)
+    s, t = _value_parts(field, params.r)
+    return field.add_vec(s, field.mul_vec(np.int64(params.u), t))
 
 
 def derivative_value(field: Field, params: NHParams, a, x):
@@ -109,23 +115,13 @@ def derivative_value(field: Field, params: NHParams, a, x):
 def derivative_row_parts(field: Field, r):
     """Vectors (c, d) with D_1 F_{r,u}(x) = c(x) + u*d(x) for every u.
 
-    c(x) = (x+1)^r - x^r and d(x) = (x+1)^r eta(x+1) - x^r eta(x); the
-    u-dependence of the whole derivative row is affine, which is what
-    makes exhaustive u-sweeps cheap.
+    c and d are s(x+1) - s(x) and t(x+1) - t(x) for F_{r,u} = s + u*t
+    (_value_parts): the whole derivative row is affine in u, which is
+    what makes exhaustive u-sweeps cheap.
     """
-    codes = field.elements()
-    shifted = field.add_vec(codes, 1)
-    xr = field.pow_vec(codes, r)
-    xr1 = field.pow_vec(shifted, r)
-    e0 = field.eta_vec(codes).astype(np.int64)
-    e1 = field.eta_vec(shifted).astype(np.int64)
-
-    def times_eta(v, e):
-        return np.where(e == 0, 0, np.where(e > 0, v, field.neg_vec(v)))
-
-    c = field.sub_vec(xr1, xr)
-    d = field.sub_vec(times_eta(xr1, e1), times_eta(xr, e0))
-    return c, d
+    s, t = _value_parts(field, r)
+    shifted = field.add_vec(field.elements(), 1)
+    return field.sub_vec(s[shifted], s), field.sub_vec(t[shifted], t)
 
 
 def derivative_row_counts(field: Field, params: NHParams):
@@ -156,10 +152,11 @@ def uniformity_batch(field: Field, r, u_codes):
     (floor_divide by a scalar is vectorised, % is not).
 
     dtypes: s, its quotient buffer and the offsets are int32 while
-    q^2 < 2^31, else int64; the offset keys are int64, as bincount wants
-    them.  The chunk-sized buffers live for the whole call: an array
-    allocated afresh per chunk is page-faulted anew, which costs about as
-    much as the arithmetic.
+    q^2 < 2^32 (a representative is at most (q - 1)/2, so s <= (q^2 - 1)/2),
+    else int64; the offset keys are int64, as bincount wants them.  The
+    chunk-sized buffers live for the whole call: an array allocated afresh
+    per chunk is page-faulted anew, which costs about as much as the
+    arithmetic.
     """
     field.require_3_mod_4("uniformity_batch (the row-1 reduction)")
     _check_r(r)
@@ -167,7 +164,7 @@ def uniformity_batch(field: Field, r, u_codes):
     q = field.q
     reps, back = np.unique(np.minimum(us, field.neg_vec(us)), return_inverse=True)
     c, d = derivative_row_parts(field, r)
-    wide = np.int32 if q * q < 1 << 31 else np.int64
+    wide = np.int32 if q * q < 1 << 32 else np.int64
     offsets = np.arange(_U_CHUNK, dtype=wide)[:, None] * q
     keys = np.empty((_U_CHUNK, q), dtype=np.int64)
     if field.is_prime_field:
@@ -257,6 +254,7 @@ class CaseAnalysis:
     def a_counts(self, b):
         """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all
         (a tuple for a scalar u, a (U, 4) array for a batch)."""
+        self.field.check_code(b, "b")
         counts = self._counts[:, b]
         return tuple(int(c) for c in counts[0]) if self._scalar else counts
 
@@ -394,6 +392,7 @@ def structural_lemma_checks(field: Field, u, b):
     """Per-b verdicts for the four exclusion implications, the boundary
     bound delta(1, u +/- 1) <= 4, and the overall cap delta(1, b) <= 5.
     A lemma that does not apply at b is reported as ok.  u is one code."""
+    field.check_code(b, "b")
     case = CaseAnalysis(field, u)
     if not case._scalar:
         raise ValueError("structural_lemma_checks takes one u code")

@@ -1,10 +1,11 @@
 """Differential and boomerang analysis of function tables over F_q.
 
-DDT rows, BCT rows and the locally-APN check share one kernel over the
-fibers of D_a F: the fiber sizes are the DDT row, and the BCT row tallies
-F(x) - F(y) over the pairs inside each fiber, in O(q + sum k^2) work.  The
-generic paths work for any table; the reduced paths exploit the row-1
-reduction available to F_{r,u}.  It needs q = 3 (mod 4), where eta(-1) = -1
+D_a F of a table is computed in one place, _derivative_rows, and DDT
+rows, BCT rows and the locally-APN check all read it: the fiber sizes of
+D_a F are the DDT row, and the BCT row tallies F(x) - F(y) over the
+pairs inside each fiber, in O(q + sum k^2) work.  The generic paths
+work for any table; the reduced paths exploit the row-1 reduction
+available to F_{r,u}.  It needs q = 3 (mod 4), where eta(-1) = -1
 gives F_{r,-u}(x) = (-1)^r F_{r,u}(-x), and hence
 delta(a, b) = delta(1, s*b*a^-r) with s = +/-1, and likewise for beta: every
 row a is a b-relabelling of row 1, so whole-table spectra are (q-1) copies
@@ -95,7 +96,7 @@ def _tally_add(tally, counts):
 
 
 # ---------------------------------------------------------------------------
-# the derivative-fiber kernel and the DDT
+# derivative rows and the DDT
 # ---------------------------------------------------------------------------
 
 # a values per batch of the full-DDT loop; pairs per block of a BCT row.
@@ -103,49 +104,29 @@ _A_BATCH = 16
 _PAIR_BLOCK = 1 << 16
 
 
-def _fiber_kernel(table: FunctionTable, a, bct=False):
-    """DDT rows of D_a F for the a values in ``a``; with ``bct`` (one a),
-    also its BCT row.
-
-    beta(a, b) counts the pairs (x, y) inside one fiber of D_a F with
-    F(x) - F(y) = b, as F(x) - F(y) = F(x+a) - F(y+a) exactly when
-    D_a F(x) = D_a F(y).  Pairs go in blocks of about _PAIR_BLOCK, a large
-    fiber split by rows, so the memory stays O(q + _PAIR_BLOCK).
-    """
+def _derivative_rows(table: FunctionTable, a):
+    """D_a F(x) = F(x+a) - F(x) for every x, one row per nonzero code in
+    the 1-D array a."""
     f = table.field
-    q = f.q
-    a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-    if ((a <= 0) | (a >= q)).any():
-        raise ValueError("a must be a nonzero element code")
     v = table.values
-    d = f.sub_vec(v[f.add_vec(f.elements()[None, :], a[:, None])], v[None, :])
+    return f.sub_vec(v[f.add_vec(f.elements()[None, :], a[:, None])], v[None, :])
+
+
+def _ddt_rows(table: FunctionTable, a):
+    """delta(a, b) for every b, one row per a in the 1-D array a: the fiber
+    sizes of D_a F, from one bincount with row i offset by i*q."""
+    q = table.field.q
+    d = _derivative_rows(table, a)
     d += q * np.arange(len(a))[:, None]
-    ddt = np.bincount(d.ravel(), minlength=len(a) * q).reshape(len(a), q)
-    if not bct:
-        return ddt
-    sizes = ddt[0]
-    by_fiber = v[np.argsort(d[0], kind="stable")]  # F(x), grouped by D_a F(x)
-    starts = np.cumsum(sizes) - sizes
-    row = np.zeros(q, dtype=np.int64)
-    for k in np.unique(sizes[sizes > 0]).tolist():
-        fibers = by_fiber[starts[sizes == k][:, None] + np.arange(k)]  # m fibers of size k
-        fx = fibers.ravel()
-        owner = np.arange(len(fx)) // k  # the fiber of each x
-        step = max(1, _PAIR_BLOCK // k)
-        for lo in range(0, len(fx), step):
-            fy = fibers[owner[lo : lo + step]]
-            row += np.bincount(f.sub_vec(fx[lo : lo + step, None], fy).ravel(), minlength=q)
-    return ddt, row
+    return np.bincount(d.ravel(), minlength=len(a) * q).reshape(len(a), q)
 
 
 def derivative_row(table: FunctionTable, a):
     """D_a F(x) for every x, as a length-q array."""
-    f = table.field
-    f.check_code(a, "a")
+    table.field.check_code(a, "a")
     if a == 0:
         raise ValueError("a must be nonzero")
-    shifted = table.values[f.add_vec(f.elements(), a)]
-    return f.sub_vec(shifted, table.values)
+    return _derivative_rows(table, np.array([a], dtype=np.int64))[0]
 
 
 def ddt_entry(table: FunctionTable, a, b):
@@ -196,23 +177,18 @@ def differential_spectrum(table: FunctionTable, reduction: NHParams | None = Non
     """
     f = table.field
     q = f.q
+    a, weight, outside = np.arange(1, q), 1, _outside_prime_subfield(f)
     if reduction is not None:
         _check_reduction(table, reduction)
-        row = _fiber_kernel(table, 1)[0]
-        omega = _tally_to_sparse(np.bincount(row) * (q - 1))
-        apn = int(row[_row1_outside(f, reduction.r)].max()) == 2
-        return DifferentialSpectrum(omega, int(row.max()), apn)
-
+        a, weight, outside = np.ones(1, dtype=np.int64), q - 1, _row1_outside(f, reduction.r)
     tally = np.zeros(1, dtype=np.int64)
-    outside = _outside_prime_subfield(f)
     best_outside = 0
-    a = np.arange(1, q)
-    for lo in range(0, q - 1, _A_BATCH):
-        rows = _fiber_kernel(table, a[lo : lo + _A_BATCH])
+    for lo in range(0, len(a), _A_BATCH):
+        rows = _ddt_rows(table, a[lo : lo + _A_BATCH])
         tally = _tally_add(tally, rows)
         best_outside = max(best_outside, int(rows[:, outside].max()))
     # every row has a nonzero count, so the tally ends on the uniformity
-    return DifferentialSpectrum(_tally_to_sparse(tally), len(tally) - 1, best_outside == 2)
+    return DifferentialSpectrum(_tally_to_sparse(tally * weight), len(tally) - 1, best_outside == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +197,7 @@ def differential_spectrum(table: FunctionTable, reduction: NHParams | None = Non
 
 
 def bct_entry(table: FunctionTable, a, b):
-    """beta_F(a, b), read off the fiber-kernel row boomerang_row(table, a)."""
+    """beta_F(a, b), read off the row boomerang_row(table, a)."""
     table.field.check_code(b, "b")
     return int(boomerang_row(table, a)[b])
 
@@ -241,24 +217,42 @@ def bct_entry_bruteforce(table: FunctionTable, a, b):
 
 def boomerang_row(table: FunctionTable, a):
     """beta(a, b) for every b (b = 0 included), from the pairs inside the
-    fibers of D_a F: O(q + sum k^2) work over the fiber sizes k."""
-    return _fiber_kernel(table, a, bct=True)[1]
+    fibers of D_a F: O(q + sum k^2) work over the fiber sizes k.
+
+    beta(a, b) counts the pairs (x, y) inside one fiber of D_a F with
+    F(x) - F(y) = b, as F(x) - F(y) = F(x+a) - F(y+a) exactly when
+    D_a F(x) = D_a F(y).  Pairs go in blocks of about _PAIR_BLOCK, a large
+    fiber split by rows, so the memory stays O(q + _PAIR_BLOCK).
+    """
+    f = table.field
+    q = f.q
+    d = derivative_row(table, a)
+    sizes = np.bincount(d, minlength=q)
+    by_fiber = table.values[np.argsort(d, kind="stable")]  # F(x), grouped by D_a F(x)
+    starts = np.cumsum(sizes) - sizes
+    row = np.zeros(q, dtype=np.int64)
+    for k in np.unique(sizes[sizes > 0]).tolist():
+        fibers = by_fiber[starts[sizes == k][:, None] + np.arange(k)]  # m fibers of size k
+        fx = fibers.ravel()
+        owner = np.arange(len(fx)) // k  # the fiber of each x
+        step = max(1, _PAIR_BLOCK // k)
+        for lo in range(0, len(fx), step):
+            fy = fibers[owner[lo : lo + step]]
+            row += np.bincount(f.sub_vec(fx[lo : lo + step, None], fy).ravel(), minlength=q)
+    return row
 
 
 def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):
     """nu_i over (a, b) in F_q* x F_q*; reduced path expands row a = 1."""
-    f = table.field
-    q = f.q
+    q = table.field.q
+    a_values, weight = range(1, q), 1
     if reduction is not None:
         _check_reduction(table, reduction)
-        row = boomerang_row(table, 1)[1:]
-        nu = {i: int(w) * (q - 1) for i, w in enumerate(np.bincount(row)) if w}
-        return BoomerangSpectrum(nu=nu, uniformity=int(row.max()))
-
+        a_values, weight = [1], q - 1
     tally = np.zeros(1, dtype=np.int64)
-    for a in range(1, q):
+    for a in a_values:
         tally = _tally_add(tally, boomerang_row(table, a)[1:])
-    nu = {i: int(w) for i, w in enumerate(tally) if w}
+    nu = {i: int(w) * weight for i, w in enumerate(tally) if w}
     return BoomerangSpectrum(nu=nu, uniformity=max(nu))
 
 
@@ -315,6 +309,7 @@ def boomerang_case_counts_F21(field: Field, b):
     Only the four classes {00,01}, {00,10}, {01,00}, {10,00} can be hit;
     each is 0/1 and is decided by a chain of two canonical square roots.
     """
+    field.check_code(b, "b")
     if b == 0:
         raise ValueError("b = 0 is outside the boomerang case analysis")
     field.require_3_mod_4("boomerang_case_counts_F21")

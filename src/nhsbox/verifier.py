@@ -27,7 +27,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .characters import boomerang_constants, theorem6_constants
-from .gf import Field, cached_field
+from .gf import CODE_LIMIT, Field, cached_field
 from .nh_family import (
     _U_CHUNK,
     DELTA_CAP,
@@ -69,9 +69,12 @@ def _sieve(limit):
 
 def enumerate_prime_powers(min_q, max_q, congruences=(), p_ne=()):
     """All prime powers q = p^k with min_q <= q < max_q matching every
-    congruence (modulus, residue) filter, ascending by q."""
+    congruence (modulus, residue) filter, ascending by q.  No field is
+    larger than CODE_LIMIT: a max_q past it is rejected before the sieve."""
     if min_q < 3:
         raise ValueError("min_q must be at least 3")
+    if max_q > CODE_LIMIT + 1:
+        raise ValueError(f"max_q = {max_q} exceeds the element-code limit {CODE_LIMIT} + 1")
     out = []
     for p in _sieve(max_q):
         if p in p_ne:

@@ -1,9 +1,11 @@
 """CLI surface: exit codes, JSON payloads, determinism, u-token parsing."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from nhsbox import verifier
 from nhsbox.cli import main, parse_u_token, UsageError
 from nhsbox.gf import cached_field
 
@@ -106,9 +108,15 @@ def test_reduced_spectra_at_q_1_mod_4_exit_2(capsys):
         assert code == 2 and out == "" and err.startswith("error: ") and "q = 3 (mod 4)" in err
 
 
-def test_sweep_and_verify_input_errors_exit_2(capsys):
+def test_sweep_and_verify_input_errors_exit_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "sweep", "--min", "5000", "--max", "4000", "--claims", "BOOM_F21")
     assert code == 2 and out == "" and "below min_q" in err
+    # a range past every field is rejected before the sieve, which would
+    # take max_q bytes; the patch keeps a missing check from allocating 3 GB
+    monkeypatch.setattr(verifier, "_sieve", mock.Mock(side_effect=AssertionError("sieve ran")))
+    code, out, err = run_cli(capsys, "sweep", "--min", "8", "--max", "3000000000", "--claims",
+                             "BOOM_F21")
+    assert code == 2 and out == "" and "element-code limit" in err
     code, _, err = run_cli(capsys, "sweep", "--min", "8", "--max", "20", "--claims", "BOOM_F21",
                            "--jobs", "0")
     assert code == 2 and "jobs" in err

@@ -12,6 +12,7 @@ from nhsbox.nh_family import (
     aij_counts_brute,
     aij_counts_closed,
     derivative_row_counts,
+    derivative_row_parts,
     derivative_value,
     eval_F,
     excluded_u_set,
@@ -21,6 +22,7 @@ from nhsbox.nh_family import (
     uniformity_batch,
     _U_CHUNK,
 )
+from nhsbox.spectra import FunctionTable, derivative_row
 
 
 def test_eval_examples():
@@ -299,6 +301,19 @@ def _delta_oracle(field, u, r=2):
     return int(derivative_row_counts(field, NHParams(r, u)).max())
 
 
+def test_derivative_row_parts_match_the_table_rows():
+    # c + u*d against D_1 F read off the value table, for every u and for
+    # exponents other than 2 (uniformity_batch and _delta_oracle read it)
+    for args in ((23, 1), (3, 3), (7, 3)):
+        f = cached_field(*args)
+        for r in (2, 3, f.q - 2):
+            c, d = derivative_row_parts(f, r)
+            for u in range(f.q):
+                table = FunctionTable.from_nh(f, NHParams(r, u))
+                row = f.add_vec(c, f.mul_vec(np.int64(u), d))
+                assert np.array_equal(row, derivative_row(table, 1))
+
+
 def test_uniformity_batch_matches_rows():
     # every nonzero u, so the distinct u (one per u/-u pair) fill several
     # _U_CHUNK chunks plus a partial one; F_343 and F_3^5 are also the
@@ -314,26 +329,33 @@ def test_uniformity_batch_matches_rows():
 
 
 @pytest.mark.parametrize(
-    "args, count",
+    "args, sample",
     [
         ((23, 1), None),
         ((3, 3), None),
         ((3, 7), 200),
-        # the largest prime q = 3 (mod 4) with q^2 < 2^31, the last field
-        # whose rows are int32
+        # the largest prime q = 3 (mod 4) with q^2 < 2^31
         ((46327, 1), 40),
-        # the first prime q = 3 (mod 4) above 46341, where q^2 passes 2^31
-        # (int64 rows): 40 u spread over 23175 pairs, far apart
+        # the first prime q = 3 (mod 4) above 46341, where q^2 passes 2^31:
+        # 40 u spread over 23175 pairs, far apart
         ((46351, 1), 40),
         # 2^17 - 1, where c + u*d (u <= (q - 1) / 2) passes 2^31 for most u
+        # (int64 rows)
         ((131071, 1), 40),
+        # the largest prime q = 3 (mod 4) below 2^16, the last field whose
+        # rows are int32: u = (q - 1)/2 and its negative (q + 1)/2 reach the
+        # largest row value, (q^2 - 1)/2 < 2^31
+        ((65519, 1), (1, 2, 3, 32758, 32759, 32760, 32761, 65517, 65518)),
     ],
 )
-def test_uniformity_batch_mirror_matches_oracle(args, count):
+def test_uniformity_batch_mirror_matches_oracle(args, sample):
+    # sample: None for every u, an int for that many random u, or the u codes
     f = cached_field(*args)
     us = f.elements()
-    if count is not None:
-        us = np.random.default_rng(7).choice(f.q, size=count, replace=False)
+    if isinstance(sample, int):
+        us = np.random.default_rng(7).choice(f.q, size=sample, replace=False)
+    elif sample is not None:
+        us = np.array(sample)
     batch = uniformity_batch(f, 2, us)
     assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
 
@@ -398,3 +420,14 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
     for field, u in ((cached_field(23), 28), (f, 40)):
         with pytest.raises(ValueError, match="element code"):
             derivative_row_counts(field, NHParams(2, u))
+    # a b outside [0, q) would read the counts of b mod q at F_23 (-1 as 22)
+    # and index past them (40) or read a wrong row (-1) at F_27
+    for field in (cached_field(23), f):
+        for b in (-1, field.q, 40):
+            for call in (
+                lambda: aij_counts_closed(field, 5, b),
+                lambda: CaseAnalysis(field, 5).a_counts(b),
+                lambda: structural_lemma_checks(field, 5, b),
+            ):
+                with pytest.raises(ValueError, match="element code"):
+                    call()

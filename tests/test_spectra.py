@@ -64,6 +64,11 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
             with pytest.raises(ValueError, match="element code"):
                 call()
     assert bct_entry(t, 1, 26) == bct_entry_bruteforce(t, 1, 26)
+    # a b outside [0, q) would be answered for b mod q at F_23 (32 as 9)
+    for field in (cached_field(23), cached_field(3, 3)):
+        for b in (-1, field.q, 32, 40):
+            with pytest.raises(ValueError, match="element code"):
+                boomerang_case_counts_F21(field, b)
 
 
 def test_derivative_row_matches_entries():
@@ -179,6 +184,17 @@ def test_bct_linear_function():
     assert spec.identities_hold(11)
 
 
+def test_boomerang_spectrum_past_q():
+    # a table with only the values 5 and 3 is far from a permutation:
+    # beta(a, b) reaches 20 > q, so the full path's tally must grow past q + 1
+    f = cached_field(11)
+    table = FunctionTable(f, np.where(f.elements() < 5, 5, 3))
+    brute = [bct_entry_bruteforce(table, a, b) for a in range(1, 11) for b in range(1, 11)]
+    spec = boomerang_spectrum(table)
+    assert spec.nu == {i: int(w) for i, w in enumerate(np.bincount(brute)) if w}
+    assert spec.uniformity == max(brute) == 20
+
+
 def test_bct_bucketing_equals_bruteforce():
     rng = np.random.default_rng(7)
     for args in ((23, 1), (3, 3), (103, 1)):
@@ -272,7 +288,7 @@ def test_random_table_spectrum_identities(seed):
     assert boom.identities_hold(11)
 
 
-# -- the derivative-fiber kernel against the independent oracles ---------------
+# -- derivative rows, DDT rows and BCT rows against the independent oracles ----
 
 
 def _kernel_table(field, kind, rng):
@@ -302,11 +318,14 @@ def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block):
     a_values = [int(a) for a in rng.choice(np.arange(1, q), size=5, replace=False)]
     # small pair blocks split the large fibers into row blocks
     with mock.patch.object(spectra, "_PAIR_BLOCK", pair_block):
-        ddt = spectra._fiber_kernel(table, a_values)
-        row_ddt, bct = spectra._fiber_kernel(table, a_values[0], bct=True)
+        ddt = spectra._ddt_rows(table, np.array(a_values))
+        bct = boomerang_row(table, a_values[0])
+    v = table.values.tolist()
     for a, counts in zip(a_values, ddt):
-        assert np.array_equal(counts, np.bincount(derivative_row(table, a), minlength=q))
-    assert np.array_equal(row_ddt[0], ddt[0])
+        # D_a F from scalar field arithmetic, x by x
+        row = [field.sub(v[field.add(x, a)], v[x]) for x in range(q)]
+        assert derivative_row(table, a).tolist() == row
+        assert np.array_equal(counts, np.bincount(row, minlength=q))
     assert bct.tolist() == [bct_entry_bruteforce(table, a_values[0], b) for b in range(q)]
 
 

@@ -1,9 +1,12 @@
 """Prime-power enumeration, claims, sweeps, reports, witness censuses."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from nhsbox.gf import UnsupportedFieldError, cached_field
+from nhsbox import verifier
+from nhsbox.gf import CODE_LIMIT, UnsupportedFieldError, cached_field
 from nhsbox.nh_family import UnsupportedParameterError
 from nhsbox.verifier import (
     AGGREGATE_U,
@@ -25,7 +28,7 @@ def qs(rows):
     return [q for _, _, q in rows]
 
 
-def test_enumerate_prime_powers_examples():
+def test_enumerate_prime_powers_examples(monkeypatch):
     assert qs(enumerate_prime_powers(7, 50, congruences=((4, 3),))) == [
         7, 11, 19, 23, 27, 31, 43, 47,
     ]
@@ -34,6 +37,11 @@ def test_enumerate_prime_powers_examples():
     assert enumerate_prime_powers(7, 6) == []
     with pytest.raises(ValueError):
         enumerate_prime_powers(2, 50)
+    # no q above CODE_LIMIT is a field: such a range is rejected before the
+    # sieve (patched to fail, so a missing check allocates nothing)
+    monkeypatch.setattr(verifier, "_sieve", mock.Mock(side_effect=AssertionError("sieve ran")))
+    with pytest.raises(ValueError, match="element-code limit"):
+        enumerate_prime_powers(3, CODE_LIMIT + 2)
 
 
 def test_enumerate_includes_higher_powers():
