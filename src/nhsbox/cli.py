@@ -27,7 +27,7 @@ from .characters import (
 from .gf import CODE_LIMIT, FieldConstructionError, UnsupportedFieldError, build_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
-from .verifier import U_MODES, SweepConfig, check_request, sweep, verify_claim
+from .verifier import U_MODES, SweepConfig, check_request, enumerate_prime_powers, sweep, verify_claim
 
 
 class UsageError(ValueError):
@@ -128,11 +128,14 @@ _JACOBSTHAL_H2 = 0
 
 def _cmd_charsum_selftest(args):
     """Closed forms vs brute-force oracles over all q <= qmax; prints a table."""
-    failures = 0
     rows = []
-    from .verifier import enumerate_prime_powers
-
-    for p, n, q in enumerate_prime_powers(3, args.qmax + 1, p_ne=(2,)):
+    try:
+        fields = enumerate_prime_powers(3, args.qmax + 1, p_ne=(2,))
+    except ValueError as exc:  # a range past CODE_LIMIT, rejected before the sieve
+        raise UsageError(str(exc)) from exc
+    if not fields:
+        raise UsageError(f"no odd prime power q <= qmax = {args.qmax}")
+    for p, n, q in fields:
         field = build_field(p, n)
         codes = field.elements()
         c2, c1, c0 = codes[1:6, None, None], codes[:5, None], codes[:5]  # (a2, a1, a0) axes
@@ -155,13 +158,12 @@ def _cmd_charsum_selftest(args):
             else True
         )
         ok = ok_quad and ok_conic and ok_quartic and ok_jac
-        failures += not ok
         rows.append((q, "pass" if ok else "FAIL"))
     width = max(len(str(q)) for q, _ in rows)
     print(f"{'q':>{width}}  result")
     for q, res in rows:
         print(f"{q:>{width}}  {res}")
-    return 1 if failures else 0
+    return 1 if any(res == "FAIL" for _, res in rows) else 0
 
 
 def _cmd_constants(args):

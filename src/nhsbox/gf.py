@@ -1,7 +1,8 @@
 """Construction of and arithmetic in F_{p^n} for odd p.
 
 Elements are integer codes in [0, q): the polynomial sum(c_i * x^i) is
-encoded as sum(c_i * p^i).  Prime fields use plain modular arithmetic.
+encoded as sum(c_i * p^i).  Prime fields reduce without %, as numpy
+vectorises // by a scalar but not % (see :func:`_reduce`).
 Extension fields do their Z_p polynomial work (the irreducibility test,
 the generator search, the log tables) with n x n multiplication matrices
 over Z_p in numpy (see :func:`_mul_matrix`), and each one carries dense
@@ -25,6 +26,21 @@ import numpy as np
 
 TABLE_LIMIT = 1 << 22  # largest extension field; largest prime field with an eta table
 CODE_LIMIT = 1 << 31  # keeps products inside int64 on the numpy paths
+
+
+def _reduce(s, p, sign=0, spare=None):
+    """s mod p, in place in the fresh integer array s, which it returns.  A sum
+    (sign +1) or difference (-1) of two codes takes min(s, s -/+ p) on the
+    unsigned view, where s -/+ p wraps around for the elements that stay;
+    any other s takes s - s // p * p, the quotient in spare if given."""
+    s = np.asarray(s)
+    if sign:
+        u = s.view(f"u{s.itemsize}")
+        np.minimum(u, u - p if sign > 0 else u + p, out=u)
+    else:
+        quot = np.floor_divide(s, p, out=np.empty_like(s) if spare is None else spare)
+        s -= np.multiply(quot, p, out=quot)
+    return s if s.ndim else s[()]  # two scalar operands give a numpy scalar
 
 
 class FieldConstructionError(ValueError):
@@ -178,6 +194,8 @@ class Field:
 
     Use :func:`build_field`; the constructor only wires precomputed parts,
     and an extension field's arithmetic runs on the tables it wires.
+    Vector ops take int32/int64 code arrays or scalars, broadcast together;
+    prime-field add_vec/sub_vec/neg_vec need codes in [0, p) (one wrap).
     """
 
     def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table):
@@ -282,22 +300,22 @@ class Field:
             return pow(a, e, self.p)
         return int(self._alog[(self._log[a] * e) % (self.q - 1)])
 
-    # -- vector arithmetic (numpy int64 code arrays, broadcasting allowed) ---
+    # -- vector arithmetic (code arrays, see the class docstring) ------------
 
     def add_vec(self, x, y):
         if self.n == 1:
-            return (x + y) % self.p
+            return _reduce(np.add(x, y), self.p, +1)
         pk = self._add_tables[0]
         return self._unpack(pk[x] + pk[y])
 
     def sub_vec(self, x, y):
         if self.n == 1:
-            return (x - y) % self.p
+            return _reduce(np.subtract(x, y), self.p, -1)
         pk, pk_neg = self._add_tables[:2]
         return self._unpack(pk[x] + pk_neg[y])
 
     def neg_vec(self, x):
-        return self.sub_vec(0, x) if self.n > 1 else (-x) % self.p
+        return self.sub_vec(0, x)
 
     def _unpack(self, s):
         """Codes of the packed digit sums s, a numpy array (see :func:`_addition_tables`)."""
@@ -309,7 +327,7 @@ class Field:
 
     def mul_vec(self, x, y):
         if self.n == 1:
-            return (x * y) % self.p
+            return _reduce(np.multiply(x, y, dtype=np.int64), self.p)
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         out = self._alog[self._log[x] + self._log[y]]
@@ -321,16 +339,15 @@ class Field:
             return np.ones_like(x)
         if e < 0:
             raise ValueError("negative exponents are scalar-only")
-        if self.n == 1:
-            result = np.ones_like(x)
-            base = x % self.p
-            k = e % (self.p - 1)
+        if self.n == 1:  # square-and-multiply in place; k >= 1 keeps 0^e = 0
+            result, base, spare = np.ones_like(x), x.copy(), np.empty_like(x)
+            k = (e - 1) % (self.p - 1) + 1
             while k:
                 if k & 1:
-                    result = (result * base) % self.p
-                base = (base * base) % self.p
+                    _reduce(np.multiply(result, base, out=result), self.p, spare=spare)
+                _reduce(np.multiply(base, base, out=base), self.p, spare=spare)
                 k >>= 1
-            return np.where(x % self.p == 0, 0, result)
+            return result
         out = self._alog[(self._log[x] * (e % (self.q - 1))) % (self.q - 1)]
         return np.where(x != 0, out, 0)
 
@@ -530,7 +547,7 @@ def build_field(p, n=1, *, modulus=None):
             field._log[field._alog[i:j]] = np.arange(i, j, dtype=np.int64)
 
     if q <= TABLE_LIMIT:  # the squares are the even powers of g
-        squares = field._alog[: q - 1 : 2] if n > 1 else np.arange(1, q, dtype=np.int64) ** 2 % p
+        squares = field._alog[: q - 1 : 2] if n > 1 else _reduce(np.arange(1, q, dtype=np.int64) ** 2, p)
         eta = np.full(q, -1, dtype=np.int8)
         eta[0] = 0
         eta[squares] = 1

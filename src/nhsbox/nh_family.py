@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, _reduce
 
 
 class UnsupportedParameterError(ValueError):
@@ -148,8 +148,7 @@ def uniformity_batch(field: Field, r, u_codes):
     row is c + u*d (derivative_row_parts), and the sorted representatives
     go _U_CHUNK at a time through one bincount, row i offset by i*q.
     Extension fields compute the rows with add_vec/mul_vec.  A prime field
-    computes s = c + u*d < q^2 and reduces it as s - s // q * q
-    (floor_divide by a scalar is vectorised, % is not).
+    computes s = c + u*d < q^2 in place and reduces it with gf._reduce.
 
     dtypes: s, its quotient buffer and the offsets are int32 while
     q^2 < 2^32 (a representative is at most (q - 1)/2, so s <= (q^2 - 1)/2),
@@ -176,8 +175,7 @@ def uniformity_batch(field: Field, r, u_codes):
         if field.is_prime_field:
             row, quot = sums[: hi - lo], quotients[: hi - lo]
             np.add(np.multiply(reps[lo:hi, None].astype(wide), d, out=row), c, out=row)
-            np.multiply(np.floor_divide(row, q, out=quot), q, out=quot)
-            row -= quot
+            _reduce(row, q, spare=quot)
         else:
             row = field.add_vec(c, field.mul_vec(reps[lo:hi, None], d))
         key = np.add(row, offsets[: hi - lo], out=keys[: hi - lo])

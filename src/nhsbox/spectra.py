@@ -3,14 +3,15 @@
 D_a F of a table is computed in one place, _derivative_rows, and DDT
 rows, BCT rows and the locally-APN check all read it: the fiber sizes of
 D_a F are the DDT row, and the BCT row tallies F(x) - F(y) over the
-pairs inside each fiber, in O(q + sum k^2) work.  The generic paths
-work for any table; the reduced paths exploit the row-1 reduction
-available to F_{r,u}.  It needs q = 3 (mod 4), where eta(-1) = -1
+pairs inside each fiber, in O(q + sum k^2) work.  Whole-table spectra
+(_spectrum_rows) of any table over any odd q read one row per pair {a, -a}:
+delta(-a, b) = delta(a, -b), as D_{-a} F(x) = -D_a F(x - a), and
+beta(-a, b) = beta(a, b), by (x, y) -> (x - a, y - a).  The reduced paths
+read row 1 of F_{r,u} alone.  That needs q = 3 (mod 4), where eta(-1) = -1
 gives F_{r,-u}(x) = (-1)^r F_{r,u}(-x), and hence
 delta(a, b) = delta(1, s*b*a^-r) with s = +/-1, and likewise for beta: every
-row a is a b-relabelling of row 1, so whole-table spectra are (q-1) copies
-of the row-1 tally.  The reduced paths check that condition with
-Field.require_3_mod_4 and raise UnsupportedFieldError without it.
+row a is a b-relabelling of row 1.  The reduced paths check that condition
+with Field.require_3_mod_4 and raise UnsupportedFieldError without it.
 """
 
 from __future__ import annotations
@@ -161,26 +162,28 @@ def locally_apn_check(table: FunctionTable):
     return differential_spectrum(table).locally_apn
 
 
-def _check_reduction(table: FunctionTable, reduction: NHParams):
-    table.field.require_3_mod_4("the row-1 reduction")
-    expected = nh_table(table.field, reduction)
-    if not np.array_equal(expected, table.values):
+def _spectrum_rows(table: FunctionTable, reduction: NHParams | None):
+    """(rows a, weight of each, the b of the locally-APN maximum) for a
+    spectrum: a < -a with weight 2, or for a table checked to be F_{r,u} at
+    q = 3 (mod 4), row 1 with weight q - 1."""
+    f = table.field
+    if reduction is None:
+        codes = f.elements()
+        return codes[codes < f.neg_vec(codes)], 2, _outside_prime_subfield(f)
+    f.require_3_mod_4("the row-1 reduction")
+    if not np.array_equal(nh_table(f, reduction), table.values):
         raise ConsistencyError("table does not match F_{r,u} for the given (r, u)")
+    return np.ones(1, dtype=np.int64), f.q - 1, _row1_outside(f, reduction.r)
 
 
 def differential_spectrum(table: FunctionTable, reduction: NHParams | None = None):
     """Full DDT aggregation, or the (q-1)-fold expansion of row a = 1.
 
-    Both paths produce identical spectra for F_{r,u} when q = 3 (mod 4):
-    each row's count multiset is a b-relabelling of row 1 (see the module
-    docstring).  The reduced path raises UnsupportedFieldError otherwise.
+    The full path reads the rows a < -a twice over, at any odd q: row -a is
+    row a with b -> -b, which keeps the tally and the maximum outside the
+    prime subfield.  The reduced path needs q = 3 (mod 4) (module docstring).
     """
-    f = table.field
-    q = f.q
-    a, weight, outside = np.arange(1, q), 1, _outside_prime_subfield(f)
-    if reduction is not None:
-        _check_reduction(table, reduction)
-        a, weight, outside = np.ones(1, dtype=np.int64), q - 1, _row1_outside(f, reduction.r)
+    a, weight, outside = _spectrum_rows(table, reduction)
     tally = np.zeros(1, dtype=np.int64)
     best_outside = 0
     for lo in range(0, len(a), _A_BATCH):
@@ -243,14 +246,11 @@ def boomerang_row(table: FunctionTable, a):
 
 
 def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):
-    """nu_i over (a, b) in F_q* x F_q*; reduced path expands row a = 1."""
-    q = table.field.q
-    a_values, weight = range(1, q), 1
-    if reduction is not None:
-        _check_reduction(table, reduction)
-        a_values, weight = [1], q - 1
+    """nu_i over (a, b) in F_q* x F_q*: the rows a < -a twice over, as
+    beta(-a, b) = beta(a, b) at any odd q; reduced path expands row a = 1."""
+    a_values, weight, _ = _spectrum_rows(table, reduction)
     tally = np.zeros(1, dtype=np.int64)
-    for a in a_values:
+    for a in a_values.tolist():
         tally = _tally_add(tally, boomerang_row(table, a)[1:])
     nu = {i: int(w) * weight for i, w in enumerate(tally) if w}
     return BoomerangSpectrum(nu=nu, uniformity=max(nu))

@@ -212,6 +212,16 @@ def test_charsum_selftest(capsys):
     assert all(line.split()[1] == "pass" for line in lines[1:])
 
 
+def test_charsum_selftest_range_errors_exit_2(capsys, monkeypatch):
+    # a range past every field is rejected before the sieve (see the sweep test)
+    monkeypatch.setattr(verifier, "_sieve", mock.Mock(side_effect=AssertionError("sieve ran")))
+    code, out, err = run_cli(capsys, "charsum", "selftest", "--qmax", "3000000000")
+    assert code == 2 and out == "" and err.startswith("error: ") and "element-code limit" in err
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "charsum", "selftest", "--qmax", "2")
+    assert code == 2 and out == "" and err.startswith("error: ") and "no odd prime power" in err
+
+
 def _off_by_one(fn):
     return lambda *args: fn(*args) + 1
 

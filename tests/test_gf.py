@@ -220,6 +220,36 @@ def test_vector_ops_match_scalar():
             assert p5[i] == f.pow(int(xs[i]), 5)
 
 
+@pytest.mark.parametrize("p", [3, 7, 4099, 2147483647])  # 2^31 - 1 = CODE_LIMIT - 1
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_prime_field_vector_ops_match_python_mod(p, dtype):
+    f = build_field(p)
+    rng = np.random.default_rng([p, np.dtype(dtype).itemsize])
+    edge = [0, p - 1, 0, p - 1]  # with 0, 0, p - 1, p - 1 below: every edge pair
+    xs = np.array(edge + rng.integers(0, p, size=500).tolist(), dtype=dtype)
+    ys = np.array([0, 0, p - 1, p - 1] + rng.integers(0, p, size=500).tolist(), dtype=dtype)
+    x, y = xs.tolist(), ys.tolist()
+    ops = {
+        "add_vec": lambda a, b: (a + b) % p,
+        "sub_vec": lambda a, b: (a - b) % p,
+        "mul_vec": lambda a, b: a * b % p,
+    }
+    for name, want in ops.items():
+        op = getattr(f, name)
+        assert op(xs, ys).tolist() == [want(a, b) for a, b in zip(x, y)], name
+        for k in (0, 1, p - 1, int(rng.integers(0, p))):  # scalar-with-array broadcasting
+            for scalar in (k, np.int64(k), dtype(k)):
+                assert op(xs, scalar).tolist() == [want(a, k) for a in x], (name, k)
+                assert op(scalar, xs).tolist() == [want(k, a) for a in x], (name, k)
+        assert {op(p - 1, p - 1)} == {want(p - 1, p - 1)}, name  # two scalars: a hashable scalar
+        grid = op(xs[:20, None], ys[None, :30])
+        assert grid.shape == (20, 30)
+        assert grid.tolist() == [[want(a, b) for b in y[:30]] for a in x[:20]], name
+    assert f.neg_vec(xs).tolist() == [-a % p for a in x]
+    for e in (0, 1, 2, 3, (p - 1) // 2, p - 1, p, int(rng.integers(p, 1 << 40))):
+        assert f.pow_vec(xs, e).tolist() == [pow(a, e, p) for a in x], e
+
+
 class _TableFree(Field):
     """An extension field without tables: digit-loop addition and schoolbook
     polynomial products reduced modulo f.modulus, sharing no code with

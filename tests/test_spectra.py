@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -286,6 +287,45 @@ def test_random_table_spectrum_identities(seed):
     assert spec.identities_hold(11)
     boom = boomerang_spectrum(table)
     assert boom.identities_hold(11)
+
+
+def _spectra_over_every_a(table):
+    """omega, delta, the locally-APN verdict and (q <= 27) nu, beta from every
+    row a in F_q*: the DDT by scalar field arithmetic x by x, the BCT by pair
+    enumeration.  Neither aggregator is called."""
+    f, v, q = table.field, table.values.tolist(), table.field.q
+    ddt = [np.bincount([f.sub(v[f.add(x, a)], v[x]) for x in range(q)], minlength=q)
+           for a in range(1, q)]
+    omega = Counter(int(c) for row in ddt for c in row)
+    outside = range(f.p if f.n > 1 else 1, q)  # b outside the prime subfield (b != 0 if n = 1)
+    locally_apn = max(int(row[b]) for row in ddt for b in outside) == 2
+    boomerang = None
+    if q <= 27:
+        nu = Counter(bct_entry_bruteforce(table, a, b) for a in range(1, q) for b in range(1, q))
+        boomerang = dict(nu), max(nu)
+    return dict(omega), max(omega), locally_apn, boomerang
+
+
+@pytest.mark.parametrize("field_args", [(5, 1), (7, 1), (13, 1), (5, 2), (3, 3), (7, 2)])
+def test_full_spectra_match_every_a_tally(field_args):
+    # the full paths read one row per pair {a, -a}; the oracle reads every a
+    f = cached_field(*field_args)
+    rng = np.random.default_rng(list(field_args))
+    c = [int(k) for k in rng.integers(1, f.q, size=4)]
+    # a cubic has D_a F quadratic, so delta <= 2 and locally-APN can hold (p != 3)
+    cubic = [f.add(f.mul(f.add(f.mul(f.add(f.mul(c[3], x), c[2]), x), c[1]), x), c[0])
+             for x in range(f.q)]
+    tables = [rng.integers(0, f.q, size=f.q), rng.integers(0, 3, size=f.q), np.array(cubic)]
+    for values in tables:
+        table = FunctionTable(f, values)
+        omega, delta, locally_apn, boomerang = _spectra_over_every_a(table)
+        spec = differential_spectrum(table)
+        assert {i: w for i, w in spec.omega.items() if w} == omega
+        assert (spec.uniformity, spec.locally_apn) == (delta, locally_apn)
+        if boomerang is not None:
+            boom = boomerang_spectrum(table)
+            assert (boom.nu, boom.uniformity) == boomerang
+    assert locally_apn == (f.p != 3)  # the cubic's verdict: the check is not vacuous
 
 
 # -- derivative rows, DDT rows and BCT rows against the independent oracles ----
