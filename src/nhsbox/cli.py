@@ -24,7 +24,7 @@ from .characters import (
     weil_sum_brute,
     weil_sum_quadratic_closed,
 )
-from .gf import CODE_LIMIT, FieldConstructionError, UnsupportedFieldError, build_field, factorize
+from .gf import CODE_LIMIT, FieldConstructionError, build_field, cached_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
 from .verifier import U_MODES, SweepConfig, check_request, enumerate_prime_powers, sweep, verify_claim
@@ -218,6 +218,7 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     p, n = _prime_power(args.q)
+    cached_field(p, n)  # q = 0, -1 or 2 is no field: exit 2 before any row
     try:
         check_request(args.claims, args.u_mode)
     except ValueError as exc:
@@ -293,7 +294,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FieldConstructionError, UnsupportedFieldError) as exc:
+    except (UsageError, FieldConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

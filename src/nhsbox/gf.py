@@ -64,7 +64,7 @@ class FieldSizeError(FieldConstructionError):
 
 
 class UnsupportedFieldError(ValueError):
-    """Operation requires q = 3 (mod 4) (or another unmet field shape)."""
+    """A paper-only path needs q = 3 (mod 4) (or another unmet field shape)."""
 
 
 def factorize(m):
@@ -242,8 +242,8 @@ class Field:
 
     def require_3_mod_4(self, what):
         """Raise UnsupportedFieldError unless q = 3 (mod 4).  There eta(-1) = -1,
-        which the canonical sqrt, the C_ij split and the row-1 reduction (every
-        DDT/BCT row a of F_{r,u} is row 1 with b relabelled) all rest on."""
+        which the canonical sqrt, the C_ij split and the paper's case analysis
+        rest on; the row reductions of the DDT/BCT take any odd q."""
         if self.q % 4 != 3:
             raise UnsupportedFieldError(f"{what} needs q = 3 (mod 4), and q = {self.q}")
 
@@ -279,13 +279,12 @@ class Field:
     def mul(self, a, b):
         if self.n == 1:
             return (a * b) % self.p
+        a, b = self.check_code(a, "a"), self.check_code(b, "b")
         if a == 0 or b == 0:
             return 0
         return int(self._alog[self._log[a] + self._log[b]])
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a finite field")
         return self.pow(a, -1)
 
     def pow(self, a, e):
@@ -298,7 +297,7 @@ class Field:
         e %= self.q - 1
         if self.n == 1:
             return pow(a, e, self.p)
-        return int(self._alog[(self._log[a] * e) % (self.q - 1)])
+        return int(self._alog[(self._log[self.check_code(a, "a")] * e) % (self.q - 1)])
 
     # -- vector arithmetic (code arrays, see the class docstring) ------------
 
@@ -355,7 +354,7 @@ class Field:
 
     def eta(self, x):
         if self.eta_table is not None:
-            return int(self.eta_table[x])
+            return int(self.eta_table[x if self.n == 1 else self.check_code(x)])
         if x == 0:
             return 0
         r = self.pow(x, (self.q - 1) // 2)

@@ -23,10 +23,10 @@ of the batch of one.
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d (the a = 1 differences of s and t) is affine in u,
 so each row costs one multiply-add and one reduction mod q, and a chunk
-of rows goes through one offset bincount.  And delta is the maximum of that row alone, by the row-1
-reduction (see :mod:`nhsbox.spectra`), which also gives u and -u one
-delta, so each pair is evaluated once.  Like everything here beyond
-F_{r,u} itself, it needs q = 3 (mod 4) (Field.require_3_mod_4).
+of rows goes through one offset bincount.  And row a of the DDT of F_{r,u}
+is row 1 of F_{r,eta(a)u} relabelled (:mod:`nhsbox.spectra`), so delta(u)
+is the larger row-1 maximum of u and -u, one maximum at q = 3 (mod 4).
+The case analysis alone needs q = 3 (mod 4) (Field.require_3_mod_4).
 """
 
 from __future__ import annotations
@@ -139,31 +139,32 @@ _U_CHUNK = 16
 
 
 def uniformity_batch(field: Field, r, u_codes):
-    """delta_{F_{r,u}} for every u in u_codes (via the a = 1 row reduction),
-    in input order; UnsupportedFieldError unless q = 3 (mod 4), ValueError
-    for r < 1 or a u that is not an element code.
+    """delta_{F_{r,u}} for every u in u_codes, at any odd q, in input
+    order; ValueError for r < 1 or a u that is not an element code.
 
-    F_{r,-u}(x) = (-1)^r F_{r,u}(-x) is affine-equivalent to F_{r,u}, so
-    only min(u, -u) is evaluated and its delta copied to both.  The a = 1
-    row is c + u*d (derivative_row_parts), and the sorted representatives
-    go _U_CHUNK at a time through one bincount, row i offset by i*q.
-    Extension fields compute the rows with add_vec/mul_vec.  A prime field
-    computes s = c + u*d < q^2 in place and reduces it with gf._reduce.
+    delta(u) = max(m(u), m(-u)), m the maximum of the a = 1 row c + u*d
+    (derivative_row_parts); when eta(-1) = -1, m(-u) = m(u), so only
+    min(u, -u) is evaluated.  The sorted representatives go _U_CHUNK at a
+    time through one bincount, row i offset by i*q.  Extension fields use
+    add_vec/mul_vec; a prime field computes s = c + u*d < (u + 1)q in place
+    and reduces it with gf._reduce.
 
-    dtypes: s, its quotient buffer and the offsets are int32 while
-    q^2 < 2^32 (a representative is at most (q - 1)/2, so s <= (q^2 - 1)/2),
-    else int64; the offset keys are int64, as bincount wants them.  The
-    chunk-sized buffers live for the whole call: an array allocated afresh
-    per chunk is page-faulted anew, which costs about as much as the
-    arithmetic.
+    dtypes: s, its quotient buffer and the offsets are int32 while s and
+    the offset keys stay below 2^31 (at q = 3 (mod 4), u <= (q - 1)/2, so
+    up to q = 65519), else int64; the keys are int64, as bincount wants
+    them.  The chunk-sized buffers live for the whole call: an array
+    allocated afresh per chunk is page-faulted anew, which costs about as
+    much as the arithmetic.
     """
-    field.require_3_mod_4("uniformity_batch (the row-1 reduction)")
     _check_r(r)
     us = _u_axis(field, u_codes)[0].ravel()
     q = field.q
-    reps, back = np.unique(np.minimum(us, field.neg_vec(us)), return_inverse=True)
+    rows = np.stack([us, field.neg_vec(us)])
+    if field.eta(field.neg(1)) < 0:
+        rows = rows.min(axis=0, keepdims=True)
+    reps, back = np.unique(rows, return_inverse=True)
     c, d = derivative_row_parts(field, r)
-    wide = np.int32 if q * q < 1 << 32 else np.int64
+    wide = np.int32 if max(reps.max(initial=0) + 1, _U_CHUNK) * q < 1 << 31 else np.int64
     offsets = np.arange(_U_CHUNK, dtype=wide)[:, None] * q
     keys = np.empty((_U_CHUNK, q), dtype=np.int64)
     if field.is_prime_field:
@@ -181,7 +182,7 @@ def uniformity_batch(field: Field, r, u_codes):
         key = np.add(row, offsets[: hi - lo], out=keys[: hi - lo])
         counts = np.bincount(key.ravel(), minlength=key.size)
         deltas[lo:hi] = counts.reshape(-1, q).max(axis=1)
-    return deltas[back]
+    return deltas[back].reshape(rows.shape).max(axis=0)
 
 
 CLASS_00, CLASS_01, CLASS_10, CLASS_11 = 0, 1, 2, 3

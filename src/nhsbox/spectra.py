@@ -7,11 +7,10 @@ pairs inside each fiber, in O(q + sum k^2) work.  Whole-table spectra
 (_spectrum_rows) of any table over any odd q read one row per pair {a, -a}:
 delta(-a, b) = delta(a, -b), as D_{-a} F(x) = -D_a F(x - a), and
 beta(-a, b) = beta(a, b), by (x, y) -> (x - a, y - a).  The reduced paths
-read row 1 of F_{r,u} alone.  That needs q = 3 (mod 4), where eta(-1) = -1
-gives F_{r,-u}(x) = (-1)^r F_{r,u}(-x), and hence
-delta(a, b) = delta(1, s*b*a^-r) with s = +/-1, and likewise for beta: every
-row a is a b-relabelling of row 1.  The reduced paths check that condition
-with Field.require_3_mod_4 and raise UnsupportedFieldError without it.
+read one row per orbit of <squares, -1> on F_q* for F_{r,u}, weighted by
+the orbit size: F_{r,u}(c*y) = c^r F_{r,u}(y) for a square c, so
+delta(c*a, b) = delta(a, b*c^-r), and likewise for beta.  That is row 1
+alone when eta(-1) = -1, else rows 1 and the generator, a non-square.
 """
 
 from __future__ import annotations
@@ -144,15 +143,15 @@ def _outside_prime_subfield(field: Field):
 
 
 def _row1_outside(field: Field, r):
-    """The row-1 positions that the locally-APN maximum of F_{r,u} reads.
+    """The positions of a reduced row that the locally-APN maximum reads.
 
-    delta(a, b) = row[s*b*a^-r], so b outside the prime subfield reads the
-    positions outside the line a^-r * F_p.  These lines all equal F_p when
-    (q-1) | r(p-1), that is when every a^-r lies in F_p*; otherwise two of
-    them differ and meet only in 0, so the union of their complements is
-    every position but 0.
+    delta(c*a, b) = delta(a, b*c^-r) for c a square, so b outside the prime
+    subfield reads the positions outside the line c^-r * F_p (-F_p = F_p).
+    These lines all equal F_p when (q-1) | 2r(p-1), that is when every c^-r
+    lies in F_p*; otherwise two of them differ and meet only in 0, so the
+    union of their complements is every position but 0.
     """
-    if r * (field.p - 1) % (field.q - 1) == 0:
+    if 2 * r * (field.p - 1) % (field.q - 1) == 0:
         return _outside_prime_subfield(field)
     return slice(1, None)
 
@@ -164,24 +163,23 @@ def locally_apn_check(table: FunctionTable):
 
 def _spectrum_rows(table: FunctionTable, reduction: NHParams | None):
     """(rows a, weight of each, the b of the locally-APN maximum) for a
-    spectrum: a < -a with weight 2, or for a table checked to be F_{r,u} at
-    q = 3 (mod 4), row 1 with weight q - 1."""
+    spectrum: a < -a with weight 2, or for a table checked to be F_{r,u},
+    one row per orbit of <squares, -1>, weighted by its size."""
     f = table.field
     if reduction is None:
         codes = f.elements()
         return codes[codes < f.neg_vec(codes)], 2, _outside_prime_subfield(f)
-    f.require_3_mod_4("the row-1 reduction")
     if not np.array_equal(nh_table(f, reduction), table.values):
         raise ConsistencyError("table does not match F_{r,u} for the given (r, u)")
-    return np.ones(1, dtype=np.int64), f.q - 1, _row1_outside(f, reduction.r)
+    a = np.array([1] if f.eta(f.neg(1)) < 0 else [1, f.generator], dtype=np.int64)
+    return a, (f.q - 1) // len(a), _row1_outside(f, reduction.r)
 
 
 def differential_spectrum(table: FunctionTable, reduction: NHParams | None = None):
-    """Full DDT aggregation, or the (q-1)-fold expansion of row a = 1.
-
-    The full path reads the rows a < -a twice over, at any odd q: row -a is
-    row a with b -> -b, which keeps the tally and the maximum outside the
-    prime subfield.  The reduced path needs q = 3 (mod 4) (module docstring).
+    """Full DDT aggregation, or the reduced rows of F_{r,u} by orbit size
+    (module docstring).  The full path reads the rows a < -a twice over:
+    row -a is row a with b -> -b, which keeps the tally and the maximum
+    outside the prime subfield.  Both paths take any odd q.
     """
     a, weight, outside = _spectrum_rows(table, reduction)
     tally = np.zeros(1, dtype=np.int64)
@@ -247,7 +245,7 @@ def boomerang_row(table: FunctionTable, a):
 
 def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):
     """nu_i over (a, b) in F_q* x F_q*: the rows a < -a twice over, as
-    beta(-a, b) = beta(a, b) at any odd q; reduced path expands row a = 1."""
+    beta(-a, b) = beta(a, b) at any odd q, or the reduced rows by orbit size."""
     a_values, weight, _ = _spectrum_rows(table, reduction)
     tally = np.zeros(1, dtype=np.int64)
     for a in a_values.tolist():

@@ -35,7 +35,6 @@ from .nh_family import (
     NHParams,
     UnsupportedParameterError,
     aij_counts_brute,
-    derivative_row_counts,
     derivative_row_parts,
     excluded_u_set,
     structural_lemmas_hold,
@@ -234,7 +233,7 @@ def _verdict_row(field, claim, u, problems):
 
 def _rows_delta_third(field, claim, u_mode, seed):
     u = u_third(field)
-    delta = int(derivative_row_counts(field, NHParams(2, u)).max())
+    delta = int(uniformity_batch(field, 2, [u])[0])
     status = "pass" if delta == claim.expected else "exception"
     return [_row(field, claim, u, delta, claim.expected, status)]
 
@@ -439,9 +438,11 @@ def check_request(claim_ids, u_mode):
 
 
 def verify_claim(claim_id, p, n, q, u_mode="default", seed=0):
-    """Evaluate one claim at one prime power; returns report rows, each
-    carrying the wall time of the whole (claim, q) task as elapsed_ms."""
+    """Evaluate one claim at q = p^n (ValueError otherwise); returns report
+    rows, each carrying the wall time of the whole (claim, q) task as elapsed_ms."""
     claim = _claim_spec(claim_id)
+    if p**n != q:
+        raise ValueError(f"q = {q} is not p^n = {p}^{n}")
     if not claim.q_filter.admits(p, n, q):
         return [SweepRow(q, p, n, AGGREGATE_U, claim_id, "-", "-", "skipped")]
     start = time.perf_counter()

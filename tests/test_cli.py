@@ -102,10 +102,14 @@ def test_spectrum_rejects_r_below_1_exit_2(capsys):
     assert code == 2 and out == "" and err.startswith("error: ") and "positive" in err
 
 
-def test_reduced_spectra_at_q_1_mod_4_exit_2(capsys):
+def test_reduced_spectra_at_q_1_mod_4_match_the_full_path(capsys):
+    # the row reduction holds at every odd q: rows 1 and g stand for the
+    # two orbits of the squares when eta(-1) = 1
     for command in ("spectrum", "boomerang"):
-        code, out, err = run_cli(capsys, command, "--q", "13", "--u", "2", "--reduced")
-        assert code == 2 and out == "" and err.startswith("error: ") and "q = 3 (mod 4)" in err
+        for q in ("13", "25"):
+            code, full_out, _ = run_cli(capsys, command, "--q", q, "--u", "2")
+            code2, red_out, err = run_cli(capsys, command, "--q", q, "--u", "2", "--reduced")
+            assert code == code2 == 0 and err == "" and red_out == full_out
 
 
 def test_sweep_and_verify_input_errors_exit_2(capsys, monkeypatch):
@@ -122,6 +126,14 @@ def test_sweep_and_verify_input_errors_exit_2(capsys, monkeypatch):
     assert code == 2 and "jobs" in err
     code, out, err = run_cli(capsys, "verify", "--q", "12", "--claims", "BOOM_F21")
     assert code == 2 and out == "" and "not a prime power" in err
+
+
+def test_verify_rejects_a_q_that_is_no_field_exit_2(capsys):
+    # q = 0 and -1 pass the prime-power parse only for the field build to
+    # reject them; q = 2 is even.  None of them may print a skipped row.
+    for q, what in (("0", "not prime"), ("-1", "not prime"), ("2", "characteristic 2")):
+        code, out, err = run_cli(capsys, "verify", "--q", q, "--claims", "BOOM_F21")
+        assert code == 2 and out == "" and err.startswith("error: ") and what in err, q
 
 
 def test_verify_checks_every_claim_before_any_row(capsys):

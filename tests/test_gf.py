@@ -366,10 +366,16 @@ def test_scalar_addition_rejects_codes_outside_the_field():
         f = build_field(*args)
         for bad in (-1, f.q, -f.q):
             for call in (lambda: f.add(bad, 0), lambda: f.add(0, bad), lambda: f.sub(bad, 1),
-                         lambda: f.sub(1, bad), lambda: f.neg(bad)):
+                         lambda: f.sub(1, bad), lambda: f.neg(bad), lambda: f.mul(bad, 2),
+                         lambda: f.mul(2, bad), lambda: f.mul(bad, 0), lambda: f.pow(bad, 2),
+                         lambda: f.inv(bad), lambda: f.eta(bad)):
                 with pytest.raises(ValueError, match="not an element code"):
                     call()
         assert f.add(f.q - 1, 1) == f.sub(f.q - 1, f.neg(1)) and f.neg(0) == 0
+        assert f.mul(f.inv(f.q - 1), f.q - 1) == 1 and f.pow(f.q - 1, f.q - 1) == 1
+    # prime-field scalars still reduce any integer
+    f = build_field(13)
+    assert f.mul(-1, 2) == f.mul(12, 2) and f.inv(-1) == 12 and f.pow(-1, 3) == 12
 
 
 def test_representation_independence_cij():

@@ -360,6 +360,17 @@ def test_uniformity_batch_mirror_matches_oracle(args, sample):
     assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
 
 
+@pytest.mark.parametrize("q", [46337, 46349])
+def test_uniformity_batch_reads_u_and_minus_u_at_q_1_mod_4(q):
+    # delta(u) = max(m(u), m(-u)) for the row-1 maximum m; u = q - 1 makes a
+    # representative of q - 1 and a row value c + u*d near q^2, which stays
+    # below 2^31 at q = 46337 (int32 rows) and passes it at q = 46349 (int64)
+    f = cached_field(q)
+    us = [1, 2, (q - 1) // 2, (q + 1) // 2, q - 2, q - 1]
+    batch = uniformity_batch(f, 2, us)
+    assert batch.tolist() == [max(_delta_oracle(f, u), _delta_oracle(f, f.neg(u))) for u in us]
+
+
 def test_uniformity_batch_on_the_thm2_selection():
     # the u an exhaustive THM2_DELTA5 sweep hands over at q = 839: about
     # half of the pairs, so the sorted representatives have gaps, some of

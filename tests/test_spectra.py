@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from nhsbox import spectra
 from nhsbox.gf import UnsupportedFieldError, build_field, cached_field
-from nhsbox.nh_family import CaseAnalysis, ConsistencyError, NHParams, nh_table, uniformity_batch
+from nhsbox.nh_family import (
+    CaseAnalysis,
+    ConsistencyError,
+    NHParams,
+    derivative_row_counts,
+    nh_table,
+    uniformity_batch,
+)
 from nhsbox.spectra import (
     BOOMERANG_CLASSES,
     DifferentialSpectrum,
@@ -98,17 +105,11 @@ def test_spectrum_identities_and_reduction_agreement():
 
 
 @pytest.mark.parametrize("args", [(13, 1), (5, 2), (5, 3)], ids=["F13", "F25", "F125"])
-def test_row1_reduction_needs_q_3_mod_4(args):
-    # at q = 1 (mod 4) the rows a are no relabelling of row 1: at F_13, u = 2,
-    # row 1 peaks at 3 where the full DDT gives delta = 5.  Every path that
-    # rests on eta(-1) = -1 refuses such a field with the one guard's message.
+def test_paper_paths_need_q_3_mod_4(args):
+    # every path of the paper that rests on eta(-1) = -1 refuses a field
+    # q = 1 (mod 4) with the one guard's message
     f = cached_field(*args)
-    params = NHParams(2, 2)
-    table = FunctionTable.from_nh(f, params)
     for call in (
-        lambda: differential_spectrum(table, reduction=params),
-        lambda: boomerang_spectrum(table, reduction=params),
-        lambda: uniformity_batch(f, 2, f.elements()),
         lambda: f.sqrt(2),
         lambda: f.sqrt_table,
         lambda: f.cij_partition(),
@@ -121,19 +122,52 @@ def test_row1_reduction_needs_q_3_mod_4(args):
             call()
 
 
-@pytest.mark.parametrize("args", [(7, 1), (3, 3), (3, 5), (7, 3)])
+# the q = 1 (mod 4) fields of the reduced-path oracle tests
+Q_1_MOD_4 = [(5, 1), (13, 1), (17, 1), (29, 1), (3, 2), (5, 2), (7, 2), (3, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("args", Q_1_MOD_4, ids=lambda a: f"F{a[0]}^{a[1]}")
+def test_reduced_paths_match_the_full_path_at_q_1_mod_4(args):
+    # rows 1 and g (a non-square) stand for the two orbits of the squares:
+    # at F_13, u = 2, row 1 alone peaks at 3 where the full DDT gives 5
+    f = cached_field(*args)
+    if f.q == 13:
+        assert derivative_row_counts(f, NHParams(2, 2)).max() == 3
+        assert differential_spectrum(FunctionTable.from_nh(f, NHParams(2, 2))).uniformity == 5
+    m = (f.q - 1) // (f.p - 1)
+    for r in sorted({2, 3, f.q - 2, (f.q - 1) // 2, m, 2 * m}):
+        deltas = []
+        for u in range(f.q):
+            params = NHParams(r, u)
+            table = FunctionTable.from_nh(f, params)
+            full = differential_spectrum(table)
+            red = differential_spectrum(table, reduction=params)
+            assert (red.omega, red.uniformity, red.locally_apn) == (
+                full.omega, full.uniformity, full.locally_apn), (f.q, r, u)
+            deltas.append(full.uniformity)
+            if f.q <= 49 and r in (2, 3):
+                assert boomerang_spectrum(table, reduction=params) == boomerang_spectrum(table)
+        assert uniformity_batch(f, r, f.elements()).tolist() == deltas, (f.q, r)
+        us = np.random.default_rng(f.q).choice(f.q, size=f.q + 5)  # shuffled, with repeats
+        assert uniformity_batch(f, r, us).tolist() == [deltas[u] for u in us], (f.q, r)
+
+
+@pytest.mark.parametrize("args", [(7, 1), (3, 3), (3, 5), (7, 3)] + Q_1_MOD_4)
 def test_row1_outside_is_the_union_of_line_complements(args):
-    # delta(a, b) = row1[s*b*a^-r]: b outside F_p reads the row-1 positions
-    # outside the line a^-r * F_p.  Their union over a, by brute force.  A
-    # prime field excludes b = 0 alone, as locally-APN does there.
+    # delta(c*a, b) = delta(a, b*c^-r) for c a square: b outside F_p reads
+    # the positions outside the line c^-r * F_p.  Their union over the
+    # squares, by brute force; at q = 3 (mod 4) that is the union over
+    # every a, as -1 is a non-square and -F_p = F_p.  A prime field
+    # excludes b = 0 alone, as locally-APN does there.
     f = cached_field(*args)
     q, p = f.q, f.p
     excluded = [f.embed(k) for k in range(p)] if f.n > 1 else [0]
-    for r in (2, q - 2, (q - 1) // (p - 1), q - 1):
-        union = set()
-        for a in range(1, q):
-            mu = f.inv(f.pow(a, r))
-            union |= set(range(q)) - {f.mul(mu, b) for b in excluded}
+    m = (q - 1) // (p - 1)
+    for r in (2, q - 2, m, q - 1) + ((m // 2,) if m % 2 == 0 else ()):
+        lines = {a: {f.mul(f.inv(f.pow(a, r)), b) for b in excluded} for a in range(1, q)}
+        union = set().union(*(set(range(q)) - lines[c] for c in lines if f.eta(c) == 1))
+        if q % 4 == 3:
+            assert union == set().union(*(set(range(q)) - line for line in lines.values()))
         assert set(range(q)[spectra._row1_outside(f, r)]) == union, (q, r)
 
 

@@ -69,6 +69,15 @@ def test_verify_claim_q_mismatch_yields_skipped_row():
     assert row.status == "skipped"
 
 
+def test_verify_claim_rejects_a_mismatched_prime_power():
+    # (7, 1) passes BOOM_F21's filter for q = 11 but would evaluate F_7, and
+    # (3, 1) would evaluate F_3 for q = 2187
+    for p, n, q in ((7, 1, 11), (3, 1, 2187)):
+        with pytest.raises(ValueError, match=f"q = {q} is not p\\^n"):
+            verify_claim("BOOM_F21", p, n, q)
+    assert verify_claim("BOOM_F21", 3, 7, 2187)[0].q == 2187
+
+
 def test_condition_claims_aggregate_and_threshold():
     rows = verify_claim("THM2_DELTA5", 11, 1, 11, u_mode="all")
     assert all(r.status in ("pass", "skipped") for r in rows)  # below 4027
