@@ -262,8 +262,8 @@ def quartic_has_factor(field: Field, A, B):
     if np.any(poly_eval_vec(field, [B, 0, A, 0, 1], codes) == 0):
         return True
     two_b = field.add_vec(codes, codes)
-    for a in range(field.q):
-        s = field.add(field.mul(a, a), A)  # the remainder is a (2b - s) x + b (b - s) + B
+    for a, s in enumerate(field.add_vec(field.mul_vec(codes, codes), A).tolist()):
+        # s = a^2 + A: the remainder is a (2b - s) x + b (b - s) + B
         r1 = field.mul_vec(a, field.sub_vec(two_b, s))
         r0 = field.add_vec(field.mul_vec(codes, field.sub_vec(codes, s)), B)
         if np.any((r1 == 0) & (r0 == 0)):

@@ -93,7 +93,7 @@ def _cmd_field(args):
         "modulus": list(field.modulus) if field.modulus else None,
         "generator": field.generator,
     }
-    if field.q % 4 == 3:
+    if field.q % 4 == 3 and field.eta_table is not None:  # q <= TABLE_LIMIT
         info["cij_counts"] = field.cij_partition().counts
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0
@@ -220,7 +220,7 @@ def _cmd_verify(args):
     p, n = _prime_power(args.q)
     cached_field(p, n)  # q = 0, -1 or 2 is no field: exit 2 before any row
     try:
-        check_request(args.claims, args.u_mode)
+        check_request(args.claims, args.u_mode, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     bad = 0

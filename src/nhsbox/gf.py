@@ -196,6 +196,9 @@ class Field:
     and an extension field's arithmetic runs on the tables it wires.
     Vector ops take int32/int64 code arrays or scalars, broadcast together;
     prime-field add_vec/sub_vec/neg_vec need codes in [0, p) (one wrap).
+    Each scalar op (add, sub, neg, mul, pow, inv, eta) is its vector op on
+    one code and returns a Python int: a prime field reduces any integer
+    first, an extension field checks that the code lies in [0, q).
     """
 
     def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table):
@@ -250,54 +253,34 @@ class Field:
     def digits(self, x):
         return tuple((x // w) % self.p for w in self._pw)
 
-    # -- scalar arithmetic ---------------------------------------------------
+    # -- scalar arithmetic: the vector ops on one code -----------------------
+
+    def _scalar(self, x, name):
+        """x as one code: reduced mod p in a prime field, checked in an extension field."""
+        return x % self.p if self.n == 1 else self.check_code(x, name)
 
     def add(self, a, b):
-        if self.n == 1:
-            return (a + b) % self.p
-        a, b = self.check_code(a, "a"), self.check_code(b, "b")
-        pk = self._add_tables[0]
-        return self._unpack_int(pk.item(a) + pk.item(b))
+        return int(self.add_vec(self._scalar(a, "a"), self._scalar(b, "b")))
 
     def sub(self, a, b):
-        if self.n == 1:
-            return (a - b) % self.p
-        a, b = self.check_code(a, "a"), self.check_code(b, "b")
-        pk, pk_neg = self._add_tables[:2]
-        return self._unpack_int(pk.item(a) + pk_neg.item(b))
+        return int(self.sub_vec(self._scalar(a, "a"), self._scalar(b, "b")))
 
     def neg(self, a):
-        if self.n == 1:
-            return (-a) % self.p
-        return self._unpack_int(self._add_tables[1].item(self.check_code(a, "a")))
-
-    def _unpack_int(self, s):
-        """Code of the packed digit sum s, a Python int (see :func:`_addition_tables`)."""
-        _, _, lo, hi, shift = self._add_tables
-        return lo.item(s & ((1 << shift) - 1)) + hi.item(s >> shift)
+        return int(self.neg_vec(self._scalar(a, "a")))
 
     def mul(self, a, b):
-        if self.n == 1:
-            return (a * b) % self.p
-        a, b = self.check_code(a, "a"), self.check_code(b, "b")
-        if a == 0 or b == 0:
-            return 0
-        return int(self._alog[self._log[a] + self._log[b]])
+        return int(self.mul_vec(self._scalar(a, "a"), self._scalar(b, "b")))
 
     def inv(self, a):
         return self.pow(a, -1)
 
     def pow(self, a, e):
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
+        a = self._scalar(a, "a")
+        if e < 0:
+            if a == 0:
                 raise ZeroDivisionError("negative power of 0")
-            return 0
-        e %= self.q - 1
-        if self.n == 1:
-            return pow(a, e, self.p)
-        return int(self._alog[(self._log[self.check_code(a, "a")] * e) % (self.q - 1)])
+            e %= self.q - 1
+        return int(self.pow_vec(a, e))
 
     # -- vector arithmetic (code arrays, see the class docstring) ------------
 
@@ -353,12 +336,7 @@ class Field:
     # -- quadratic character, square roots, C_ij ------------------------------
 
     def eta(self, x):
-        if self.eta_table is not None:
-            return int(self.eta_table[x if self.n == 1 else self.check_code(x)])
-        if x == 0:
-            return 0
-        r = self.pow(x, (self.q - 1) // 2)
-        return 1 if r == 1 else -1
+        return int(self.eta_vec(self._scalar(x, "x")))
 
     def eta_vec(self, x):
         if self.eta_table is not None:

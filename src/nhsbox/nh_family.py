@@ -210,7 +210,7 @@ class CaseAnalysis:
     def __init__(self, field: Field, u):
         field.require_3_mod_4("the case analysis")
         us, self._scalar = _u_axis(field, u)
-        if np.any((us == 0) | (us == 1) | (us == field.neg(1))):
+        if np.any((us == 0) | (us == 1) | (us == field.embed(-1))):
             raise UnsupportedParameterError(
                 "u in {0, +1, -1}: use the generic DDT instead of the case split"
             )
@@ -226,7 +226,7 @@ class CaseAnalysis:
         self._inv_u, self._inv_2p, self._inv_2m = inverses
         self._tau1 = f.mul_vec(self._one_plus, self._inv_u)
         self._tau2 = f.mul_vec(self._one_minus, self._inv_u)
-        self._inv2 = f.inv(f.embed(2))
+        self._inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
         self._t1t2 = f.mul_vec(self._tau1, self._tau2)
         self._classes = f.cij_partition().classes
         self.one_plus, self.one_minus, self.tau1, self.tau2 = (

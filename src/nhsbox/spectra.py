@@ -312,7 +312,7 @@ def boomerang_case_counts_F21(field: Field, b):
         raise ValueError("b = 0 is outside the boomerang case analysis")
     field.require_3_mod_4("boomerang_case_counts_F21")
     f = field
-    inv2 = f.inv(f.embed(2))
+    inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
     counts = {label: 0 for label in BOOMERANG_CLASSES}
 
     def chain(half, shift_sign):

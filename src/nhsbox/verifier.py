@@ -430,11 +430,13 @@ def _claim_spec(claim_id):
     return CLAIMS[claim_id]
 
 
-def check_request(claim_ids, u_mode):
-    """Raise ValueError for an unknown claim id or a malformed u mode."""
+def check_request(claim_ids, u_mode, seed=0):
+    """Raise ValueError for an unknown claim id, a malformed u mode or a negative seed."""
     for claim_id in claim_ids:
         _claim_spec(claim_id)
     _parse_u_mode(u_mode, 0)
+    if seed < 0:
+        raise ValueError(f"seed = {seed} must be non-negative")
 
 
 def verify_claim(claim_id, p, n, q, u_mode="default", seed=0):
@@ -543,14 +545,14 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
     (killed by the OS, say) turns every task it leaves unfinished into an
     error row instead of a hang.  progress, if given, is called as
     progress(done, total, q) as each task finishes, in completion order.
-    Raises ValueError for jobs < 1, max_q < min_q, an unknown claim id or
-    a malformed u mode, before any work starts.
+    Raises ValueError for jobs < 1, max_q < min_q, an unknown claim id,
+    a malformed u mode or a negative seed, before any work starts.
     """
     if config.jobs < 1:
         raise ValueError("jobs must be >= 1")
     if config.max_q < config.min_q:
         raise ValueError(f"max_q = {config.max_q} is below min_q = {config.min_q}")
-    check_request(config.claims, config.u_mode)
+    check_request(config.claims, config.u_mode, config.seed)
     tasks = [
         (claim_id, p, n, q)
         for p, n, q in enumerate_prime_powers(max(config.min_q, 3), config.max_q)
@@ -608,7 +610,7 @@ def _f21_lambda_counts(field: Field):
     f = field
     bs = f.elements()
     eta = f.eta_vec
-    inv2 = f.inv(f.embed(2))
+    inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
     half = f.mul_vec(bs, np.int64(inv2))
     both_sides = (eta(f.add_vec(bs, 2)) == 1) & (eta(f.sub_vec(bs, 2)) == 1)
 

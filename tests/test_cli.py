@@ -7,7 +7,7 @@ import pytest
 
 from nhsbox import verifier
 from nhsbox.cli import main, parse_u_token, UsageError
-from nhsbox.gf import cached_field
+from nhsbox.gf import Field, cached_field
 
 
 def run_cli(capsys, *argv):
@@ -61,12 +61,19 @@ def test_identical_argv_identical_stdout(capsys):
     assert out1 == out2
 
 
-def test_field_info(capsys):
+def test_field_info(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "field", "--p", "3", "--n", "3")
     assert code == 0
     payload = json.loads(out)
     assert payload["q"] == 27 and payload["modulus"] == [1, 0, 2, 1]
     assert payload["cij_counts"] == {"00": 6, "01": 7, "10": 6, "11": 6}
+    # above TABLE_LIMIT the counts are left out: they would scan all of F_q,
+    # and the patch keeps a missing check from allocating 16 GiB at q = 2^31 - 1
+    monkeypatch.setattr(Field, "cij_partition", mock.Mock(side_effect=AssertionError("scanned")))
+    code, out, err = run_cli(capsys, "field", "--q", "2147483647")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["q"] == 2147483647 and "cij_counts" not in payload
 
 
 def test_u_tokens():
@@ -153,6 +160,14 @@ def test_verify_rejects_malformed_u_mode_exit_2(capsys):
         code, out, err = run_cli(capsys, "verify", "--q", "907", "--claims", "THM3_DELTA4",
                                  "--u-mode", mode)
         assert code == 2 and out == "" and "bad u mode" in err, mode
+
+
+def test_sweep_and_verify_reject_a_negative_seed_exit_2(capsys):
+    # checked where the seed enters, not inside each (claim, q) task
+    for command in (("sweep", "--min", "2003", "--max", "2004"), ("verify", "--q", "2003")):
+        code, out, err = run_cli(capsys, *command, "--claims", "THM2_DELTA5",
+                                 "--u-mode", "sample:4:0", "--seed", "-1")
+        assert code == 2 and out == "" and err.startswith("error: ") and "seed" in err, command
 
 
 def test_sweep_csv_and_exit(capsys, tmp_path):

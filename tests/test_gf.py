@@ -207,17 +207,27 @@ def test_sqrt_pair_lemma_small_fields():
 
 
 def test_vector_ops_match_scalar():
-    for args in ((11, 1), (3, 3), (5, 2), (7, 2)):
+    # 4194319 is the first prime above TABLE_LIMIT: eta without a table
+    for args in ((11, 1), (13, 1), (3, 3), (5, 2), (7, 2), (4194319, 1)):
         f = build_field(*args)
-        xs = np.arange(f.q, dtype=np.int64)
+        xs = np.unique(np.array([0, 1, 2, f.q // 2, f.q - 2, f.q - 1], dtype=np.int64))
         ys = (xs * 7 + 3) % f.q
-        add = f.add_vec(xs, ys)
-        mul = f.mul_vec(xs, ys)
-        p5 = f.pow_vec(xs, 5)
-        for i in (0, 1, f.q // 2, f.q - 1):
-            assert add[i] == f.add(int(xs[i]), int(ys[i]))
-            assert mul[i] == f.mul(int(xs[i]), int(ys[i]))
-            assert p5[i] == f.pow(int(xs[i]), 5)
+        inv = f.pow_vec(xs, f.q - 2)  # x^(q-2) = 1/x for x != 0
+        vec = {
+            "add": f.add_vec(xs, ys), "sub": f.sub_vec(xs, ys), "neg": f.neg_vec(xs),
+            "mul": f.mul_vec(xs, ys), "pow5": f.pow_vec(xs, 5), "inv": inv,
+            "pow_neg2": f.mul_vec(inv, inv), "eta": f.eta_vec(xs),
+        }
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+            scalar = {
+                "add": f.add(x, y), "sub": f.sub(x, y), "neg": f.neg(x), "mul": f.mul(x, y),
+                "pow5": f.pow(x, 5), "eta": f.eta(x),
+            }
+            if x:
+                scalar.update(inv=f.inv(x), pow_neg2=f.pow(x, -2))
+            for name, got in scalar.items():
+                assert type(got) is int and got == vec[name][i], (args, name, x, y)
+        assert f.eta(f.q - 1) == (-1 if f.q % 4 == 3 else 1)
 
 
 @pytest.mark.parametrize("p", [3, 7, 4099, 2147483647])  # 2^31 - 1 = CODE_LIMIT - 1
@@ -293,6 +303,9 @@ class _TableFree(Field):
             a = self.mul(a, a)
             e >>= 1
         return result
+
+    def eta(self, x):  # Euler's criterion on the schoolbook pow
+        return 0 if x == 0 else 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
 
 
 def _reference(f):
@@ -376,6 +389,10 @@ def test_scalar_addition_rejects_codes_outside_the_field():
     # prime-field scalars still reduce any integer
     f = build_field(13)
     assert f.mul(-1, 2) == f.mul(12, 2) and f.inv(-1) == 12 and f.pow(-1, 3) == 12
+    for call in (lambda: f.inv(13), lambda: f.inv(26), lambda: f.pow(13, -1)):
+        with pytest.raises(ZeroDivisionError):  # 13 and 26 are 0 in F_13
+            call()
+    assert f.eta(13) == 0 and f.eta(-1) == f.eta(12)
 
 
 def test_representation_independence_cij():
