@@ -30,13 +30,15 @@ for b in (1, 2, 17, 100):
     assert fast == slow == row[b]
     print(f"  beta(1, {b:3d}) = {fast}")
 
-# Per-b class counts: only {00,01}, {00,10}, {01,00}, {10,00} can light up,
-# and their sum reproduces the BCT entry.
+# Class counts of every b != 0 in one call: only {00,01}, {00,10}, {01,00},
+# {10,00} can light up, and their sum reproduces the BCT row.
+counts = boomerang_case_counts_F21(field, field.elements()[1:])
+assert (sum(counts.values()) == row[1:]).all()
 b = int(next(i for i in range(1, q) if row[i] == 2))
-counts = boomerang_case_counts_F21(field, b)
-live = {k: v for k, v in counts.items() if v}
+live = {k: int(v[b - 1]) for k, v in counts.items() if v[b - 1]}
 print(f"\nfirst b with beta(1,b) = 2: b = {b}, live classes: {live}")
-assert sum(counts.values()) == row[b]
+assert live == {k: v for k, v in boomerang_case_counts_F21(field, b).items() if v}
+print("number of b != 0 in each live class:", {k: int(v.sum()) for k, v in counts.items() if v.any()})
 
 spec = boomerang_spectrum(table, reduction=NHParams(2, 1))
 print("\nboomerang spectrum:", spec.nu, " beta =", spec.uniformity)

@@ -40,7 +40,7 @@ from .gf import Field, _reduce
 
 
 class UnsupportedParameterError(ValueError):
-    """u in {0, +1, -1}: the closed case split does not apply."""
+    """u outside a closed form's domain: {0, +1, -1} for the case split, 1/3 at p = 3."""
 
 
 class ConsistencyError(ValueError):
@@ -66,7 +66,9 @@ class NHParams:
 
 
 def u_third(field: Field):
-    """The code of u = 1/3 (p != 3)."""
+    """The code of u = 1/3; UnsupportedParameterError when p = 3."""
+    if field.p == 3:
+        raise UnsupportedParameterError("u = 1/3 is undefined in characteristic 3")
     return field.inv(field.embed(3))
 
 
@@ -157,7 +159,7 @@ def uniformity_batch(field: Field, r, u_codes):
     much as the arithmetic.
     """
     _check_r(r)
-    us = _u_axis(field, u_codes)[0].ravel()
+    us = _code_axis(field, u_codes, "u")[0].ravel()
     q = field.q
     rows = np.stack([us, field.neg_vec(us)])
     if field.eta(field.neg(1)) < 0:
@@ -188,15 +190,15 @@ def uniformity_batch(field: Field, r, u_codes):
 CLASS_00, CLASS_01, CLASS_10, CLASS_11 = 0, 1, 2, 3
 
 
-def _u_axis(field: Field, u):
-    """u (one code or a 1-D array of codes) as a (U, 1) int64 column, and
-    whether u was a scalar."""
-    us = np.asarray(u, dtype=np.int64)
-    if us.ndim > 1:
-        raise ValueError("u must be one element code or a 1-D array of them")
-    if np.any((us < 0) | (us >= field.q)):
-        raise ValueError(f"u holds a value that is not an element code of F_{field.q}")
-    return us.reshape(-1, 1), us.ndim == 0
+def _code_axis(field: Field, codes, name):
+    """codes (one code or a 1-D array of codes) as an (N, 1) int64 column,
+    and whether they were a scalar."""
+    xs = np.asarray(codes, dtype=np.int64)
+    if xs.ndim > 1:
+        raise ValueError(f"{name} must be one element code or a 1-D array of them")
+    if np.any((xs < 0) | (xs >= field.q)):
+        raise ValueError(f"{name} holds a value that is not an element code of F_{field.q}")
+    return xs.reshape(-1, 1), xs.ndim == 0
 
 
 class CaseAnalysis:
@@ -209,7 +211,7 @@ class CaseAnalysis:
 
     def __init__(self, field: Field, u):
         field.require_3_mod_4("the case analysis")
-        us, self._scalar = _u_axis(field, u)
+        us, self._scalar = _code_axis(field, u, "u")
         if np.any((us == 0) | (us == 1) | (us == field.embed(-1))):
             raise UnsupportedParameterError(
                 "u in {0, +1, -1}: use the generic DDT instead of the case split"
@@ -318,7 +320,7 @@ def aij_counts_brute(field: Field, u):
     F(x+1) - F(x) and counts it with one bincount keyed by (u, value,
     class); nothing here comes from CaseAnalysis.
     """
-    us, scalar = _u_axis(field, u)
+    us, scalar = _code_axis(field, u, "u")
     q = field.q
     codes = field.elements()
     eta = field.eta_vec(codes)

@@ -11,6 +11,7 @@ read one row per orbit of <squares, -1> on F_q* for F_{r,u}, weighted by
 the orbit size: F_{r,u}(c*y) = c^r F_{r,u}(y) for a square c, so
 delta(c*a, b) = delta(a, b*c^-r), and likewise for beta.  That is row 1
 alone when eta(-1) = -1, else rows 1 and the generator, a non-square.
+boomerang_case_counts_F21 takes b as CaseAnalysis takes u: a batch or one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field, UnsupportedFieldError
-from .nh_family import ConsistencyError, NHParams, nh_table
+from .nh_family import ConsistencyError, NHParams, _code_axis, nh_table
 
 # ---------------------------------------------------------------------------
 # tables and spectrum containers
@@ -301,40 +302,31 @@ def closed_form_spectrum_F21(field: Field):
 BOOMERANG_CLASSES = tuple(f"{i}{j},{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
 
 
+# the four classes F_{2,1} can hit: (label, sign of h = +-b/2, shift e = +-1)
+_F21_CHAINS = (("00,01", 1, -1), ("00,10", 1, 1), ("01,00", -1, -1), ("10,00", -1, 1))
+
+
 def boomerang_case_counts_F21(field: Field, b):
-    """Per-class boomerang pair counts #A_{ij,kl}(b) for F_{2,1}, b != 0.
+    """Per-class boomerang pair counts #A_{ij,kl}(b) for F_{2,1}, b != 0:
+    ints for one code b, (B,) int64 arrays for a 1-D array of b.
 
-    Only the four classes {00,01}, {00,10}, {01,00}, {10,00} can be hit;
-    each is 0/1 and is decided by a chain of two canonical square roots.
+    Only the classes of _F21_CHAINS can be hit, each 0/1: with canonical
+    roots s = h^((q+1)/4) and t = (1 + 2e*s)^((q+1)/4), where
+    eta(h) = eta(s + e) = eta(1 + 2e*s) = 1 and eta(t - e) = -1.
     """
-    field.check_code(b, "b")
-    if b == 0:
-        raise ValueError("b = 0 is outside the boomerang case analysis")
-    field.require_3_mod_4("boomerang_case_counts_F21")
     f = field
-    inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
-    counts = {label: 0 for label in BOOMERANG_CLASSES}
-
-    def chain(half, shift_sign):
-        # first root s of `half`; then root t of 1 + shift_sign*2s; the
-        # canonical root always carries eta = +1, matching the class shape.
-        if f.eta(half) != 1:
-            return 0
-        s = f.sqrt(half)
-        near = f.add(s, 1) if shift_sign > 0 else f.sub(s, 1)
-        if f.eta(near) != 1:
-            return 0
-        inner = f.add(1, f.mul(f.embed(2), s)) if shift_sign > 0 else f.sub(1, f.mul(f.embed(2), s))
-        if f.eta(inner) != 1:
-            return 0
-        t = f.sqrt(inner)
-        far = f.sub(t, 1) if shift_sign > 0 else f.add(t, 1)
-        return 1 if f.eta(far) == -1 else 0
-
-    b_half = f.mul(b, inv2)
-    neg_b_half = f.neg(b_half)
-    counts["00,01"] = chain(b_half, -1)
-    counts["00,10"] = chain(b_half, +1)
-    counts["01,00"] = chain(neg_b_half, -1)
-    counts["10,00"] = chain(neg_b_half, +1)
-    return counts
+    bs, scalar = _code_axis(f, b, "b")
+    if np.any(bs == 0):
+        raise ValueError("b = 0 is outside the boomerang case analysis")
+    f.require_3_mod_4("boomerang_case_counts_F21")
+    labels, signs, shifts = zip(*_F21_CHAINS)
+    e, root = f.embed(np.array(shifts)[:, None]), (f.q + 1) // 4
+    # (4, B) rows h = +-b/2, as 2 (p + 1)/2 = 1 in F_p
+    h = f.mul_vec(f.embed(np.array(signs) * ((f.p + 1) // 2))[:, None], bs.T)
+    s = f.pow_vec(h, root)
+    inner = f.add_vec(1, f.mul_vec(f.add_vec(e, e), s))
+    hit = (f.eta_vec(h) == 1) & (f.eta_vec(f.add_vec(s, e)) == 1) & (f.eta_vec(inner) == 1)
+    hit &= f.eta_vec(f.sub_vec(f.pow_vec(inner, root), e)) == -1
+    counts = {label: np.zeros(len(bs), dtype=np.int64) for label in BOOMERANG_CLASSES}
+    counts.update(zip(labels, hit.astype(np.int64)))
+    return {label: int(c[0]) for label, c in counts.items()} if scalar else counts

@@ -180,7 +180,7 @@ def _parse_u_mode(u_mode, q):
     except ValueError:
         numbers = ()
     if min(numbers, default=-1) >= 0:  # counts, seeds and element codes
-        if kind == "sample" and len(numbers) == 2:
+        if kind == "sample" and len(numbers) == 2 and numbers[0] > 0:
             return "sample", numbers
         if kind == "fixed":
             return "fixed", numbers
@@ -189,8 +189,8 @@ def _parse_u_mode(u_mode, q):
 
 def _select_condition_us(field: Field, claim, u_mode, seed):
     """u codes outside the excluded set with eta(1+u) = claim.sign * eta(1-u),
-    chosen per u mode; samples are grouped by eta(u), and fixed codes >= q
-    are dropped like fixed codes outside that set."""
+    chosen per u mode; samples are grouped by eta(u), and fixed codes are
+    taken once each, in order, codes >= q dropped like codes outside it."""
     q = field.q
     codes = field.elements()
     bad = np.zeros(q, dtype=bool)
@@ -202,7 +202,8 @@ def _select_condition_us(field: Field, claim, u_mode, seed):
     selected = codes[want]
     kind, arg = _parse_u_mode(u_mode, q)
     if kind == "fixed":
-        return np.array([u for u in arg if u < q and want[u]], dtype=np.int64)
+        fixed = np.unique(np.array([u for u in arg if u < q], dtype=np.int64))
+        return fixed[want[fixed]]
     if kind == "sample" and len(selected) > 0:
         k, sample_seed = arg
         rng = np.random.default_rng(np.random.SeedSequence([sample_seed, seed, q]))
@@ -664,11 +665,8 @@ def lambda_census(field: Field, kind: str, u=None) -> LambdaCensus:
             bound_holds=(size >= bound) if applicable else None,
         )
     if kind == "boomerang":
-        size = 0
-        for b in range(1, q):
-            cc = boomerang_case_counts_F21(field, b)
-            if cc["00,01"] == 1 and cc["00,10"] == 1:
-                size += 1
+        cc = boomerang_case_counts_F21(field, field.elements()[1:])
+        size = int(np.count_nonzero((cc["00,01"] == 1) & (cc["00,10"] == 1)))
         m1, m2 = boomerang_constants()
         # at most 10 excluded circle points, each worth 2^7, plus the +1
         # from the empty subset: a conservative excluded-point allowance

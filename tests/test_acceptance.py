@@ -166,8 +166,8 @@ def test_acceptance_6_boomerang(capfd):
         table = FunctionTable.from_nh(field, NHParams(2, 1))
         row = boomerang_row(table, 1)
         assert int(row[1:].max()) == 2
-        for b in range(1, q):
-            assert sum(boomerang_case_counts_F21(field, b).values()) == row[b], (q, b)
+        counts = boomerang_case_counts_F21(field, field.elements()[1:])
+        np.testing.assert_array_equal(sum(counts.values()), row[1:], err_msg=str(q))
     report(capfd, 6, f"beta=2 for 307<=q<=2000 ({n_pass} fields); case counts at 311/331", started)
 
 

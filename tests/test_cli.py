@@ -149,14 +149,14 @@ def test_verify_checks_every_claim_before_any_row(capsys):
 
 
 def test_sweep_rejects_malformed_u_mode_exit_2(capsys):
-    for mode in ("bogus", "sample:x:1", "sample:5"):
+    for mode in ("bogus", "sample:x:1", "sample:5", "sample:0:1"):
         code, out, err = run_cli(capsys, "sweep", "--min", "900", "--max", "912",
                                  "--claims", "THM3_DELTA4", "--u-mode", mode)
         assert code == 2 and out == "" and "bad u mode" in err, mode
 
 
 def test_verify_rejects_malformed_u_mode_exit_2(capsys):
-    for mode in ("bogus", "sample:x:1", "sample:5"):
+    for mode in ("bogus", "sample:x:1", "sample:5", "sample:0:1"):
         code, out, err = run_cli(capsys, "verify", "--q", "907", "--claims", "THM3_DELTA4",
                                  "--u-mode", mode)
         assert code == 2 and out == "" and "bad u mode" in err, mode

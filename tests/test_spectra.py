@@ -268,19 +268,72 @@ def test_boomerang_spectrum_reduction_and_negation():
         assert plus.nu == minus.nu
 
 
+# the only classes C_ij x C_kl that F_{2,1} can hit
+REACHABLE = {"00,01", "00,10", "01,00", "10,00"}
+
+
 def test_boomerang_case_counts():
-    for args in ((31, 1), (43, 1), (19, 1)):
+    # one batched call over every b != 0 against the BCT row, and a few b
+    # against the O(q^2) pair enumeration
+    for args in ((19, 1), (31, 1), (43, 1), (3, 3), (3, 5), (7, 3)):
         f = cached_field(*args)
         table = f21(f)
         row = boomerang_row(table, 1)
-        for b in range(1, f.q):
-            counts = boomerang_case_counts_F21(f, b)
-            assert set(counts) == set(BOOMERANG_CLASSES)
-            live = {k: v for k, v in counts.items() if v}
-            assert set(live) <= {"00,01", "00,10", "01,00", "10,00"}
-            assert sum(counts.values()) == row[b], (f.q, b)
-    with pytest.raises(ValueError):
-        boomerang_case_counts_F21(cached_field(31), 0)
+        bs = f.elements()[1:]
+        counts = boomerang_case_counts_F21(f, bs)
+        assert list(counts) == list(BOOMERANG_CLASSES)
+        assert all(c.shape == bs.shape and c.dtype == np.int64 for c in counts.values())
+        assert not any(c.any() for label, c in counts.items() if label not in REACHABLE)
+        assert all(set(np.unique(counts[label]).tolist()) <= {0, 1} for label in REACHABLE)
+        np.testing.assert_array_equal(sum(counts.values()), row[1:], err_msg=str(f.q))
+        if f.q <= 43:
+            for b in (1, 2, f.q // 2, f.q - 1):
+                assert sum(c[b - 1] for c in counts.values()) == bct_entry_bruteforce(table, 1, b)
+
+
+def test_boomerang_case_counts_scalar_is_the_batch_of_one():
+    for args in ((31, 1), (3, 3), (7, 3)):
+        f = cached_field(*args)
+        counts = boomerang_case_counts_F21(f, f.elements()[1:])
+        for b in (1, 2, f.q // 2, f.q - 2, f.q - 1):
+            one = boomerang_case_counts_F21(f, b)
+            assert all(type(v) is int for v in one.values())
+            assert one == {label: int(c[b - 1]) for label, c in counts.items()}, (f.q, b)
+    f = cached_field(31)
+    with pytest.raises(ValueError, match="1-D"):
+        boomerang_case_counts_F21(f, np.ones((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="b = 0"):
+        boomerang_case_counts_F21(f, 0)
+    with pytest.raises(ValueError, match="b = 0"):
+        boomerang_case_counts_F21(f, np.array([1, 0, 2]))
+    for bad in (-1, f.q):
+        with pytest.raises(ValueError, match="element code"):
+            boomerang_case_counts_F21(f, np.array([1, bad, 2]))
+
+
+def _f21_chain_reference(q, b, sign, e):
+    """One class of the F_{2,1} case analysis at a prime q, on Python ints."""
+    def eta(x):
+        return pow(x % q, (q - 1) // 2, q) == 1
+
+    h = sign * b * ((q + 1) // 2) % q  # sign * b/2
+    s = pow(h, (q + 1) // 4, q)
+    inner = (1 + 2 * e * s) % q
+    t = pow(inner, (q + 1) // 4, q)
+    return int(eta(h) and eta(s + e) and eta(inner) and not eta(t - e) and (t - e) % q != 0)
+
+
+def test_boomerang_case_counts_builds_no_table_at_a_large_prime():
+    f = cached_field(2147483647)
+    bs = np.array([1, 2, 12345, f.q - 1])
+    no_table = property(lambda self: pytest.fail("the q-sized sqrt table was built"))
+    with mock.patch.object(type(f), "sqrt_table", no_table):
+        counts = boomerang_case_counts_F21(f, bs)
+        one = boomerang_case_counts_F21(f, 12345)
+    assert f.eta_table is None and one["10,00"] == 1
+    for label, sign, e in spectra._F21_CHAINS:
+        expected = [_f21_chain_reference(f.q, b, sign, e) for b in bs.tolist()]
+        assert counts[label].tolist() == expected, label
 
 
 def test_spectrum_json_roundtrip():

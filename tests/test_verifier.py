@@ -146,8 +146,8 @@ def test_verify_claim_rejects_unknown_claim():
 
 
 def test_sweep_rejects_malformed_u_mode():
-    for mode in ("bogus", "sample:x:1", "sample:5", "sample:5:1:2", "sample:-1:0", "fixed:",
-                 "fixed:2,-2"):
+    for mode in ("bogus", "sample:x:1", "sample:5", "sample:5:1:2", "sample:-1:0", "sample:0:1",
+                 "fixed:", "fixed:2,-2"):
         with pytest.raises(ValueError, match="bad u mode"):
             sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=900, max_q=912, u_mode=mode))
 
@@ -225,6 +225,16 @@ def test_fixed_u_mode():
     kept = {r.u_code for r in rows}
     assert kept <= {2, 3, 5, 905}  # codes outside the sign class are dropped
     assert all(r.computed == "4" for r in rows if r.status == "pass")
+
+
+def test_fixed_u_mode_counts_each_code_once():
+    # a repeated fixed code is one u: one row, counted once in the summary
+    rows = verify_claim("THM3_DELTA4", 43, 1, 43, u_mode="fixed:3,3,3")
+    assert [(r.u_code, r.computed, r.status) for r in rows] == [(3, "3", "skipped")]
+    rows = verify_claim("THM3_DELTA4", 43, 1, 43, u_mode="fixed:9,3,9,3")
+    assert [(r.u_code, r.status) for r in rows] == [(3, "skipped"), (9, "pass")]
+    rep = sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=43, max_q=44, u_mode="fixed:3,3,3"))
+    assert rep.summary == {"pass": 0, "exception": 0, "skipped": 1}
 
 
 def test_fixed_u_mode_drops_codes_beyond_q():
@@ -437,18 +447,21 @@ def test_lambda_census_thm5_bound():
     assert census.bound_holds and census.size >= census.lower_bound > 0
 
 
+def test_lambda_census_at_u_third_needs_p_other_than_3():
+    # 1/3 does not exist in characteristic 3
+    for kind in ("thm5", "thm6"):
+        with pytest.raises(UnsupportedParameterError, match="undefined in characteristic 3"):
+            lambda_census(cached_field(3, 3), kind)
+
+
 def test_lambda_census_boomerang_negation():
     # Lambda_2 = -Lambda_1: counts via the mirrored class pair agree
     from nhsbox.spectra import boomerang_case_counts_F21
 
     f = cached_field(103)
     census = lambda_census(f, "boomerang")
-    size2 = 0
-    for b in range(1, 103):
-        cc = boomerang_case_counts_F21(f, b)
-        if cc["01,00"] == 1 and cc["10,00"] == 1:
-            size2 += 1
-    assert census.size == size2
+    cc = boomerang_case_counts_F21(f, f.elements()[1:])
+    assert census.size == int(np.count_nonzero((cc["01,00"] == 1) & (cc["10,00"] == 1)))
 
     with pytest.raises(ValueError):
         lambda_census(f, "nope")
