@@ -257,7 +257,10 @@ def quartic_has_factor(field: Field, A, B):
 
     x^2 + a x + b divides it iff the remainder (2ab - a^3 - Aa) x +
     (b^2 - a^2 b - Ab + B) vanishes; each a is checked against every b at once.
+    A and B are read as the scalar Field ops read them: reduced mod p in a
+    prime field, ValueError outside [0, q) in an extension field.
     """
+    A, B = field._scalar(A, "A"), field._scalar(B, "B")
     codes = field.elements()
     if np.any(poly_eval_vec(field, [B, 0, A, 0, 1], codes) == 0):
         return True

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: field, spectrum, boomerang, charsum, constants, sweep, verify.
+--q names the field of each one-field command.  A claim id given twice
+runs once, and a claim that raises is an error line, not a traceback.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 all checks pass, 1 at least one exception/failed check, 2 usage error.
+0 all pass, 1 at least one exception, error or failed check, 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .characters import (
 from .gf import CODE_LIMIT, FieldConstructionError, build_field, cached_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
-from .verifier import U_MODES, SweepConfig, check_request, enumerate_prime_powers, sweep, verify_claim
+from .verifier import U_MODES, SweepConfig, _sweep_worker, check_request, enumerate_prime_powers, sweep
 
 
 class UsageError(ValueError):
@@ -49,14 +51,6 @@ def _prime_power(q):
     return p, n
 
 
-def _field_from_args(args):
-    if getattr(args, "q", None) is not None:
-        return build_field(*_prime_power(args.q))
-    if getattr(args, "p", None) is None:
-        raise UsageError("need --q or --p [--n]")
-    return build_field(args.p, args.n)
-
-
 def parse_u_token(field, token):
     """Element codes, or small rationals like '1/3', '-1', resolved in-field."""
     token = token.strip()
@@ -66,6 +60,8 @@ def parse_u_token(field, token):
             num, den = int(num_s), int(den_s)
         except ValueError as exc:
             raise UsageError(f"bad u token {token!r}") from exc
+        if den == 0:
+            raise UsageError(f"u = {token} divides by zero")
         den_code = field.embed(den)
         if den_code == 0:
             raise UsageError(
@@ -85,7 +81,7 @@ def parse_u_token(field, token):
 
 
 def _cmd_field(args):
-    field = _field_from_args(args)
+    field = build_field(*_prime_power(args.q))
     info = {
         "p": field.p,
         "n": field.n,
@@ -100,9 +96,7 @@ def _cmd_field(args):
 
 
 def _spectrum_payload(args, boomerang):
-    field = _field_from_args(args)
-    if args.family != "nh":
-        raise UsageError(f"unknown family {args.family!r}")
+    field = build_field(*_prime_power(args.q))
     u = parse_u_token(field, args.u)
     try:
         params = NHParams(args.r, u)
@@ -184,7 +178,6 @@ def _cmd_sweep(args):
         max_q=args.max,
         jobs=args.jobs,
         u_mode=args.u_mode,
-        seed=args.seed,
     )
     start, progress = time.monotonic(), None
     if sys.stderr.isatty():  # logs and pipes get no progress line
@@ -220,18 +213,19 @@ def _cmd_verify(args):
     p, n = _prime_power(args.q)
     cached_field(p, n)  # q = 0, -1 or 2 is no field: exit 2 before any row
     try:
-        check_request(args.claims, args.u_mode, args.seed)
+        check_request(args.claims, args.u_mode)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     bad = 0
-    for claim in args.claims:
-        for row in verify_claim(claim, p, n, args.q, u_mode=args.u_mode, seed=args.seed):
-            print(
-                json.dumps(
-                    {k: v for k, v in row.__dict__.items() if k != "elapsed_ms"}, sort_keys=True
-                )
-            )
+    for claim in dict.fromkeys(args.claims):  # distinct ids, in the order given
+        rows, errors = _sweep_worker((claim, p, n), args.u_mode)
+        for row in rows:
+            shown = {k: v for k, v in row.__dict__.items() if k != "elapsed_ms"}
+            print(json.dumps(shown, sort_keys=True))
             bad += row.status == "exception"
+        for q, claim_id, msg in errors:
+            print(f"Error: q={q}, claim={claim_id}: {msg}", file=sys.stderr)
+        bad += len(errors)
     return 1 if bad else 0
 
 
@@ -239,19 +233,16 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="nhsbox", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_field_args(sp):
-        sp.add_argument("--q", type=int, help="prime power (alternative to --p/--n)")
-        sp.add_argument("--p", type=int, help="characteristic")
-        sp.add_argument("--n", type=int, default=1, help="extension degree")
+    def add_q(sp):
+        sp.add_argument("--q", type=int, required=True, help="the field size, an odd prime power")
 
     sp = sub.add_parser("field", help="print field construction data")
-    add_field_args(sp)
+    add_q(sp)
     sp.set_defaults(fn=_cmd_field)
 
     for name, boom in (("spectrum", False), ("boomerang", True)):
         sp = sub.add_parser(name, help=f"{'boomerang' if boom else 'differential'} spectrum (JSON)")
-        add_field_args(sp)
-        sp.add_argument("--family", default="nh")
+        add_q(sp)
         sp.add_argument("--r", type=int, default=2)
         sp.add_argument("--u", required=True, help="element code or rational token like 1/3")
         sp.add_argument("--reduced", action="store_true", help="use the row a=1 reduction")
@@ -273,17 +264,15 @@ def build_parser():
     sp.add_argument("--claims", nargs="+", required=True)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--u-mode", default="default", help=U_MODES)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the report to a file instead of stdout")
     sp.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     sp.add_argument("--timing", action="store_true", help="include measured elapsed_ms")
     sp.set_defaults(fn=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="run claims at a single q")
-    sp.add_argument("--q", type=int, required=True)
+    add_q(sp)
     sp.add_argument("--claims", nargs="+", required=True)
     sp.add_argument("--u-mode", default="default", help=U_MODES)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -1,6 +1,9 @@
 """Claim verification engine: enumerate prime powers, evaluate each
-uniformity/spectrum claim at desk scale, hand the (claim, q) tasks to a
+uniformity/spectrum claim at desk scale, hand the (claim, p, n) tasks to a
 process pool one at a time, and emit exception reports.
+
+A request is claim ids, the fields (a q range or one q = p^n) and a u
+mode; a claim named twice runs once, and sample:K:SEED holds the only seed.
 
 Each claim is one ClaimSpec in CLAIMS, the only place that states its
 claimed value, the sign condition on u, its threshold and its evaluator;
@@ -99,7 +102,7 @@ class QFilter:
     p_ne: tuple = ()
     q_in: tuple | None = None
 
-    def admits(self, p, n, q):
+    def admits(self, p, q):
         if self.q_in is not None:
             return q in self.q_in
         if q < self.min_q or p in self.p_ne:
@@ -113,7 +116,7 @@ class ClaimSpec:
     q_filter: QFilter
     metric: str
     description: str
-    evaluate: Callable  # (field, claim, u_mode, seed) -> [SweepRow]
+    evaluate: Callable  # (field, claim, u_mode) -> [SweepRow]
     expected: int | None = None  # the claimed value (delta or beta), if one
     sign: int | None = None  # u ranges over eta(1+u) = sign * eta(1-u), if set
     threshold: int | None = None  # numerically-suggested lower q bound, if any
@@ -158,7 +161,7 @@ def conclusion_expected_delta(field: Field, u):
         return (q + 1) // 4, None
     if field.p != 3 and u in (u_third(field), field.neg(u_third(field))):
         thirds = [c for c in CLAIMS.values() if c.evaluate is _rows_delta_third]
-        (claim,) = [c for c in thirds if c.q_filter.admits(field.p, field.n, q)]
+        (claim,) = [c for c in thirds if c.q_filter.admits(field.p, q)]
     else:
         sign = field.eta(field.add(1, u)) * field.eta(field.sub(1, u))
         (claim,) = [c for c in CLAIMS.values() if c.sign == sign]
@@ -187,10 +190,12 @@ def _parse_u_mode(u_mode, q):
     raise ValueError(f"bad u mode {u_mode!r}; expected {U_MODES}")
 
 
-def _select_condition_us(field: Field, claim, u_mode, seed):
-    """u codes outside the excluded set with eta(1+u) = claim.sign * eta(1-u),
-    chosen per u mode; samples are grouped by eta(u), and fixed codes are
-    taken once each, in order, codes >= q dropped like codes outside it."""
+def _select_condition_us(field: Field, claim, u_mode):
+    """(us, exhaustive): the u codes outside the excluded set with
+    eta(1+u) = claim.sign * eta(1-u), chosen per u mode, and whether that
+    mode takes every one of them.  Samples are grouped by eta(u), and fixed
+    codes are taken once each, in order, codes >= q dropped like codes
+    outside the set."""
     q = field.q
     codes = field.elements()
     bad = np.zeros(q, dtype=bool)
@@ -203,10 +208,12 @@ def _select_condition_us(field: Field, claim, u_mode, seed):
     kind, arg = _parse_u_mode(u_mode, q)
     if kind == "fixed":
         fixed = np.unique(np.array([u for u in arg if u < q], dtype=np.int64))
-        return fixed[want[fixed]]
+        return fixed[want[fixed]], False
     if kind == "sample" and len(selected) > 0:
-        k, sample_seed = arg
-        rng = np.random.default_rng(np.random.SeedSequence([sample_seed, seed, q]))
+        k, seed = arg
+        # the 0 is the old default --seed 0, kept so that every sampled u
+        # stays as drawn when that option still existed
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, q]))
         eta_u = field.eta_vec(selected)
         picks = []
         for sign in (1, -1):
@@ -214,8 +221,8 @@ def _select_condition_us(field: Field, claim, u_mode, seed):
             if len(group) > k:
                 group = rng.choice(group, size=k, replace=False)
             picks.append(np.sort(group))
-        return np.concatenate(picks)
-    return selected
+        return np.concatenate(picks), False
+    return selected, kind == "all"
 
 
 # -- per-claim evaluators ----------------------------------------------------
@@ -232,16 +239,16 @@ def _verdict_row(field, claim, u, problems):
     return _row(field, claim, u, "ok", "ok", "pass")
 
 
-def _rows_delta_third(field, claim, u_mode, seed):
+def _rows_delta_third(field, claim, u_mode):
     u = u_third(field)
     delta = int(uniformity_batch(field, 2, [u])[0])
     status = "pass" if delta == claim.expected else "exception"
     return [_row(field, claim, u, delta, claim.expected, status)]
 
 
-def _rows_condition_claim(field, claim, u_mode, seed):
+def _rows_condition_claim(field, claim, u_mode):
     expected = claim.expected
-    us = _select_condition_us(field, claim, u_mode, seed)
+    us, exhaustive = _select_condition_us(field, claim, u_mode)
     if len(us) == 0:
         return [_row(field, claim, AGGREGATE_U, "no-u", expected, "skipped")]
     deltas = list(zip(us.tolist(), uniformity_batch(field, 2, us).tolist()))
@@ -256,7 +263,7 @@ def _rows_condition_claim(field, claim, u_mode, seed):
     misses = [(u, delta) for u, delta in deltas if delta != expected]
     n_pass = len(deltas) - len(misses)
     agreeing = _row(field, claim, AGGREGATE_U, expected, expected, "pass")
-    if _parse_u_mode(u_mode, field.q)[0] != "all":
+    if not exhaustive:
         for u, delta in deltas:
             status = "pass" if delta == expected else ("skipped" if below else "exception")
             rows.append(_row(field, claim, u, delta, expected, status))
@@ -274,7 +281,7 @@ def _rows_condition_claim(field, claim, u_mode, seed):
     return rows
 
 
-def _rows_spec_f21(field, claim, u_mode, seed):
+def _rows_spec_f21(field, claim, u_mode):
     q = field.q
     table = FunctionTable.from_nh(field, NHParams(2, 1))
     brute = differential_spectrum(table)
@@ -291,7 +298,7 @@ def _rows_spec_f21(field, claim, u_mode, seed):
     return [_verdict_row(field, claim, 1, problems)]
 
 
-def _rows_boom_f21(field, claim, u_mode, seed):
+def _rows_boom_f21(field, claim, u_mode):
     """beta(1, b) <= claim.expected is unconditional; equality is claimed
     from the threshold on."""
     table = FunctionTable.from_nh(field, NHParams(2, 1))
@@ -304,7 +311,7 @@ def _rows_boom_f21(field, claim, u_mode, seed):
     return [_row(field, claim, 1, beta, claim.expected, status)]
 
 
-def _rows_lemma_suite(field, claim, u_mode, seed):
+def _rows_lemma_suite(field, claim, u_mode):
     q = field.q
     problems = []
 
@@ -431,25 +438,21 @@ def _claim_spec(claim_id):
     return CLAIMS[claim_id]
 
 
-def check_request(claim_ids, u_mode, seed=0):
-    """Raise ValueError for an unknown claim id, a malformed u mode or a negative seed."""
+def check_request(claim_ids, u_mode):
+    """Raise ValueError for an unknown claim id or a malformed u mode."""
     for claim_id in claim_ids:
         _claim_spec(claim_id)
     _parse_u_mode(u_mode, 0)
-    if seed < 0:
-        raise ValueError(f"seed = {seed} must be non-negative")
 
 
-def verify_claim(claim_id, p, n, q, u_mode="default", seed=0):
-    """Evaluate one claim at q = p^n (ValueError otherwise); returns report
-    rows, each carrying the wall time of the whole (claim, q) task as elapsed_ms."""
-    claim = _claim_spec(claim_id)
-    if p**n != q:
-        raise ValueError(f"q = {q} is not p^n = {p}^{n}")
-    if not claim.q_filter.admits(p, n, q):
+def verify_claim(claim_id, p, n, *, u_mode="default"):
+    """Evaluate one claim at q = p^n; returns report rows, each carrying the
+    wall time of the whole (claim, q) task as elapsed_ms."""
+    claim, q = _claim_spec(claim_id), p**n
+    if not claim.q_filter.admits(p, q):
         return [SweepRow(q, p, n, AGGREGATE_U, claim_id, "-", "-", "skipped")]
     start = time.perf_counter()
-    rows = claim.evaluate(cached_field(p, n), claim, u_mode, seed)
+    rows = claim.evaluate(cached_field(p, n), claim, u_mode)
     elapsed = (time.perf_counter() - start) * 1000.0
     for r in rows:
         r.elapsed_ms = elapsed
@@ -468,7 +471,6 @@ class SweepConfig:
     max_q: int
     jobs: int = 1
     u_mode: str = "default"
-    seed: int = 0
 
 
 @dataclass
@@ -528,14 +530,14 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_worker(task, u_mode, seed):
-    """(rows, errors) of one (claim_id, p, n, q) task: an error row, not a
+def _sweep_worker(task, u_mode):
+    """(rows, errors) of one (claim_id, p, n) task: an error row, not a
     raise, when it fails, so the sweep goes on."""
-    claim_id, p, n, q = task
+    claim_id, p, n = task
     try:
-        return verify_claim(claim_id, p, n, q, u_mode=u_mode, seed=seed), []
+        return verify_claim(claim_id, p, n, u_mode=u_mode), []
     except Exception as exc:  # noqa: BLE001 - a failed task is an error row
-        return [], [(q, claim_id, f"{type(exc).__name__}: {exc}")]
+        return [], [(p**n, claim_id, f"{type(exc).__name__}: {exc}")]
 
 
 def sweep(config: SweepConfig, progress=None) -> SweepReport:
@@ -546,19 +548,20 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
     (killed by the OS, say) turns every task it leaves unfinished into an
     error row instead of a hang.  progress, if given, is called as
     progress(done, total, q) as each task finishes, in completion order.
-    Raises ValueError for jobs < 1, max_q < min_q, an unknown claim id,
-    a malformed u mode or a negative seed, before any work starts.
+    A claim id named twice runs once.  Raises ValueError for jobs < 1,
+    max_q < min_q, an unknown claim id or a malformed u mode, before any
+    work starts.
     """
     if config.jobs < 1:
         raise ValueError("jobs must be >= 1")
     if config.max_q < config.min_q:
         raise ValueError(f"max_q = {config.max_q} is below min_q = {config.min_q}")
-    check_request(config.claims, config.u_mode, config.seed)
+    check_request(config.claims, config.u_mode)
     tasks = [
-        (claim_id, p, n, q)
+        (claim_id, p, n)
         for p, n, q in enumerate_prime_powers(max(config.min_q, 3), config.max_q)
-        for claim_id in sorted(config.claims)
-        if CLAIMS[claim_id].q_filter.admits(p, n, q)
+        for claim_id in sorted(set(config.claims))
+        if CLAIMS[claim_id].q_filter.admits(p, q)
     ]
 
     rows, errors = [], []
@@ -567,24 +570,25 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
         rows.extend(result[0])
         errors.extend(result[1])
         if progress is not None:
-            progress(done, len(tasks), task[3])
+            _, p, n = task
+            progress(done, len(tasks), p**n)
 
     if config.jobs == 1 or len(tasks) <= 1:
         for done, task in enumerate(tasks, 1):
-            merge(done, task, _sweep_worker(task, config.u_mode, config.seed))
+            merge(done, task, _sweep_worker(task, config.u_mode))
     else:  # imported here so that in-process sweeps do not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
         workers = min(config.jobs, len(tasks))
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            futures = {pool.submit(_sweep_worker, t, config.u_mode, config.seed): t for t in tasks}
+            futures = {pool.submit(_sweep_worker, t, config.u_mode): t for t in tasks}
             for done, future in enumerate(as_completed(futures), 1):
-                claim_id, _, _, q = task = futures[future]
+                claim_id, p, n = task = futures[future]
                 try:
                     result = future.result()
                 except BrokenProcessPool as exc:
-                    result = [], [(q, claim_id, f"BrokenProcessPool: {exc}")]
+                    result = [], [(p**n, claim_id, f"BrokenProcessPool: {exc}")]
                 merge(done, task, result)
     rows.sort(key=SweepRow.sort_key)
     errors.sort()

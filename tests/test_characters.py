@@ -319,6 +319,21 @@ def test_quartic_has_factor_matches_division_oracle():
     assert quartic_has_factor(cached_field(7), 6, 1)
 
 
+def test_quartic_has_factor_reads_codes_as_quartic_criteria_does():
+    # a prime field reduces A and B mod p: (0, 8) is x^4 + 1, as (0, 1) is
+    f7 = cached_field(7)
+    for A, B in ((0, 8), (7, 1), (-1, 0), (13, -6)):
+        assert quartic_has_factor(f7, A, B) == quartic_has_factor(f7, A % 7, B % 7), (A, B)
+    assert quartic_has_factor(f7, 0, 8)
+    # an extension field takes only codes in [0, q), like quartic_criteria
+    f27 = cached_field(3, 3)
+    for A, B in ((27, 1), (-1, 1), (1, 27), (1, -1)):
+        with pytest.raises(ValueError):
+            quartic_criteria(f27, A, B)
+        with pytest.raises(ValueError):
+            quartic_has_factor(f27, A, B)
+
+
 def test_theorem2_constants_exact():
     assert theorem2_constants() == (-98312, -325643353)
 

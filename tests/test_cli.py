@@ -23,7 +23,7 @@ def test_constants_thm2(capsys):
 
 
 def test_spectrum_q11(capsys):
-    code, out, _ = run_cli(capsys, "spectrum", "--q", "11", "--family", "nh", "--r", "2", "--u", "1")
+    code, out, _ = run_cli(capsys, "spectrum", "--q", "11", "--r", "2", "--u", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["delta"] == 3
@@ -62,7 +62,7 @@ def test_identical_argv_identical_stdout(capsys):
 
 
 def test_field_info(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, "field", "--p", "3", "--n", "3")
+    code, out, _ = run_cli(capsys, "field", "--q", "27")
     assert code == 0
     payload = json.loads(out)
     assert payload["q"] == 27 and payload["modulus"] == [1, 0, 2, 1]
@@ -98,10 +98,40 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "prime power" in err
     code, _, err = run_cli(capsys, "sweep", "--min", "8", "--max", "20", "--claims", "NOPE")
     assert code == 2 and "unknown claim" in err
-    code, _, err = run_cli(capsys, "field", "--p", "4")
+    code, _, err = run_cli(capsys, "field", "--q", "4")
     assert code == 2
-    code, out, err = run_cli(capsys, "field", "--p", "3", "--n", "15")
+    code, out, err = run_cli(capsys, "field", "--q", str(3**15))
     assert code == 2 and out == "" and err.startswith("error: ") and "table limit" in err
+
+
+def test_u_with_a_zero_denominator_exit_2(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--q", "11", "--u", "1/0")
+    assert code == 2 and out == "" and err.startswith("error: ") and "divides by zero" in err
+    assert "characteristic" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "--q", "27", "--p", "3"),
+    ("field", "--q", "27", "--n", "3"),
+    ("spectrum", "--q", "11", "--u", "1", "--p", "11"),
+    ("spectrum", "--q", "11", "--u", "1", "--n", "1"),
+    ("spectrum", "--q", "11", "--u", "1", "--family", "nh"),
+    ("boomerang", "--q", "11", "--u", "1", "--p", "11"),
+    ("boomerang", "--q", "11", "--u", "1", "--n", "1"),
+    ("boomerang", "--q", "11", "--u", "1", "--family", "nh"),
+])
+def test_removed_options_are_unrecognised_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_field_spectrum_and_boomerang_need_q_exit_2(capsys):
+    for argv in (("field",), ("spectrum", "--u", "1"), ("boomerang", "--u", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and "--q" in capsys.readouterr().err, argv
 
 
 def test_spectrum_rejects_r_below_1_exit_2(capsys):
@@ -162,12 +192,44 @@ def test_verify_rejects_malformed_u_mode_exit_2(capsys):
         assert code == 2 and out == "" and "bad u mode" in err, mode
 
 
-def test_sweep_and_verify_reject_a_negative_seed_exit_2(capsys):
-    # checked where the seed enters, not inside each (claim, q) task
+def test_sweep_and_verify_take_their_seed_from_the_u_mode_only(capsys):
+    # sample:K:SEED carries the only seed: there is no --seed option, and a
+    # negative SEED is a bad u mode, rejected before any (claim, q) task
     for command in (("sweep", "--min", "2003", "--max", "2004"), ("verify", "--q", "2003")):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--claims", "THM2_DELTA5", "--seed", "1"])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and "unrecognized arguments: --seed" in err, command
         code, out, err = run_cli(capsys, *command, "--claims", "THM2_DELTA5",
-                                 "--u-mode", "sample:4:0", "--seed", "-1")
-        assert code == 2 and out == "" and err.startswith("error: ") and "seed" in err, command
+                                 "--u-mode", "sample:4:-1")
+        assert code == 2 and out == "" and "bad u mode" in err, command
+
+
+def test_repeated_claim_ids_run_once(capsys):
+    once = run_cli(capsys, "sweep", "--min", "8", "--max", "40", "--claims", "THM5_DELTA3")
+    twice = run_cli(capsys, "sweep", "--min", "8", "--max", "40", "--claims", "THM5_DELTA3",
+                    "THM5_DELTA3")
+    assert once == twice and once[0] == 0 and "pass=2 " in once[2]
+    once = run_cli(capsys, "verify", "--q", "23", "--claims", "BOOM_F21")
+    twice = run_cli(capsys, "verify", "--q", "23", "--claims", "BOOM_F21", "BOOM_F21")
+    assert once == twice and len(once[1].splitlines()) == 1
+
+
+def test_verify_reports_a_raising_claim_and_goes_on(capsys, monkeypatch):
+    # a claim that runs out of memory is an error line, not a traceback;
+    # the patched evaluator keeps the test from allocating anything large
+    import dataclasses
+
+    def out_of_memory(field, claim, u_mode):
+        raise MemoryError("no room for F_q")
+
+    spec = dataclasses.replace(verifier.CLAIMS["BOOM_F21"], evaluate=out_of_memory)
+    monkeypatch.setitem(verifier.CLAIMS, "BOOM_F21", spec)
+    code, out, err = run_cli(capsys, "verify", "--q", "23", "--claims", "BOOM_F21", "THM5_DELTA3")
+    assert code == 1
+    assert err == "Error: q=23, claim=BOOM_F21: MemoryError: no room for F_q\n"
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["claim_id"] == "THM5_DELTA3" and row["status"] == "pass"
 
 
 def test_sweep_csv_and_exit(capsys, tmp_path):

@@ -566,7 +566,7 @@ def test_runtime_does_not_load_sympy_or_mpmath():
         "import nhsbox\n"
         "from nhsbox import build_field, verify_claim\n"
         "build_field(4211)\n"
-        "verify_claim('THM2_DELTA5', 4211, 1, 4211, u_mode='fixed:999')\n"
+        "verify_claim('THM2_DELTA5', 4211, 1, u_mode='fixed:999')\n"
         "build_field(3, 7)\n"
         "build_field(11, 3)\n"
         "from nhsbox.characters import theorem2_constants\n"

@@ -378,7 +378,8 @@ def test_uniformity_batch_on_the_thm2_selection():
     from nhsbox.verifier import CLAIMS, _select_condition_us
 
     f = cached_field(839)
-    us = _select_condition_us(f, CLAIMS["THM2_DELTA5"], "all", 0)
+    us, exhaustive = _select_condition_us(f, CLAIMS["THM2_DELTA5"], "all")
+    assert exhaustive
     gaps = np.diff(np.unique(np.minimum(us, f.neg_vec(us))))
     assert gaps.max() > 1 and np.any(gaps[gaps > 1] < _U_CHUNK)
     batch = uniformity_batch(f, 2, us)

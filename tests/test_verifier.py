@@ -52,42 +52,40 @@ def test_enumerate_includes_higher_powers():
 
 
 def test_verify_claim_examples():
-    (row,) = verify_claim("THM5_DELTA3", 23, 1, 23)
+    (row,) = verify_claim("THM5_DELTA3", 23, 1)
     assert row.status == "pass" and row.computed == "3"
-    (row,) = verify_claim("APN_Q7", 7, 1, 7)
+    (row,) = verify_claim("APN_Q7", 7, 1)
     assert row.status == "pass" and row.computed == "2"
-    (row,) = verify_claim("REMARK_11_19_43", 19, 1, 19)
+    (row,) = verify_claim("REMARK_11_19_43", 19, 1)
     assert row.status == "pass" and row.computed == "3"
-    (row,) = verify_claim("THM6_DELTA4", 59, 1, 59)
+    (row,) = verify_claim("THM6_DELTA4", 59, 1)
     assert row.status == "pass" and row.computed == "4"
 
 
 def test_verify_claim_q_mismatch_yields_skipped_row():
-    (row,) = verify_claim("THM5_DELTA3", 11, 1, 11)  # 11 = 3 (mod 8)
+    (row,) = verify_claim("THM5_DELTA3", 11, 1)  # 11 = 3 (mod 8)
     assert row.status == "skipped"
-    (row,) = verify_claim("APN_Q7", 11, 1, 11)
+    (row,) = verify_claim("APN_Q7", 11, 1)
     assert row.status == "skipped"
 
 
-def test_verify_claim_rejects_a_mismatched_prime_power():
-    # (7, 1) passes BOOM_F21's filter for q = 11 but would evaluate F_7, and
-    # (3, 1) would evaluate F_3 for q = 2187
-    for p, n, q in ((7, 1, 11), (3, 1, 2187)):
-        with pytest.raises(ValueError, match=f"q = {q} is not p\\^n"):
-            verify_claim("BOOM_F21", p, n, q)
-    assert verify_claim("BOOM_F21", 3, 7, 2187)[0].q == 2187
+def test_verify_claim_derives_q_and_takes_u_mode_by_keyword():
+    assert verify_claim("BOOM_F21", 3, 7)[0].q == 2187
+    # u_mode is keyword-only: a stray fourth positional must not pass as one
+    with pytest.raises(TypeError):
+        verify_claim("THM5_DELTA3", 23, 1, 23)
 
 
 def test_condition_claims_aggregate_and_threshold():
-    rows = verify_claim("THM2_DELTA5", 11, 1, 11, u_mode="all")
+    rows = verify_claim("THM2_DELTA5", 11, 1, u_mode="all")
     assert all(r.status in ("pass", "skipped") for r in rows)  # below 4027
-    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="all")
+    rows = verify_claim("THM3_DELTA4", 907, 1, u_mode="all")
     assert [r.status for r in rows] == ["pass"]
     assert rows[0].u_code == AGGREGATE_U
-    sampled = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="sample:5:1")
+    sampled = verify_claim("THM3_DELTA4", 907, 1, u_mode="sample:5:1")
     assert 0 < len(sampled) <= 10
     assert all(r.status == "pass" and r.u_code >= 0 for r in sampled)
-    again = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="sample:5:1")
+    again = verify_claim("THM3_DELTA4", 907, 1, u_mode="sample:5:1")
     assert [(r.u_code, r.computed) for r in sampled] == [(r.u_code, r.computed) for r in again]
 
 
@@ -113,7 +111,7 @@ def test_one_third_claims_partition_the_fields():
     # five-case table reads its value at u = +-1/3 from that claim
     third_claims = ("THM5_DELTA3", "THM6_DELTA4", "APN_Q7", "REMARK_11_19_43")
     for p, n, q in enumerate_prime_powers(7, 2000, congruences=((4, 3),), p_ne=(3,)):
-        (claim_id,) = [c for c in third_claims if CLAIMS[c].q_filter.admits(p, n, q)]
+        (claim_id,) = [c for c in third_claims if CLAIMS[c].q_filter.admits(p, q)]
         f = cached_field(p, n)
         third = f.inv(f.embed(3))
         for u in (third, f.neg(third)):
@@ -142,7 +140,7 @@ def test_conclusion_expected_delta_rejects_codes_out_of_range():
 
 def test_verify_claim_rejects_unknown_claim():
     with pytest.raises(ValueError, match="unknown claim 'NOPE'; known: "):
-        verify_claim("NOPE", 7, 1, 7)
+        verify_claim("NOPE", 7, 1)
 
 
 def test_sweep_rejects_malformed_u_mode():
@@ -153,10 +151,10 @@ def test_sweep_rejects_malformed_u_mode():
 
 
 def test_default_u_mode_samples_above_2000():
-    rows = verify_claim("THM3_DELTA4", 2003, 1, 2003, u_mode="default")
+    rows = verify_claim("THM3_DELTA4", 2003, 1, u_mode="default")
     assert 0 < len(rows) <= 128  # 64 per eta(u) sign class
     assert all(r.status == "pass" and r.u_code >= 0 for r in rows)
-    rows_small = verify_claim("THM3_DELTA4", 1907, 1, 1907, u_mode="default")
+    rows_small = verify_claim("THM3_DELTA4", 1907, 1, u_mode="default")
     assert [r.u_code for r in rows_small] == [AGGREGATE_U]  # exhaustive, aggregated
 
 
@@ -185,11 +183,11 @@ def test_conclusion_table_consistency():
 
 
 def test_spec_f21_and_boom_claims():
-    (row,) = verify_claim("SPEC_F21", 43, 1, 43)
+    (row,) = verify_claim("SPEC_F21", 43, 1)
     assert row.status == "pass"
-    (row,) = verify_claim("BOOM_F21", 311, 1, 311)
+    (row,) = verify_claim("BOOM_F21", 311, 1)
     assert row.status == "pass" and row.computed == "2"
-    rows = verify_claim("BOOM_F21", 7, 1, 7)
+    rows = verify_claim("BOOM_F21", 7, 1)
     assert all(r.status in ("pass", "skipped") for r in rows)
 
 
@@ -220,7 +218,7 @@ def test_suggested_delta5_threshold_counterexamples():
 
 
 def test_fixed_u_mode():
-    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="fixed:2,3,5,905")
+    rows = verify_claim("THM3_DELTA4", 907, 1, u_mode="fixed:2,3,5,905")
     assert all(r.status in ("pass", "skipped") for r in rows)
     kept = {r.u_code for r in rows}
     assert kept <= {2, 3, 5, 905}  # codes outside the sign class are dropped
@@ -229,18 +227,18 @@ def test_fixed_u_mode():
 
 def test_fixed_u_mode_counts_each_code_once():
     # a repeated fixed code is one u: one row, counted once in the summary
-    rows = verify_claim("THM3_DELTA4", 43, 1, 43, u_mode="fixed:3,3,3")
+    rows = verify_claim("THM3_DELTA4", 43, 1, u_mode="fixed:3,3,3")
     assert [(r.u_code, r.computed, r.status) for r in rows] == [(3, "3", "skipped")]
-    rows = verify_claim("THM3_DELTA4", 43, 1, 43, u_mode="fixed:9,3,9,3")
+    rows = verify_claim("THM3_DELTA4", 43, 1, u_mode="fixed:9,3,9,3")
     assert [(r.u_code, r.status) for r in rows] == [(3, "skipped"), (9, "pass")]
     rep = sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=43, max_q=44, u_mode="fixed:3,3,3"))
     assert rep.summary == {"pass": 0, "exception": 0, "skipped": 1}
 
 
 def test_fixed_u_mode_drops_codes_beyond_q():
-    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="fixed:5000")
+    rows = verify_claim("THM3_DELTA4", 907, 1, u_mode="fixed:5000")
     assert [(r.u_code, r.computed, r.status) for r in rows] == [(AGGREGATE_U, "no-u", "skipped")]
-    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="fixed:5000,2,907")
+    rows = verify_claim("THM3_DELTA4", 907, 1, u_mode="fixed:5000,2,907")
     assert [(r.u_code, r.computed, r.status) for r in rows] == [(2, "4", "pass")]
     rep = sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=900, max_q=1000, u_mode="fixed:5000"))
     assert rep.errors == [] and {r.computed for r in rep.rows} == {"no-u"}
@@ -255,8 +253,8 @@ def test_boomerang_cap_below_threshold():
 
 
 def test_lemma_suite_claim():
-    for p, n, q in ((19, 1, 19), (3, 3, 27)):
-        (row,) = verify_claim("LEMMA_SUITE", p, n, q)
+    for p, n in ((19, 1), (3, 3)):
+        (row,) = verify_claim("LEMMA_SUITE", p, n)
         assert row.status == "pass", row
 
 
@@ -271,7 +269,7 @@ def test_lemma_suite_builds_one_case_per_chunk(monkeypatch):
         real(self, field, u)
 
     monkeypatch.setattr(CaseAnalysis, "__init__", counting)
-    (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+    (row,) = verify_claim("LEMMA_SUITE", 43, 1)
     assert row.status == "pass"
     # every u outside {0, +1, -1}, one CaseAnalysis per chunk of _U_CHUNK
     assert sum(built) == 43 - 3 and len(built) == -(-(43 - 3) // _U_CHUNK)
@@ -313,14 +311,14 @@ def _lemma_fails_at(monkeypatch, bad_u):
 
 def test_lemma_suite_names_the_u_whose_closed_counts_differ(monkeypatch):
     _closed_counts_wrong_at(monkeypatch, 17)
-    (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+    (row,) = verify_claim("LEMMA_SUITE", 43, 1)
     assert row.status == "exception" and row.computed == "A_ij closed != brute at u=17"
 
 
 @pytest.mark.parametrize("bad_u", [10, 40])  # 40 lies in the last, partial chunk at q = 43
 def test_lemma_suite_names_the_u_whose_lemma_fails(monkeypatch, bad_u):
     _lemma_fails_at(monkeypatch, bad_u)
-    (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+    (row,) = verify_claim("LEMMA_SUITE", 43, 1)
     assert row.status == "exception"
     assert row.computed == f"exclusion/cap lemma failed at u={bad_u}"
 
@@ -334,7 +332,7 @@ def test_lemma_suite_reports_the_smallest_failing_u(monkeypatch):
     ):
         with monkeypatch.context() as m:
             _lemma_fails_at(m, bad_u)
-            (row,) = verify_claim("LEMMA_SUITE", 43, 1, 43)
+            (row,) = verify_claim("LEMMA_SUITE", 43, 1)
         assert row.computed == want
 
 
@@ -366,7 +364,7 @@ def test_sweep_rejects_inverted_range_and_unknown_claims():
 
 def test_sweep_worker_records_failures():
     # 15 = 7 (mod 8) passes the filter, then field construction fails
-    rows, errors = _sweep_worker(("THM5_DELTA3", 15, 1, 15), "default", 0)
+    rows, errors = _sweep_worker(("THM5_DELTA3", 15, 1), "default")
     assert rows == []
     assert len(errors) == 1 and errors[0][0] == 15 and "NotPrime" in errors[0][2]
 
@@ -379,10 +377,10 @@ def test_sweep_records_a_dead_worker_as_errors(monkeypatch):
 
     real = verifier.verify_claim
 
-    def dies_at_23(claim_id, p, n, q, **kwargs):
-        if q == 23:
+    def dies_at_23(claim_id, p, n, **kwargs):
+        if p**n == 23:
             os._exit(1)  # the worker process ends as if the OS had killed it
-        return real(claim_id, p, n, q, **kwargs)
+        return real(claim_id, p, n, **kwargs)
 
     def hung(signum, frame):
         raise TimeoutError("sweep hung after a worker died")
@@ -419,7 +417,7 @@ def test_elapsed_ms_is_the_whole_task_time(monkeypatch):
     # a clock that advances 0.25 s per reading: the task spans one step
     ticks = iter(np.arange(1000) * 0.25)
     monkeypatch.setattr("nhsbox.verifier.time.perf_counter", lambda: float(next(ticks)))
-    rows = verify_claim("THM3_DELTA4", 907, 1, 907, u_mode="sample:3:1")
+    rows = verify_claim("THM3_DELTA4", 907, 1, u_mode="sample:3:1")
     assert len(rows) > 1
     assert [r.elapsed_ms for r in rows] == [250.0] * len(rows)
     rep = SweepReport(rows=rows, errors=[], config={})
