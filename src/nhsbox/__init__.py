@@ -30,7 +30,6 @@ from .verifier import (
     SweepConfig,
     SweepReport,
     enumerate_prime_powers,
-    lambda_census,
     sweep,
     verify_claim,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "enumerate_prime_powers",
     "eval_F",
     "excluded_u_set",
-    "lambda_census",
     "locally_apn_check",
     "nh_table",
     "structural_lemma_checks",

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: field, spectrum, boomerang, charsum, constants, sweep, verify.
---q names the field of each one-field command.  A claim id given twice
+--q names the field of each one-field command; spectrum and boomerang read
+F_{r,u} by its row reduction.  sweep and verify run the claims of
+verifier.CLAIMS, witness-set censuses included; a claim id given twice
 runs once, and a claim that raises is an error line, not a traceback.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
 0 all pass, 1 at least one exception, error or failed check, 2 usage error.
@@ -104,7 +106,7 @@ def _spectrum_payload(args, boomerang):
         raise UsageError(str(exc)) from exc
     table = FunctionTable.from_nh(field, params)
     spectrum = boomerang_spectrum if boomerang else differential_spectrum
-    spec = spectrum(table, reduction=params if args.reduced else None)
+    spec = spectrum(table, reduction=params)  # the table is F_{r,u}, so its rows reduce
     payload = {"q": field.q, "u": params.u, "r": params.r, "spectrum": spec.to_json_dict()}
     if boomerang:
         payload["beta"] = spec.uniformity
@@ -245,7 +247,6 @@ def build_parser():
         add_q(sp)
         sp.add_argument("--r", type=int, default=2)
         sp.add_argument("--u", required=True, help="element code or rational token like 1/3")
-        sp.add_argument("--reduced", action="store_true", help="use the row a=1 reduction")
         sp.set_defaults(fn=lambda a, boom=boom: _spectrum_payload(a, boom))
 
     sp = sub.add_parser("charsum", help="character-sum self tests")

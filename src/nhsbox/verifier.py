@@ -1,6 +1,6 @@
-"""Claim verification engine: enumerate prime powers, evaluate each
-uniformity/spectrum claim at desk scale, hand the (claim, p, n) tasks to a
-process pool one at a time, and emit exception reports.
+"""Claim verification engine: enumerate prime powers, evaluate each claim
+(a uniformity, spectrum or witness-set census) at desk scale, hand the
+(claim, p, n) tasks to a process pool one at a time, and emit reports.
 
 A request is claim ids, the fields (a q range or one q = p^n) and a u
 mode; a claim named twice runs once, and sample:K:SEED holds the only seed.
@@ -9,11 +9,12 @@ Each claim is one ClaimSpec in CLAIMS, the only place that states its
 claimed value, the sign condition on u, its threshold and its evaluator;
 verify_claim, conclusion_expected_delta and the sweep read them there.
 
-Claim thresholds come in two kinds.  Proven hypotheses (the u = 1/3
-uniformities, the caps) fail hard anywhere inside their stated q-range.
-Numerically-suggested thresholds (ClaimSpec.threshold: 4027 / 839 / 307)
-are metadata: below them a mismatch is recorded as a skipped row, above
-them it is a genuine exception.
+Claim thresholds come in two kinds.  Hypotheses on q alone (the u = 1/3
+uniformities, the caps, the F_{2,1} witness-set formulas) are QFilters: a
+miss anywhere inside one fails hard.  ClaimSpec.threshold is the q from
+which a claim must hold, numerically suggested (4027 / 839 / 307) or
+proven (the witness-set lower bounds, 58^2 / 1681^2 / 9613^2).  Below it
+a miss is recorded as a skipped row, from it on it is a genuine exception.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class ClaimSpec:
     evaluate: Callable  # (field, claim, u_mode) -> [SweepRow]
     expected: int | None = None  # the claimed value (delta or beta), if one
     sign: int | None = None  # u ranges over eta(1+u) = sign * eta(1-u), if set
-    threshold: int | None = None  # numerically-suggested lower q bound, if any
+    threshold: int | None = None  # the q from which a miss is an exception, if any
 
     def below_threshold(self, q):
         return self.threshold is not None and q < self.threshold
@@ -197,18 +198,16 @@ def _select_condition_us(field: Field, claim, u_mode):
     codes are taken once each, in order, codes >= q dropped like codes
     outside the set."""
     q = field.q
-    codes = field.elements()
-    bad = np.zeros(q, dtype=bool)
-    for u in excluded_u_set(field):
-        bad[u] = True
-    e_plus = field.eta_vec(field.add_vec(codes, 1))
-    e_minus = field.eta_vec(field.sub_vec(1, codes))
-    want = (e_plus == claim.sign * e_minus) & ~bad
-    selected = codes[want]
     kind, arg = _parse_u_mode(u_mode, q)
-    if kind == "fixed":
-        fixed = np.unique(np.array([u for u in arg if u < q], dtype=np.int64))
-        return fixed[want[fixed]], False
+    if kind == "fixed":  # only the listed codes, so no q-sized array
+        codes = np.array(sorted({u for u in arg if u < q}), dtype=np.int64)
+    else:
+        codes = field.elements()
+    e_plus = field.eta_vec(field.add_vec(codes, 1))
+    want = e_plus == claim.sign * field.eta_vec(field.sub_vec(1, codes))
+    for u in excluded_u_set(field):
+        want &= codes != u
+    selected = codes[want]
     if kind == "sample" and len(selected) > 0:
         k, seed = arg
         # the 0 is the old default --seed 0, kept so that every sampled u
@@ -239,6 +238,13 @@ def _verdict_row(field, claim, u, problems):
     return _row(field, claim, u, "ok", "ok", "pass")
 
 
+def _status(field, claim, holds):
+    """pass; a miss is skipped below claim.threshold, an exception from it on."""
+    if holds:
+        return "pass"
+    return "skipped" if claim.below_threshold(field.q) else "exception"
+
+
 def _rows_delta_third(field, claim, u_mode):
     u = u_third(field)
     delta = int(uniformity_batch(field, 2, [u])[0])
@@ -259,19 +265,18 @@ def _rows_condition_claim(field, claim, u_mode):
         for u, delta in deltas
         if delta > DELTA_CAP
     ]
-    below = claim.below_threshold(field.q)
     misses = [(u, delta) for u, delta in deltas if delta != expected]
     n_pass = len(deltas) - len(misses)
     agreeing = _row(field, claim, AGGREGATE_U, expected, expected, "pass")
     if not exhaustive:
         for u, delta in deltas:
-            status = "pass" if delta == expected else ("skipped" if below else "exception")
+            status = _status(field, claim, delta == expected)
             rows.append(_row(field, claim, u, delta, expected, status))
         return rows
     # exhaustive runs aggregate agreeing u into one row per q
     if not misses:
         rows.append(agreeing)
-    elif below:
+    elif claim.below_threshold(field.q):
         computed = f"{expected}:{n_pass}/{len(deltas)}"
         rows.append(_row(field, claim, AGGREGATE_U, computed, expected, "skipped"))
     else:
@@ -305,10 +310,73 @@ def _rows_boom_f21(field, claim, u_mode):
     beta = int(boomerang_row(table, 1)[1:].max())
     if beta > claim.expected:
         return [_row(field, claim, 1, beta, f"<={claim.expected}", "exception")]
-    status = "pass" if beta == claim.expected else (
-        "skipped" if claim.below_threshold(field.q) else "exception"
-    )
+    status = _status(field, claim, beta == claim.expected)
     return [_row(field, claim, 1, beta, claim.expected, status)]
+
+
+def _rows_f21_lambda(field, claim, u_mode):
+    """n1;n2, direct b-scans of the two delta(1, b) = 2 sets of F_{2,1},
+    against 16 n1 = q + 1 + 2 eta(2) T and 16 n2 = q + 1 - 2T, T the cubic
+    character sum.  A side that 16 does not divide shows as num/16 and
+    cannot pass."""
+    f = field
+    bs = f.elements()
+    eta = f.eta_vec
+    inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
+    half = f.mul_vec(bs, np.int64(inv2))
+    both_sides = (eta(f.add_vec(bs, 2)) == 1) & (eta(f.sub_vec(bs, 2)) == 1)
+
+    neg_half = f.neg_vec(half)
+    m1 = both_sides & (eta(neg_half) == 1)
+    y1 = np.where(m1, f.sqrt_table[neg_half], 0)
+    m1 &= eta(f.add_vec(y1, 1)) == -1
+
+    m2 = both_sides & (eta(half) == 1)
+    y2 = np.where(m2, f.sqrt_table[half], 0)
+    m2 &= eta(f.sub_vec(y2, 1)) == -1
+
+    q, T = f.q, cubic_character_sum(f)
+    nums = (q + 1 + 2 * f.eta(f.embed(2)) * T, q + 1 - 2 * T)
+    expected = ";".join(str(v // 16) if v % 16 == 0 else f"{v}/16" for v in nums)
+    computed = f"{np.count_nonzero(m1)};{np.count_nonzero(m2)}"
+    return [_row(f, claim, 1, computed, expected, _status(f, claim, computed == expected))]
+
+
+def _bound_row(field, claim, u, size, bound):
+    """The witness count's row; expected is the least integer >= bound."""
+    status = _status(field, claim, size >= bound)
+    return _row(field, claim, u, size, f">={math.ceil(bound)}", status)
+
+
+def _rows_thm5_witness(field, claim, u_mode):
+    """#{b : (A_10, A_11) = (2, 1)} at u = 1/3, each b with delta(1, b) = 3,
+    against (q - 58 sqrt(q) + 3) / 64."""
+    q, u = field.q, u_third(field)
+    counts = CaseAnalysis(field, u).a_counts_all()
+    size = int(np.count_nonzero((counts[:, 2] == 2) & (counts[:, 3] == 1)))
+    return [_bound_row(field, claim, u, size, (q - 58 * math.sqrt(q) + 3) / 64)]
+
+
+def _rows_thm6_witness(field, claim, u_mode):
+    """#{b : (A_01, A_10, A_11) = (2, 1, 1)} at u = 1/3, each b with
+    delta(1, b) = 4, against (4q + m1 sqrt(q) + m2 - 328) / 256."""
+    q, u = field.q, u_third(field)
+    counts = CaseAnalysis(field, u).a_counts_all()
+    size = int(np.count_nonzero((counts[:, 1] == 2) & (counts[:, 2] == 1) & (counts[:, 3] == 1)))
+    m1, m2 = theorem6_constants()
+    return [_bound_row(field, claim, u, size, (4 * q + m1 * math.sqrt(q) + m2 - 328) / 256)]
+
+
+def _rows_boom_witness(field, claim, u_mode):
+    """#{b : classes (00,01) and (00,10) each hit once}, each b with
+    beta(1, b) = 2 for F_{2,1}, against (q + m1 sqrt(q) + m2 + 1 - 1280) / 128."""
+    q = field.q
+    cc = boomerang_case_counts_F21(field, field.elements()[1:])
+    size = int(np.count_nonzero((cc["00,01"] == 1) & (cc["00,10"] == 1)))
+    m1, m2 = boomerang_constants()
+    # at most 10 excluded circle points, each worth 2^7, plus the +1 from
+    # the empty subset: a conservative excluded-point allowance
+    return [_bound_row(field, claim, 1, size, (q + m1 * math.sqrt(q) + (m2 + 1 - 1280)) / 128)]
 
 
 def _rows_lemma_suite(field, claim, u_mode):
@@ -426,6 +494,27 @@ CLAIMS = {
             "LEMMA_SUITE", QFilter(congruences=((4, 3),)), "lemma checks",
             "C_ij counts, closed-vs-brute class counts, sqrt-pair lemma, u/-u symmetry",
             _rows_lemma_suite,
+        ),
+        ClaimSpec(
+            "F21_LAMBDA", QFilter(congruences=((4, 3),)), "witness set sizes",
+            "the two delta(1, b) = 2 sets of F_{2,1} have sizes (q + 1 + 2 eta(2) T)/16 "
+            "and (q + 1 - 2T)/16",
+            _rows_f21_lambda,
+        ),
+        ClaimSpec(
+            "THM5_WITNESS", QFilter(congruences=((8, 7),), min_q=8), "witness set size",
+            "delta(1, b) = 3 for at least (q - 58 sqrt(q) + 3)/64 b at u = 1/3",
+            _rows_thm5_witness, threshold=58**2,
+        ),
+        ClaimSpec(
+            "THM6_WITNESS", QFilter(congruences=((8, 3),), min_q=44, p_ne=(3,)), "witness set size",
+            "delta(1, b) = 4 for at least (4q + m1 sqrt(q) + m2 - 328)/256 b at u = 1/3",
+            _rows_thm6_witness, threshold=1681**2,
+        ),
+        ClaimSpec(
+            "BOOM_WITNESS", QFilter(congruences=((4, 3),)), "witness set size",
+            "beta(1, b) = 2 for at least (q + m1 sqrt(q) + m2 - 1279)/128 b of F_{2,1}",
+            _rows_boom_witness, threshold=9613**2,
         ),
     )
 }
@@ -593,92 +682,3 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
     rows.sort(key=SweepRow.sort_key)
     errors.sort()
     return SweepReport(rows, errors, {**asdict(config), "claims": list(config.claims)})
-
-
-# ---------------------------------------------------------------------------
-# witness-set censuses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LambdaCensus:
-    kind: str
-    size: int
-    formula_value: int | None = None
-    formula_holds: bool | None = None
-    lower_bound: float | None = None
-    bound_holds: bool | None = None
-
-
-def _f21_lambda_counts(field: Field):
-    """Direct b-scans of the two delta(1, b) = 2 witness sets of F_{2,1}."""
-    f = field
-    bs = f.elements()
-    eta = f.eta_vec
-    inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
-    half = f.mul_vec(bs, np.int64(inv2))
-    both_sides = (eta(f.add_vec(bs, 2)) == 1) & (eta(f.sub_vec(bs, 2)) == 1)
-
-    neg_half = f.neg_vec(half)
-    m1 = both_sides & (eta(neg_half) == 1)
-    y1 = np.where(m1, f.sqrt_table[neg_half], 0)
-    m1 &= eta(f.add_vec(y1, 1)) == -1
-
-    m2 = both_sides & (eta(half) == 1)
-    y2 = np.where(m2, f.sqrt_table[half], 0)
-    m2 &= eta(f.sub_vec(y2, 1)) == -1
-    return int(m1.sum()), int(m2.sum())
-
-
-def lambda_census(field: Field, kind: str, u=None) -> LambdaCensus:
-    """Count a proof witness set directly and check its closed form/bound.
-
-    kinds: 'f21_lambda1', 'f21_lambda2' (delta(1,b) = 2 sets of F_{2,1},
-    with exact 16*size formulas), 'thm5' / 'thm6' (the delta = 3 / 4
-    witness sets at u = 1/3), 'boomerang' (the beta = 2 witness set).
-    """
-    q = field.q
-    if kind in ("f21_lambda1", "f21_lambda2"):
-        n1, n2 = _f21_lambda_counts(field)
-        T = cubic_character_sum(field)
-        eta2 = field.eta(field.embed(2))
-        num = q + 1 + 2 * eta2 * T if kind == "f21_lambda1" else q + 1 - 2 * T
-        size = n1 if kind == "f21_lambda1" else n2
-        return LambdaCensus(
-            kind, size,
-            formula_value=num // 16 if num % 16 == 0 else None,
-            formula_holds=(num % 16 == 0) and (16 * size == num),
-        )
-    if kind in ("thm5", "thm6"):
-        u = u_third(field) if u is None else u
-        counts = CaseAnalysis(field, u).a_counts_all()
-        if kind == "thm5":
-            size = int(np.count_nonzero((counts[:, 2] == 2) & (counts[:, 3] == 1)))
-            bound = (q - 58 * math.sqrt(q) + 3) / 64
-            applicable = q >= 58 * 58 and q % 8 == 7
-        else:
-            m1, m2 = theorem6_constants()
-            size = int(
-                np.count_nonzero((counts[:, 1] == 2) & (counts[:, 2] == 1) & (counts[:, 3] == 1))
-            )
-            bound = (4 * q + m1 * math.sqrt(q) + m2 - 328) / 256
-            applicable = q >= 1681 * 1681 and q % 8 == 3
-        return LambdaCensus(
-            kind, size,
-            lower_bound=bound,
-            bound_holds=(size >= bound) if applicable else None,
-        )
-    if kind == "boomerang":
-        cc = boomerang_case_counts_F21(field, field.elements()[1:])
-        size = int(np.count_nonzero((cc["00,01"] == 1) & (cc["00,10"] == 1)))
-        m1, m2 = boomerang_constants()
-        # at most 10 excluded circle points, each worth 2^7, plus the +1
-        # from the empty subset: a conservative excluded-point allowance
-        bound = (q + m1 * math.sqrt(q) + (m2 + 1 - 1280)) / 128
-        applicable = q >= 9613 * 9613
-        return LambdaCensus(
-            kind, size,
-            lower_bound=bound,
-            bound_holds=(size >= bound) if applicable else None,
-        )
-    raise ValueError(f"unknown census kind {kind!r}")

@@ -32,7 +32,6 @@ from nhsbox.spectra import (
 from nhsbox.verifier import (
     SweepConfig,
     enumerate_prime_powers,
-    lambda_census,
     sweep,
 )
 
@@ -420,15 +419,15 @@ def test_acceptance_8_structural_properties(capfd):
 
 def test_acceptance_9_lambda_census_formulas(capfd):
     started = time.time()
-    checked = 0
-    for p, n, q in q3mod4(11, 2001):
-        field = build_field(p, n)
-        l1 = lambda_census(field, "f21_lambda1")
-        l2 = lambda_census(field, "f21_lambda2")
-        assert l1.formula_holds, q
-        assert l2.formula_holds, q
-        row = derivative_row_counts(field, NHParams(2, 1))
-        assert l1.size + l2.size == int(np.count_nonzero(row == 2)), q
-        checked += 1
+    rep = sweep(SweepConfig(claims=("F21_LAMBDA",), min_q=11, max_q=2001, jobs=JOBS))
+    assert rep.ok, rep.to_text()
+    assert [r.q for r in rep.rows] == [q for _, _, q in q3mod4(11, 2001)]
+    for r in rep.rows:
+        assert r.status == "pass" and r.computed == r.expected, r
+        # the two witness sets exactly cover delta(1, b) = 2
+        n1, n2 = (int(v) for v in r.computed.split(";"))
+        row = derivative_row_counts(build_field(r.p, r.n), NHParams(2, 1))
+        assert n1 + n2 == int(np.count_nonzero(row == 2)), r.q
+    checked = len(rep.rows)
     assert checked >= 150
-    report(capfd, 9, f"lambda-census formulas over {checked} fields", started)
+    report(capfd, 9, f"F21_LAMBDA witness-set formulas over {checked} fields", started)

@@ -31,24 +31,41 @@ def test_spectrum_q11(capsys):
     assert payload["locally_apn"] is True
 
 
+def full_payload(command, p, n, u, r=2):
+    """The JSON the CLI prints, built from the library's full (unreduced)
+    spectrum of the same table."""
+    from nhsbox.nh_family import NHParams
+    from nhsbox.spectra import FunctionTable, boomerang_spectrum, differential_spectrum
+
+    table = FunctionTable.from_nh(cached_field(p, n), NHParams(r, u))
+    if command == "boomerang":
+        spec = boomerang_spectrum(table)
+        extra = {"beta": spec.uniformity}
+    else:
+        spec = differential_spectrum(table)
+        extra = {"delta": spec.uniformity, "locally_apn": spec.locally_apn}
+    return {"q": p**n, "u": u, "r": r, "spectrum": spec.to_json_dict(), **extra}
+
+
 def test_spectrum_roundtrip_and_reduced(capsys):
-    code, full_out, _ = run_cli(capsys, "spectrum", "--q", "19", "--u", "1")
-    code2, red_out, _ = run_cli(capsys, "spectrum", "--q", "19", "--u", "1", "--reduced")
-    assert code == code2 == 0
-    assert json.loads(full_out) == json.loads(red_out)
+    # the CLI reads the row reduction; its JSON is the full spectrum's
+    code, out, _ = run_cli(capsys, "spectrum", "--q", "19", "--u", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == full_payload("spectrum", 19, 1, 1)
     # in-memory spectrum reproduced exactly from the JSON
     from nhsbox.nh_family import NHParams
-    from nhsbox.spectra import FunctionTable, differential_spectrum
+    from nhsbox.spectra import DifferentialSpectrum, FunctionTable, differential_spectrum
 
     spec = differential_spectrum(FunctionTable.from_nh(cached_field(19), NHParams(2, 1)))
-    parsed = {int(k): v for k, v in json.loads(full_out)["spectrum"].items()}
-    assert parsed == spec.omega
+    assert DifferentialSpectrum.omega_from_json(payload["spectrum"]) == spec.omega
 
 
 def test_boomerang_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "boomerang", "--q", "311", "--u", "1", "--reduced")
+    code, out, _ = run_cli(capsys, "boomerang", "--q", "311", "--u", "1")
     assert code == 0
     payload = json.loads(out)
+    assert payload == full_payload("boomerang", 311, 1, 1)
     assert payload["beta"] == 2
     total = sum(payload["spectrum"].values())
     assert total == 310 * 310
@@ -119,6 +136,8 @@ def test_u_with_a_zero_denominator_exit_2(capsys):
     ("boomerang", "--q", "11", "--u", "1", "--p", "11"),
     ("boomerang", "--q", "11", "--u", "1", "--n", "1"),
     ("boomerang", "--q", "11", "--u", "1", "--family", "nh"),
+    ("spectrum", "--q", "11", "--u", "1", "--reduced"),
+    ("boomerang", "--q", "11", "--u", "1", "--reduced"),
 ])
 def test_removed_options_are_unrecognised_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -143,10 +162,10 @@ def test_reduced_spectra_at_q_1_mod_4_match_the_full_path(capsys):
     # the row reduction holds at every odd q: rows 1 and g stand for the
     # two orbits of the squares when eta(-1) = 1
     for command in ("spectrum", "boomerang"):
-        for q in ("13", "25"):
-            code, full_out, _ = run_cli(capsys, command, "--q", q, "--u", "2")
-            code2, red_out, err = run_cli(capsys, command, "--q", q, "--u", "2", "--reduced")
-            assert code == code2 == 0 and err == "" and red_out == full_out
+        for p, n in ((13, 1), (5, 2)):
+            code, out, err = run_cli(capsys, command, "--q", str(p**n), "--u", "2")
+            assert code == 0 and err == ""
+            assert json.loads(out) == full_payload(command, p, n, 2), (command, p**n)
 
 
 def test_sweep_and_verify_input_errors_exit_2(capsys, monkeypatch):
@@ -333,3 +352,13 @@ def test_charsum_selftest_detects_a_wrong_closed_side(capsys, monkeypatch, name,
     want = {q: "FAIL" if fails(p, n, q) else "pass"
             for p, n, q in enumerate_prime_powers(3, 51, p_ne=(2,))}
     assert got == want
+
+
+def test_readme_lists_every_sweep_claim():
+    # every claim a sweep can run is documented, in sorted order
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("`sweep` claims: ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == sorted(verifier.CLAIMS)

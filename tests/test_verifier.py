@@ -7,17 +7,15 @@ import pytest
 
 from nhsbox import verifier
 from nhsbox.gf import CODE_LIMIT, UnsupportedFieldError, cached_field
-from nhsbox.nh_family import UnsupportedParameterError
+from nhsbox.nh_family import UnsupportedParameterError, aij_counts_brute, u_third
 from nhsbox.verifier import (
     AGGREGATE_U,
     CLAIMS,
-    LambdaCensus,
     SweepConfig,
     SweepReport,
     SweepRow,
     conclusion_expected_delta,
     enumerate_prime_powers,
-    lambda_census,
     sweep,
     verify_claim,
     _sweep_worker,
@@ -244,6 +242,24 @@ def test_fixed_u_mode_drops_codes_beyond_q():
     assert rep.errors == [] and {r.computed for r in rep.rows} == {"no-u"}
 
 
+def test_fixed_u_mode_reads_only_the_listed_codes():
+    # the sign condition and the excluded set are evaluated on the fixed
+    # codes alone: one u at q = 1000003 allocates no q-sized array (a q-sized
+    # int64 array alone is 7.6 MiB)
+    import tracemalloc
+
+    field = cached_field(1000003)  # built before tracing: its eta table is not counted
+    tracemalloc.start()
+    try:
+        us, exhaustive = verifier._select_condition_us(field, CLAIMS["THM3_DELTA4"], "fixed:5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert us.tolist() == ([5] if field.eta(6) == field.eta(field.sub(1, 5)) else [])
+    assert not exhaustive
+
+
 def test_boomerang_cap_below_threshold():
     # beta(1, b) <= 2 is unconditional; below q = 307 only the "beta equals
     # exactly 2" half may fail, and it downgrades to a skipped row
@@ -339,14 +355,19 @@ def test_lemma_suite_reports_the_smallest_failing_u(monkeypatch):
 def test_sweep_determinism_across_jobs():
     import json
 
-    cfg = dict(claims=("THM5_DELTA3", "REMARK_11_19_43"), min_q=8, max_q=400)
-    rep1 = sweep(SweepConfig(jobs=1, **cfg))
-    rep3 = sweep(SweepConfig(jobs=3, **cfg))
-    assert rep1.to_csv() == rep3.to_csv()
-    assert rep1.to_text() == rep3.to_text()
-    j1, j3 = json.loads(rep1.to_json()), json.loads(rep3.to_json())
-    assert j1["rows"] == j3["rows"] and j1["summary"] == j3["summary"]
-    assert rep1.ok and rep3.ok
+    censuses = ("F21_LAMBDA", "THM5_WITNESS", "THM6_WITNESS", "BOOM_WITNESS")
+    for cfg in (
+        dict(claims=("THM5_DELTA3", "REMARK_11_19_43"), min_q=8, max_q=400),
+        dict(claims=censuses, min_q=7, max_q=400),
+    ):
+        rep1 = sweep(SweepConfig(jobs=1, **cfg))
+        rep3 = sweep(SweepConfig(jobs=3, **cfg))
+        assert rep1.to_csv() == rep3.to_csv()
+        assert rep1.to_text() == rep3.to_text()
+        j1, j3 = json.loads(rep1.to_json()), json.loads(rep3.to_json())
+        assert j1["rows"] == j3["rows"] and j1["summary"] == j3["summary"]
+        assert rep1.ok and rep3.ok
+        assert {r.claim_id for r in rep1.rows} == set(cfg["claims"])
     # timing columns may differ, but the deterministic render must not
     assert rep1.to_csv().splitlines()[0] == (
         "q,p,n,u_code,claim_id,computed,expected,status,elapsed_ms"
@@ -428,28 +449,72 @@ def test_elapsed_ms_is_the_whole_task_time(monkeypatch):
 
 
 def test_lambda_census_f21():
-    for q in (11, 19, 31, 43, 59):
-        f = cached_field(q)
-        l1 = lambda_census(f, "f21_lambda1")
-        l2 = lambda_census(f, "f21_lambda2")
-        assert l1.formula_holds and l2.formula_holds
-        # the two witness sets are disjoint and exactly cover delta(1,b) = 2
-        from nhsbox.nh_family import NHParams, derivative_row_counts
+    from nhsbox.nh_family import NHParams, derivative_row_counts
 
-        row = derivative_row_counts(f, NHParams(2, 1))
-        assert l1.size + l2.size == int(np.count_nonzero(row == 2))
+    for q in (11, 19, 31, 43, 59):
+        (row,) = verify_claim("F21_LAMBDA", q, 1)
+        assert row.status == "pass" and row.computed == row.expected, row
+        # the two witness sets are disjoint and exactly cover delta(1,b) = 2
+        row_counts = derivative_row_counts(cached_field(q), NHParams(2, 1))
+        n1, n2 = map(int, row.computed.split(";"))
+        assert n1 + n2 == int(np.count_nonzero(row_counts == 2))
+
+
+def test_f21_lambda_claim_fails_on_a_wrong_formula(monkeypatch):
+    # a formula off by one per side is an exception at every q (it has no
+    # threshold), and so is a side that 16 does not divide
+    real = verifier.cubic_character_sum
+    for shift, expected in ((8, "0;0"), (1, "14/16;14/16")):
+        monkeypatch.setattr(verifier, "cubic_character_sum", lambda f, s=shift: real(f) + s)
+        (row,) = verify_claim("F21_LAMBDA", 19, 1)
+        assert (row.computed, row.expected, row.status) == ("1;1", expected, "exception")
 
 
 def test_lambda_census_thm5_bound():
-    census = lambda_census(cached_field(3607), "thm5")
-    assert census.bound_holds and census.size >= census.lower_bound > 0
+    assert CLAIMS["THM5_WITNESS"].threshold == 58**2 < 3607
+    (row,) = verify_claim("THM5_WITNESS", 3607, 1)
+    assert row.status == "pass" and row.expected.startswith(">=")
+    assert int(row.computed) >= int(row.expected[2:]) > 0
+
+
+def test_witness_bound_miss_is_skipped_below_the_threshold_only():
+    # a miss of a proven bound is skipped below its threshold (58^2 for
+    # THM5_WITNESS) and an exception from it on
+    claim = CLAIMS["THM5_WITNESS"]
+    for q, size, status in ((23, 0, "skipped"), (3607, 0, "exception"), (23, 1, "pass")):
+        row = verifier._bound_row(cached_field(q), claim, 5, size, 0.5)
+        assert (row.computed, row.expected, row.status) == (str(size), ">=1", status)
 
 
 def test_lambda_census_at_u_third_needs_p_other_than_3():
-    # 1/3 does not exist in characteristic 3
-    for kind in ("thm5", "thm6"):
-        with pytest.raises(UnsupportedParameterError, match="undefined in characteristic 3"):
-            lambda_census(cached_field(3, 3), kind)
+    # 1/3 does not exist in characteristic 3, and the filters of the u = 1/3
+    # witness claims leave F_27 out
+    for claim_id in ("THM5_WITNESS", "THM6_WITNESS"):
+        (row,) = verify_claim(claim_id, 3, 3)
+        assert (row.u_code, row.computed, row.status) == (AGGREGATE_U, "-", "skipped")
+    with pytest.raises(UnsupportedParameterError, match="undefined in characteristic 3"):
+        u_third(cached_field(3, 3))
+
+
+def test_witness_sizes_match_the_brute_force_class_counts():
+    # the u = 1/3 witness masks applied to the brute-force A_ij scan, at every
+    # admitted q < 500
+    checked = 0
+    for p, n, q in enumerate_prime_powers(8, 500, p_ne=(2,)):
+        for claim_id in ("THM5_WITNESS", "THM6_WITNESS"):
+            if not CLAIMS[claim_id].q_filter.admits(p, q):
+                continue
+            field = cached_field(p, n)
+            counts = aij_counts_brute(field, u_third(field))
+            if claim_id == "THM5_WITNESS":
+                mask = (counts[:, 2] == 2) & (counts[:, 3] == 1)
+            else:
+                mask = (counts[:, 1] == 2) & (counts[:, 2] == 1) & (counts[:, 3] == 1)
+            (row,) = verify_claim(claim_id, p, n)
+            assert row.u_code == u_third(field) and row.status == "pass"
+            assert int(row.computed) == int(np.count_nonzero(mask)), (claim_id, q)
+            checked += 1
+    assert checked > 20
 
 
 def test_lambda_census_boomerang_negation():
@@ -457,9 +522,7 @@ def test_lambda_census_boomerang_negation():
     from nhsbox.spectra import boomerang_case_counts_F21
 
     f = cached_field(103)
-    census = lambda_census(f, "boomerang")
+    (row,) = verify_claim("BOOM_WITNESS", 103, 1)
     cc = boomerang_case_counts_F21(f, f.elements()[1:])
-    assert census.size == int(np.count_nonzero((cc["01,00"] == 1) & (cc["10,00"] == 1)))
-
-    with pytest.raises(ValueError):
-        lambda_census(f, "nope")
+    assert int(row.computed) == int(np.count_nonzero((cc["01,00"] == 1) & (cc["10,00"] == 1)))
+    assert row.u_code == 1 and row.status == "pass"
