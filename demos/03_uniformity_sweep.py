@@ -1,8 +1,9 @@
 """Desk-scale uniformity sweeps: the claim engine end to end.
 
 Each claim pins an expected uniformity over a congruence family of prime
-powers; the sweep partitions the q-range over workers and the merged
-report is independent of the worker count.
+powers; the sweep hands its (claim, q) tasks to the workers one at a
+time, as they free up, and the merged report is independent of the
+worker count.
 
 Run:  python3 demos/03_uniformity_sweep.py
 """

@@ -50,8 +50,8 @@ def poly_eval_vec(field: Field, coeffs, xs):
     A coefficient may be a code array (a batch of polynomials); the result
     then has shape broadcast(coefficients) + xs.shape.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    coeffs = [np.asarray(c, dtype=np.int64) for c in coeffs]
+    xs = field.check_code(np.asarray(xs, dtype=np.int64), "xs")
+    coeffs = [field.check_code(np.asarray(c, dtype=np.int64), "coeffs") for c in coeffs]
     coeffs = [c.reshape(c.shape + (1,) * xs.ndim) for c in coeffs]  # xs axes last
     shape = np.broadcast_shapes(*(c.shape for c in coeffs), xs.shape)
     acc = np.full(shape, coeffs[-1] if coeffs else 0, dtype=np.int64)
@@ -103,6 +103,11 @@ def poly_is_squarefree(field: Field, coeffs):
 # ---------------------------------------------------------------------------
 
 
+def _codes(field: Field, **named):
+    """The named code parameters as int64 arrays, each checked to lie in [0, q)."""
+    return [field.check_code(np.asarray(v, dtype=np.int64), k) for k, v in named.items()]
+
+
 def _result(sums):
     """A Python int for a 0-d result (scalar parameters), else the int64 array."""
     sums = np.asarray(sums, dtype=np.int64)
@@ -117,7 +122,7 @@ def weil_sum_brute(field: Field, coeffs):
 
 def weil_sum_quadratic_closed(field: Field, a2, a1, a0):
     """Closed form for sum of eta(a2 x^2 + a1 x + a0) over F_q."""
-    a2, a1, a0 = (np.asarray(a, dtype=np.int64) for a in (a2, a1, a0))
+    a2, a1, a0 = _codes(field, a2=a2, a1=a1, a0=a0)
     if np.any(a2 == 0):
         raise ValueError("a2 = 0: not a quadratic")
     four_a0a2 = field.mul_vec(field.embed(4), field.mul_vec(a0, a2))
@@ -128,7 +133,7 @@ def weil_sum_quadratic_closed(field: Field, a2, a1, a0):
 
 def conic_count_closed(field: Field, a1, a2, b):
     """Number of (x1, x2) with a1 x1^2 + a2 x2^2 = b, in closed form."""
-    a1, a2, b = (np.asarray(a, dtype=np.int64) for a in (a1, a2, b))
+    a1, a2, b = _codes(field, a1=a1, a2=a2, b=b)
     if np.any(a1 == 0) or np.any(a2 == 0):
         raise ValueError("a1, a2 must be nonzero")
     nu = np.where(b == 0, field.q - 1, -1)
@@ -142,6 +147,7 @@ def conic_count_brute(field: Field, a1, a2):
     over x); every pair of such values adds m1(v1) m2(v2) to the count of
     v1 + v2, a grid of ((q+1)/2)^2 sums instead of q^2.
     """
+    a1, a2 = _codes(field, a1=a1, a2=a2)
     codes = field.elements()
     sq = field.mul_vec(codes, codes)
     m1 = np.bincount(field.mul_vec(a1, sq), minlength=field.q)
@@ -158,7 +164,7 @@ _BLOCK = 1 << 18  # elements per block of the Jacobsthal a-axis
 
 def jacobsthal_sum(field: Field, n_exp, a):
     """H_n(a) = sum of eta(x^(n+1) + a x); prime fields only."""
-    a = np.asarray(a, dtype=np.int64)
+    (a,) = _codes(field, a=a)
     if np.any(a == 0):
         raise ValueError("a must be nonzero")
     if not field.is_prime_field:
@@ -182,6 +188,7 @@ def cubic_reciprocal_check(field: Field, a, b, c, d):
     lhs = sum eta(a x^3 + b x^2 + c x + d) eta(x)
     rhs = -eta(a) + sum eta(d x^3 + c x^2 + b x + a)
     """
+    a, b, c, d = (int(x) for x in _codes(field, a=a, b=b, c=c, d=d))
     if a == 0 or d == 0:
         raise ValueError("a and d must be nonzero")
     xs = field.elements()

@@ -77,9 +77,10 @@ def parse_u_token(field, token):
         raise UsageError(f"bad u token {token!r}") from exc
     if token.startswith(("+", "-")):
         return field.embed(val)
-    if not 0 <= val < field.q:
-        raise UsageError(f"u code {val} out of range for q = {field.q}")
-    return val
+    try:
+        return field.check_code(val, "u")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_field(args):

@@ -19,7 +19,6 @@ across worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -201,7 +200,7 @@ class Field:
     first, an extension field checks that the code lies in [0, q).
     """
 
-    def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table):
+    def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table, add_tables=None):
         self.p = p
         self.n = n
         self.q = p**n
@@ -211,7 +210,7 @@ class Field:
         self._log = log_table
         self._alog = alog_table  # doubled: alog[k] = g^(k mod q-1) for k < 2(q-1)
         self._pw = tuple(p**k for k in range(n))
-        self._add_tables = None  # (pk, pk_neg, lo, hi, shift) from _addition_tables
+        self._add_tables = add_tables  # (pk, pk_neg, lo, hi, shift) from _addition_tables
         self._sqrt_table = None
         self._cij = None
 
@@ -234,13 +233,15 @@ class Field:
         return k % self.p
 
     def check_code(self, x, name="x"):
-        """x itself if it is an element code in [0, q); ValueError otherwise.
-
-        For scalar entry points only: the vector paths index tables with
-        codes and would alias a negative code to q + x silently.
-        """
-        if not 0 <= x < self.q:
-            raise ValueError(f"{name} = {x} is not an element code of F_{self.q}")
+        """x itself if it is one element code in [0, q) or an array of them, else
+        a ValueError naming x.  The package's one range check: the vector ops
+        index tables with codes and would read a negative code as q + x."""
+        if isinstance(x, int) and 0 <= x < self.q:  # the scalar ops' fast path
+            return x
+        xs = np.asarray(x)
+        if xs.min(initial=0) < 0 or xs.max(initial=0) >= self.q:
+            bad = xs[(xs < 0) | (xs >= self.q)].flat[0]
+            raise ValueError(f"{name} = {bad} is out of range: not an element code of F_{self.q}")
         return x
 
     def require_3_mod_4(self, what):
@@ -415,18 +416,18 @@ def _addition_tables(p, n):
     return pk, pk_neg, normalise(h, 0), normalise(n - h, h), shift
 
 
-def _smallest_generator(field):
+def _smallest_generator(p, n, modulus):
     """Smallest code g >= 2 with g^((q-1)/r) != 1 for every prime r | q - 1.
     In an extension field g^c is the first digit row of the multiplication
     matrix of g raised to c - 1, by square-and-multiply."""
-    p, n, q = field.p, field.n, field.q
+    q = p**n
     cofactors = [(q - 1) // f for f in factorize(q - 1)]
     one = [1] + [0] * (n - 1)
     for g in range(2, q):
         if n == 1:
             found = all(pow(g, c, p) != 1 for c in cofactors)
         else:
-            times_g = _mul_matrix(p, field.modulus, field.digits(g))
+            times_g = _mul_matrix(p, modulus, [g // p**i % p for i in range(n)])
             found = all(_pow_rows(times_g[0], times_g, c - 1, p).tolist() != one
                         for c in cofactors)
         if found:
@@ -437,7 +438,7 @@ def _smallest_generator(field):
 _ROWS = 1 << 16  # digit rows widened to int32 at a time in _powers
 
 
-def _powers(field):
+def _powers(p, n, modulus, generator):
     """The doubled antilog table: codes of g^0 .. g^(q-2), g the generator,
     by matrix doubling, then the same q - 1 codes again.
 
@@ -449,8 +450,8 @@ def _powers(field):
     _ROWS rows at a time for each product: as q <= TABLE_LIMIT, every dot product, at most n (p-1)^2, and every code
     stay below 2^24.  Checks that g^(q-1) = 1.
     """
-    p, n, q = field.p, field.n, field.q
-    step = _mul_matrix(p, field.modulus, field.digits(field.generator)).astype(np.int32)
+    q = p**n
+    step = _mul_matrix(p, modulus, [generator // p**i % p for i in range(n)]).astype(np.int32)
     digits = np.zeros((q, n), dtype=np.int8 if p < 128 else np.int32)
     digits[0, 0] = 1
 
@@ -467,7 +468,7 @@ def _powers(field):
         m += k
     if digits[q - 1].tolist() != digits[0].tolist():
         raise FieldConstructionError("generator order check failed")
-    pw = np.array(field._pw, dtype=np.int32)
+    pw = np.array([p**i for i in range(n)], dtype=np.int32)
     codes = np.empty(2 * (q - 1), dtype=np.int64)
     for i in range(0, q - 1, _ROWS):
         j = min(i + _ROWS, q - 1)
@@ -512,28 +513,32 @@ def build_field(p, n=1, *, modulus=None):
                 raise FieldConstructionError("modulus must be monic of degree n")
             if not is_irreducible_zp(modulus, p):
                 raise FieldConstructionError("modulus is reducible over Z_p")
-    field = Field(p, n, modulus, 0, None, None, None)
-    field.generator = _smallest_generator(field)
+    generator = _smallest_generator(p, n, modulus)
 
+    add_tables = log = alog = eta = None
     if n > 1:
-        field._add_tables = _addition_tables(p, n)
-        field._alog = _powers(field)
-        field._log = np.zeros(q, dtype=np.int64)
+        add_tables = _addition_tables(p, n)
+        alog = _powers(p, n, modulus, generator)
+        log = np.zeros(q, dtype=np.int64)
         for i in range(0, q - 1, _ROWS):  # no (q-1)-long temporary
             j = min(i + _ROWS, q - 1)
-            field._log[field._alog[i:j]] = np.arange(i, j, dtype=np.int64)
+            log[alog[i:j]] = np.arange(i, j, dtype=np.int64)
 
     if q <= TABLE_LIMIT:  # the squares are the even powers of g
-        squares = field._alog[: q - 1 : 2] if n > 1 else _reduce(np.arange(1, q, dtype=np.int64) ** 2, p)
+        squares = alog[: q - 1 : 2] if n > 1 else _reduce(np.arange(1, q, dtype=np.int64) ** 2, p)
         eta = np.full(q, -1, dtype=np.int8)
         eta[0] = 0
         eta[squares] = 1
-        field.eta_table = eta
 
-    return field
+    return Field(p, n, modulus, generator, eta, log, alog, add_tables)
 
 
-@lru_cache(maxsize=128)
+_cached = {}  # {(p, n): Field}, one entry: a sweep reuses only the field of its q
+
+
 def cached_field(p, n=1):
-    """Memoised build_field for the default representation."""
-    return build_field(p, n)
+    """build_field(p, n), held until another (p, n) is asked (n defaults to 1)."""
+    if (p, n) not in _cached:
+        _cached.clear()  # dropped before the next build, not after
+        _cached[p, n] = build_field(p, n)
+    return _cached[p, n]

@@ -61,8 +61,6 @@ class NHParams:
 
     def __post_init__(self):
         _check_r(self.r)
-        if self.u < 0:
-            raise ValueError("u must be an element code")
 
 
 def u_third(field: Field):
@@ -154,9 +152,9 @@ def uniformity_batch(field: Field, r, u_codes):
     dtypes: s, its quotient buffer and the offsets are int32 while s and
     the offset keys stay below 2^31 (at q = 3 (mod 4), u <= (q - 1)/2, so
     up to q = 65519), else int64; the keys are int64, as bincount wants
-    them.  The chunk-sized buffers live for the whole call: an array
-    allocated afresh per chunk is page-faulted anew, which costs about as
-    much as the arithmetic.
+    them.  The chunk-sized buffers, min(_U_CHUNK, #representatives) rows,
+    live for the whole call: an array allocated afresh per chunk is
+    page-faulted anew, which costs about as much as the arithmetic.
     """
     _check_r(r)
     us = _code_axis(field, u_codes, "u")[0].ravel()
@@ -166,12 +164,13 @@ def uniformity_batch(field: Field, r, u_codes):
         rows = rows.min(axis=0, keepdims=True)
     reps, back = np.unique(rows, return_inverse=True)
     c, d = derivative_row_parts(field, r)
-    wide = np.int32 if max(reps.max(initial=0) + 1, _U_CHUNK) * q < 1 << 31 else np.int64
-    offsets = np.arange(_U_CHUNK, dtype=wide)[:, None] * q
-    keys = np.empty((_U_CHUNK, q), dtype=np.int64)
+    chunk = min(_U_CHUNK, len(reps))
+    wide = np.int32 if max(reps.max(initial=0) + 1, chunk) * q < 1 << 31 else np.int64
+    offsets = np.arange(chunk, dtype=wide)[:, None] * q
+    keys = np.empty((chunk, q), dtype=np.int64)
     if field.is_prime_field:
         c, d = c.astype(wide), d.astype(wide)
-        sums, quotients = np.empty((2, _U_CHUNK, q), dtype=wide)
+        sums, quotients = np.empty((2, chunk, q), dtype=wide)
     deltas = np.empty(len(reps), dtype=np.int64)
     for lo in range(0, len(reps), _U_CHUNK):
         hi = min(lo + _U_CHUNK, len(reps))
@@ -193,11 +192,9 @@ CLASS_00, CLASS_01, CLASS_10, CLASS_11 = 0, 1, 2, 3
 def _code_axis(field: Field, codes, name):
     """codes (one code or a 1-D array of codes) as an (N, 1) int64 column,
     and whether they were a scalar."""
-    xs = np.asarray(codes, dtype=np.int64)
+    xs = field.check_code(np.asarray(codes, dtype=np.int64), name)
     if xs.ndim > 1:
         raise ValueError(f"{name} must be one element code or a 1-D array of them")
-    if np.any((xs < 0) | (xs >= field.q)):
-        raise ValueError(f"{name} holds a value that is not an element code of F_{field.q}")
     return xs.reshape(-1, 1), xs.ndim == 0
 
 

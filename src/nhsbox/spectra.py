@@ -39,8 +39,7 @@ class FunctionTable:
         values = np.asarray(self.values)
         if values.ndim != 1 or values.dtype.kind not in "iu" or len(values) != self.field.q:
             raise ValueError("table values must be a 1-D integer array of length q")
-        if values.min() < 0 or values.max() >= self.field.q:
-            raise ValueError("table values must be element codes in [0, q)")
+        self.field.check_code(values, "table values")
         object.__setattr__(self, "values", values.astype(np.int64, copy=False))
 
     @classmethod

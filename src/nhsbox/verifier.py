@@ -60,35 +60,32 @@ from .spectra import (
 
 
 def _sieve(limit):
-    if limit < 2:
-        return []
-    flags = np.ones(limit, dtype=bool)
+    flags = np.ones(max(limit, 2), dtype=bool)
     flags[:2] = False
-    for i in range(2, int(limit**0.5) + 1):
+    for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = False
-    return np.nonzero(flags)[0].tolist()
+    return np.flatnonzero(flags).tolist()
 
 
 def enumerate_prime_powers(min_q, max_q, congruences=(), p_ne=()):
     """All prime powers q = p^k with min_q <= q < max_q matching every
-    congruence (modulus, residue) filter, ascending by q.  No field is
-    larger than CODE_LIMIT: a max_q past it is rejected before the sieve."""
+    congruence (modulus, residue) filter and p not in p_ne, ascending by q.
+    Only the window is sieved, by the primes up to sqrt(max_q), so the cost
+    goes as (max_q - min_q) + sqrt(max_q).  No field is larger than
+    CODE_LIMIT: a max_q past it is rejected before any sieve."""
     if min_q < 3:
         raise ValueError("min_q must be at least 3")
     if max_q > CODE_LIMIT + 1:
         raise ValueError(f"max_q = {max_q} exceeds the element-code limit {CODE_LIMIT} + 1")
-    out = []
-    for p in _sieve(max_q):
-        if p in p_ne:
-            continue
-        power, k = p, 1
-        while power < max_q:
-            if power >= min_q and all(power % m == r for m, r in congruences):
-                out.append((p, k, power))
-            power *= p
-            k += 1
-    return sorted(out, key=lambda t: t[2])
+    is_prime = np.ones(max(max_q - min_q, 0), dtype=bool)
+    found = []
+    for p in _sieve(math.isqrt(max(max_q - 1, 0)) + 1):  # every p with p^2 < max_q
+        is_prime[max(p * p, -(-min_q // p) * p) - min_q :: p] = False
+        found += [(p, k, p**k) for k in range(2, max_q.bit_length()) if min_q <= p**k < max_q]
+    found += [(q, 1, q) for q in (np.flatnonzero(is_prime) + min_q).tolist()]
+    found = [t for t in found if t[0] not in p_ne and all(t[2] % m == r for m, r in congruences)]
+    return sorted(found, key=lambda t: t[2])
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +150,7 @@ def conclusion_expected_delta(field: Field, u):
     condition claim whose sign is eta(1+u) * eta(1-u).  u = 0 is in no case.
     """
     q = field.q
-    if not 0 <= u < q:
-        raise ValueError(f"u code {u} out of range for q = {q}")
+    field.check_code(u, "u")
     field.require_3_mod_4("the five-case table")
     if u == 0:
         raise UnsupportedParameterError("u = 0: F_{2,0} = x^2 is in none of the five cases")

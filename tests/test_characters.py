@@ -14,6 +14,7 @@ from nhsbox.characters import (
     curve_point_count,
     jacobsthal_sum,
     poly_divmod,
+    poly_eval_vec,
     poly_gcd,
     poly_is_squarefree,
     quartic_criteria,
@@ -365,3 +366,30 @@ def test_companion_engine_constants():
     # does too (frozen here; see the census bounds for how they are used)
     assert theorem6_constants() == (-3644, -5173713)
     assert boomerang_constants() == (-7756, -17843871)
+
+
+# Each entry point that indexes tables with code inputs, the argument it
+# names, and a call with one code replaced by x.  Unchecked, a negative
+# code read table slot q + x: conic_count_brute(F_27, -2, 1)[0] was 53,
+# where the element -2 (code 1) gives 1; weil_sum_brute(F_7, [-1, 0, 1])
+# raised an IndexError.
+_CODE_INPUTS = {
+    "weil_sum_brute": ("coeffs", lambda f, x: weil_sum_brute(f, [1, x, 1])),
+    "poly_eval_vec": ("xs", lambda f, x: poly_eval_vec(f, [1, 1], [0, x])),
+    "weil_sum_quadratic_closed": ("a1", lambda f, x: weil_sum_quadratic_closed(f, 1, x, 1)),
+    "conic_count_closed": ("b", lambda f, x: conic_count_closed(f, 1, 1, [0, x])),
+    "conic_count_brute": ("a1", lambda f, x: conic_count_brute(f, x, 1)),
+    "jacobsthal_sum": ("a", lambda f, x: jacobsthal_sum(f, 2, x)),
+    "cubic_reciprocal_check": ("c", lambda f, x: cubic_reciprocal_check(f, 1, 1, x, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", ["-1", "q"])
+@pytest.mark.parametrize("args", [(7, 1), (3, 3)], ids=["F7", "F27"])
+@pytest.mark.parametrize("entry", sorted(_CODE_INPUTS))
+def test_code_inputs_outside_the_field_raise_naming_the_argument(entry, args, bad):
+    f = cached_field(*args)
+    name, call = _CODE_INPUTS[entry]
+    x = -1 if bad == "-1" else f.q
+    with pytest.raises(ValueError, match=rf"^{name} = {x} is out of range"):
+        call(f, x)

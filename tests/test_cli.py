@@ -362,3 +362,38 @@ def test_readme_lists_every_sweep_claim():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = readme.split("`sweep` claims: ", 1)[1].split(".", 1)[0]
     assert re.findall(r"`(\w+)`", listed) == sorted(verifier.CLAIMS)
+
+
+def _documented_commands():
+    """Every nhsbox command in a fenced block of README.md and
+    reports/README.md, continuation lines joined and comments dropped, as
+    the argv after `nhsbox` or `python -m nhsbox.cli`."""
+    import shlex
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    commands = []
+    for doc in ("README.md", "reports/README.md"):
+        blocks = (root / doc).read_text().split("```")[1::2]
+        for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+            if line.startswith("nhsbox "):
+                argv = line.removeprefix("nhsbox ")
+            elif "python -m nhsbox.cli " in line:
+                argv = line.split("python -m nhsbox.cli ", 1)[1]
+            else:
+                continue
+            commands.append((doc, shlex.split(argv, comments=True)))
+    return commands
+
+
+def test_documented_commands_parse():
+    # parsing only: a removed or renamed flag fails here, nothing runs
+    from nhsbox.cli import build_parser
+
+    commands = _documented_commands()
+    assert len(commands) == 11
+    for doc, argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{doc}: nhsbox {' '.join(argv)} does not parse")

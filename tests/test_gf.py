@@ -547,6 +547,47 @@ def test_powers_memory_bound_at_3_13():
     assert peak <= 110 * 2**20, peak / 2**20
 
 
+def test_build_field_constructs_each_field_once(monkeypatch):
+    # every table is computed before the one Field(...) call; only the lazy
+    # sqrt table and C_ij partition are filled in afterwards
+    from nhsbox import gf
+
+    made = []
+
+    class Sealed(gf.Field):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def __setattr__(self, name, value):
+            if any(f is self for f in made) and name not in ("_sqrt_table", "_cij"):
+                raise AssertionError(f"{name} assigned after construction")
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(gf, "Field", Sealed)
+    for args in ((7, 1), (3, 3), (11, 2), (104729, 1)):
+        f = gf.build_field(*args)
+        if f.q % 4 == 3:
+            f.sqrt_table, f.cij_partition()
+    assert len(made) == 4
+
+
+def test_cached_field_keeps_one_field_per_normalised_p_n(monkeypatch):
+    from nhsbox import gf
+
+    cached_field(3)  # a known state: one cached field, F_3
+    built = []
+    real = gf.build_field
+    monkeypatch.setattr(gf, "build_field", lambda *args: built.append(args) or real(*args))
+    f = cached_field(13)
+    assert cached_field(13) is f and cached_field(13, 1) is f and cached_field(p=13, n=1) is f
+    g = cached_field(3, 3)
+    assert cached_field(3, 3) is g
+    assert cached_field(13) is not f  # F_27 took the one slot
+    # the module-level build_field is called, so a tracer that wraps it sees every build
+    assert built == [(13, 1), (3, 3), (13, 1)]
+
+
 def test_factorize_matches_sympy():
     from sympy import factorint
 

@@ -37,7 +37,7 @@ def test_eval_examples():
 
 def test_u_must_be_an_element_code():
     f27 = cached_field(3, 3)
-    for u in (27, 32):
+    for u in (27, 32, -1):  # checked against the field, where u is used
         with pytest.raises(ValueError):
             nh_table(f27, NHParams(2, u))
         with pytest.raises(ValueError):

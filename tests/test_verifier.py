@@ -1,12 +1,15 @@
 """Prime-power enumeration, claims, sweeps, reports, witness censuses."""
 
+import functools
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from nhsbox import verifier
-from nhsbox.gf import CODE_LIMIT, UnsupportedFieldError, cached_field
+from nhsbox.gf import CODE_LIMIT, UnsupportedFieldError, cached_field, factorize
 from nhsbox.nh_family import UnsupportedParameterError, aij_counts_brute, u_third
 from nhsbox.verifier import (
     AGGREGATE_U,
@@ -47,6 +50,51 @@ def test_enumerate_includes_higher_powers():
     for q in (27, 243, 343, 1331, 2187):
         assert q in got
     assert got == sorted(got)
+
+
+@functools.lru_cache
+def _prime_powers_by_factorisation(lo, hi):
+    """(p, k, q) for every prime power q in [lo, hi), read off factorize(q)."""
+    out = []
+    for q in range(lo, hi):
+        (p, k), *rest = factorize(q).items()
+        if not rest:
+            out.append((p, k, q))
+    return out
+
+
+@pytest.mark.parametrize("lo, hi, congruences, p_ne", [
+    (3, 100000, (), ()),
+    (3, 100000, ((4, 3),), ()),
+    (3, 501, (), (2,)),
+    (839, 20000, (), ()),
+    (4027, 5000, (), ()),
+    (3, 3, (), ()),
+    (1000, 1000, (), ()),
+    (24, 25, (), ()),
+    (5000, 4000, (), ()),
+])
+def test_enumerate_prime_powers_matches_factorisation(lo, hi, congruences, p_ne):
+    want = [
+        (p, k, q) for p, k, q in _prime_powers_by_factorisation(lo, hi)
+        if p not in p_ne and all(q % m == r for m, r in congruences)
+    ]
+    assert enumerate_prime_powers(lo, hi, congruences=congruences, p_ne=p_ne) == want
+
+
+def test_enumerate_prime_powers_sieves_only_the_window():
+    # the primes up to sqrt(max_q) and a window-sized sieve: sieving every
+    # prime below 10^8 took about 20 s and 360 MiB here
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = enumerate_prime_powers(10**8 - 1000, 10**8)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _prime_powers_by_factorisation(10**8 - 1000, 10**8) and len(got) == 52
+    assert elapsed < 1.0 and peak < 10 * 2**20, (elapsed, peak / 2**20)
 
 
 def test_verify_claim_examples():
@@ -231,6 +279,21 @@ def test_fixed_u_mode_counts_each_code_once():
     assert [(r.u_code, r.status) for r in rows] == [(3, "skipped"), (9, "pass")]
     rep = sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=43, max_q=44, u_mode="fixed:3,3,3"))
     assert rep.summary == {"pass": 0, "exception": 0, "skipped": 1}
+
+
+def test_one_fixed_u_sizes_the_batch_buffers_by_the_request():
+    # one u needs one row of keys, sums and quotients (16 MiB at q ~ 10^6),
+    # not _U_CHUNK rows of each (about 260 MiB); the rest of the peak is
+    # the q-long derivative row parts
+    cached_field(1000003)
+    tracemalloc.start()
+    try:
+        (row,) = verify_claim("THM3_DELTA4", 1000003, 1, u_mode="fixed:7")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (row.u_code, row.computed, row.status) == (7, "4", "pass")
+    assert peak < 72 * 2**20, peak / 2**20
 
 
 def test_fixed_u_mode_drops_codes_beyond_q():
