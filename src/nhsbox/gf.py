@@ -10,7 +10,8 @@ tables, so that every path stays table-driven: log/antilog tables filled
 by matrix doubling (see :func:`_powers`), the eta table,
 and carry-free packed digit codes with two normalise tables for addition
 and subtraction (see :func:`_addition_tables`).  Hence TABLE_LIMIT bounds
-extension fields; prime fields go up to CODE_LIMIT.
+extension fields; prime fields go up to CODE_LIMIT.  Field.difference_rows
+translates a value table by x -> x + a with no field addition per element.
 
 All tables are immutable after construction; a Field is safe to share
 across worker processes.
@@ -299,6 +300,23 @@ class Field:
 
     def neg_vec(self, x):
         return self.sub_vec(0, x)
+
+    def difference_rows(self, values, a):
+        """values[x + a] - values[x] for every code x (values: q codes), one row
+        per code in the 1-D array a.  A prime field's row a is a rotation of the
+        values (int32 rows); an extension field's x + a acts on the two digit
+        blocks of _addition_tables apart, so two small add_vec tables index them."""
+        if self.n == 1:
+            v = np.asarray(values, dtype=np.int32)
+            rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v]), self.q)[a]
+            return _reduce(np.subtract(rows, v, out=rows), self.p, -1)
+        m = self.p ** ((self.n + 1) // 2)  # codes below m: the low block
+        low = self.add_vec(np.arange(m), a[:, None] % m)[:, None, :]
+        high = self.add_vec(np.arange(0, self.q, m), (a - a % m)[:, None])[:, :, None]
+        pk, pk_neg = self._add_tables[:2]
+        s = pk[values][(high + low).reshape(len(a), -1)]
+        s += pk_neg[values]
+        return self._unpack(s)
 
     def _unpack(self, s):
         """Codes of the packed digit sums s, a numpy array (see :func:`_addition_tables`)."""

@@ -1,8 +1,8 @@
 """Differential and boomerang analysis of function tables over F_q.
 
-D_a F of a table is computed in one place, _derivative_rows, and DDT
-rows, BCT rows and the locally-APN check all read it: the fiber sizes of
-D_a F are the DDT row, and the BCT row tallies F(x) - F(y) over the
+D_a F of a table is computed in one place, Field.difference_rows, and
+DDT rows, BCT rows and the locally-APN check all read it: the fiber sizes
+of D_a F are the DDT row, and the BCT row tallies F(x) - F(y) over the
 pairs inside each fiber, in O(q + sum k^2) work.  Whole-table spectra
 (_spectrum_rows) of any table over any odd q read one row per pair {a, -a}:
 delta(-a, b) = delta(a, -b), as D_{-a} F(x) = -D_a F(x - a), and
@@ -104,29 +104,21 @@ _A_BATCH = 16
 _PAIR_BLOCK = 1 << 16
 
 
-def _derivative_rows(table: FunctionTable, a):
-    """D_a F(x) = F(x+a) - F(x) for every x, one row per nonzero code in
-    the 1-D array a."""
-    f = table.field
-    v = table.values
-    return f.sub_vec(v[f.add_vec(f.elements()[None, :], a[:, None])], v[None, :])
-
-
 def _ddt_rows(table: FunctionTable, a):
     """delta(a, b) for every b, one row per a in the 1-D array a: the fiber
     sizes of D_a F, from one bincount with row i offset by i*q."""
     q = table.field.q
-    d = _derivative_rows(table, a)
-    d += q * np.arange(len(a))[:, None]
-    return np.bincount(d.ravel(), minlength=len(a) * q).reshape(len(a), q)
+    d = table.field.difference_rows(table.values, a)
+    keys = np.add(d, q * np.arange(len(a))[:, None], dtype=np.int64)
+    return np.bincount(keys.ravel(), minlength=len(a) * q).reshape(len(a), q)
 
 
 def derivative_row(table: FunctionTable, a):
-    """D_a F(x) for every x, as a length-q array."""
+    """D_a F(x) for every x, as a length-q int64 array."""
     table.field.check_code(a, "a")
     if a == 0:
         raise ValueError("a must be nonzero")
-    return _derivative_rows(table, np.array([a], dtype=np.int64))[0]
+    return table.field.difference_rows(table.values, np.array([a]))[0].astype(np.int64)
 
 
 def ddt_entry(table: FunctionTable, a, b):
@@ -319,13 +311,17 @@ def boomerang_case_counts_F21(field: Field, b):
         raise ValueError("b = 0 is outside the boomerang case analysis")
     f.require_3_mod_4("boomerang_case_counts_F21")
     labels, signs, shifts = zip(*_F21_CHAINS)
-    e, root = f.embed(np.array(shifts)[:, None]), (f.q + 1) // 4
+    e, k = f.embed(np.array(shifts)[:, None]), (f.q + 1) // 4
+
+    def root(x):  # x^k, or sqrt_table where eta has a table: a non-square's 0 fails an eta test
+        return f.pow_vec(x, k) if f.eta_table is None else np.maximum(f.sqrt_table[x], 0)
+
     # (4, B) rows h = +-b/2, as 2 (p + 1)/2 = 1 in F_p
     h = f.mul_vec(f.embed(np.array(signs) * ((f.p + 1) // 2))[:, None], bs.T)
-    s = f.pow_vec(h, root)
+    s = root(h)
     inner = f.add_vec(1, f.mul_vec(f.add_vec(e, e), s))
     hit = (f.eta_vec(h) == 1) & (f.eta_vec(f.add_vec(s, e)) == 1) & (f.eta_vec(inner) == 1)
-    hit &= f.eta_vec(f.sub_vec(f.pow_vec(inner, root), e)) == -1
+    hit &= f.eta_vec(f.sub_vec(root(inner), e)) == -1
     counts = {label: np.zeros(len(bs), dtype=np.int64) for label in BOOMERANG_CLASSES}
     counts.update(zip(labels, hit.astype(np.int64)))
     return {label: int(c[0]) for label, c in counts.items()} if scalar else counts

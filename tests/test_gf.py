@@ -361,6 +361,38 @@ def test_packed_addition_scalar_operands_and_modulus():
     assert f.sub_vec(np.int64(5), 22) == ref.sub_vec(5, 22)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(7, 1), (31, 1), (1999, 1), (1000003, 1),
+     (3, 2), (7, 2), (3, 3), (5, 3), (3, 4), (3, 5), (3, 7)],
+)
+def test_difference_rows_match_scalar_oracle(args):
+    # values[x + a] - values[x] against the scalar ops, x by x.  The values
+    # hold 0 and q - 1, so differences wrap both ways; an extension field's
+    # a also hold a multiple of p^h (zero low digit block) and a code below
+    # p^h (zero high block), h = ceil(n/2), the split of _addition_tables
+    f = cached_field(*args)
+    q, m = f.q, f.p ** ((f.n + 1) // 2)
+    rng = np.random.default_rng(q)
+    values = rng.integers(0, q, size=q)
+    planted = rng.choice(q, size=2, replace=False)
+    values[planted] = [0, q - 1]
+    a = [1, q - 1, *rng.integers(2, q - 1, size=2).tolist()]
+    if f.n > 1:
+        a += [m * int(rng.integers(1, q // m)), int(rng.integers(2, m))]
+    rows = f.difference_rows(values, np.array(a))
+    assert rows.shape == (len(a), q)
+    v = values.tolist()
+    for k, row in zip(a, rows.tolist()):
+        if q < 10**4:
+            xs = range(q)
+        else:  # the planted codes on either side of the difference, and the wrap
+            xs = {0, q - 1, q - k, *planted.tolist(), *((planted - k) % q).tolist(),
+                  *rng.integers(0, q, size=500).tolist()}
+        for x in xs:
+            assert row[x] == f.sub(v[f.add(x, k)], v[x]), (k, x)
+
+
 def test_packed_addition_rejects_codes_out_of_range():
     f = build_field(3, 7)
     q = f.q

@@ -433,7 +433,7 @@ def _kernel_table(field, kind, rng):
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**62),
-    st.sampled_from([(7, 1), (11, 1), (3, 3), (7, 2)]),
+    st.sampled_from([(7, 1), (11, 1), (3, 3), (7, 2), (3, 5)]),
     st.sampled_from(["uniform", "mostly-constant", "F_{2,1}", "F_{2,-1}"]),
     st.sampled_from([1, 7, 64, spectra._PAIR_BLOCK]),
 )
@@ -469,6 +469,22 @@ def test_function_table_rejects_non_codes():
         with pytest.raises(ValueError):
             FunctionTable(f, bad)
     assert FunctionTable(f, np.arange(27, dtype=np.uint8)).values.dtype == np.int64
+
+
+def test_differential_spectrum_memory_bound():
+    # the full DDT of a generic u goes _A_BATCH rows at a time: nothing of
+    # size q^2 (one int64 q x q array is 38 MB at q = 3^7)
+    for args in ((3, 7), (1999, 1)):
+        f = cached_field(*args)
+        table = FunctionTable.from_nh(f, NHParams(2, 5))
+        tracemalloc.start()
+        try:
+            spec = differential_spectrum(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.identities_hold(f.q)
+        assert peak < 4 * 2**20, (args, peak)
 
 
 def test_boomerang_row_memory_bound():
