@@ -18,7 +18,9 @@ Batch convention (as for the character-sum oracles): CaseAnalysis,
 aij_counts_brute and structural_lemmas_hold take one u code or a 1-D
 array of U codes.  The u axis leads, so a batch gives (U, q, 4) counts
 and a (U,) verdict, and a scalar u gives the (q, 4) counts and the bool
-of the batch of one.
+of the batch of one.  CaseAnalysis keeps its counts class-major, as one
+read-only (4, U, q) int8 array (every count is 0, 1 or 2), and hands out
+(U, q, 4) views of it.
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d (the a = 1 differences of s and t) is affine in u,
@@ -132,10 +134,12 @@ def derivative_row_counts(field: Field, params: NHParams):
     return np.bincount(row, minlength=field.q)
 
 
-# u values per chunk of uniformity_batch and of the LEMMA_SUITE sweep
-# (compare spectra._A_BATCH): a chunk of rows stays cache-sized, which beats
-# fewer, larger numpy calls.
+# u values per chunk of uniformity_batch (compare spectra._A_BATCH): a chunk
+# of rows stays cache-sized, which beats fewer, larger numpy calls.
 _U_CHUNK = 16
+# (u, b) cells per CaseAnalysis of the LEMMA_SUITE sweep, max(1, _CASE_CELLS // q)
+# u at a time: smaller chunks leave the case analysis bound by per-call overhead.
+_CASE_CELLS = 1 << 16
 
 
 def uniformity_batch(field: Field, r, u_codes):
@@ -253,26 +257,27 @@ class CaseAnalysis:
         """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all
         (a tuple for a scalar u, a (U, 4) array for a batch)."""
         self.field.check_code(b, "b")
-        counts = self._counts[:, b]
-        return tuple(int(c) for c in counts[0]) if self._scalar else counts
+        counts = self.a_counts_all()[..., b, :]
+        return tuple(int(c) for c in counts) if self._scalar else counts
 
     def a_counts_all(self):
-        """(q, 4) array of (#A_00, #A_01, #A_10, #A_11) for every b; (U, q, 4)
-        for a batch of u.  Read-only: every call returns the same array."""
-        return self._view(self._counts)
+        """(q, 4) int8 array of (#A_00, #A_01, #A_10, #A_11) for every b;
+        (U, q, 4) for a batch of u.  A read-only view of the class-major
+        counts; every call views the same array."""
+        return self._view(np.moveaxis(self._counts, 0, -1))
 
     @cached_property
     def _counts(self):
-        """The (U, q, 4) closed counts, computed once per case."""
+        """The (4, U, q) int8 closed counts, class-major, computed once per case."""
         f = self.field
         bs = f.elements()[None, :]
         classes = self._classes
-        out = np.zeros((len(self._us), f.q, 4), dtype=np.int64)
+        out = np.empty((4, len(self._us), f.q), dtype=np.int8)
 
         x00 = f.mul_vec(f.sub_vec(bs, self._one_plus), self._inv_2p)
-        out[..., 0] = classes[x00] == CLASS_00
+        np.equal(classes[x00], CLASS_00, out=out[0])
         x11 = f.mul_vec(f.sub_vec(bs, self._one_minus), self._inv_2m)
-        out[..., 3] = classes[x11] == CLASS_11
+        np.equal(classes[x11], CLASS_11, out=out[3])
 
         two_b_over_u = f.mul_vec(f.embed(2), f.mul_vec(bs, self._inv_u))
         for col, disc, base in (
@@ -284,9 +289,9 @@ class CaseAnalysis:
             target = CLASS_01 if col == 1 else CLASS_10
             r1 = f.mul_vec(f.add_vec(base, s), np.int64(self._inv2))
             r2 = f.mul_vec(f.sub_vec(base, s), np.int64(self._inv2))
-            cnt = (classes[r1] == target).astype(np.int64)
-            cnt += ((s != 0) & (classes[r2] == target)).astype(np.int64)
-            out[..., col] = np.where(square, cnt, 0)
+            hits = np.equal(classes[r1], target, out=out[col])
+            hits += (s != 0) & (classes[r2] == target)
+            hits *= square
         out.flags.writeable = False  # every caller shares this array
         return out
 
@@ -295,9 +300,9 @@ class CaseAnalysis:
         return self._view(self._delta_from(self._counts))
 
     def _delta_from(self, counts):
-        """(U, q) delta(1, b) from (U, q, 4) class counts plus the two
+        """(U, q) delta(1, b) from (4, U, q) class counts plus the two
         boundary points of each row."""
-        row = counts.sum(axis=-1)
+        row = counts.sum(axis=0, dtype=np.int64)
         rows = np.arange(len(row))[:, None]
         for point in self._boundary():
             row[rows, point] += 1
@@ -314,8 +319,8 @@ def aij_counts_brute(field: Field, u):
     (U, q, 4) for a 1-D array of u.
 
     Builds each table x^2 (1 + u*eta(x)) directly, takes its a = 1 row
-    F(x+1) - F(x) and counts it with one bincount keyed by (u, value,
-    class); nothing here comes from CaseAnalysis.
+    F(x+1) - F(x) and counts it with one bincount keyed by (class, u,
+    value); nothing here comes from CaseAnalysis.
     """
     us, scalar = _code_axis(field, u, "u")
     q = field.q
@@ -326,8 +331,10 @@ def aij_counts_brute(field: Field, u):
     row = field.sub_vec(table[:, field.add_vec(codes, 1)], table)
     classes = field.cij_partition().classes
     inside = classes >= 0
-    key = (np.arange(len(us))[:, None] * q + row[:, inside]) * 4 + classes[inside]
-    out = np.bincount(key.ravel(), minlength=len(us) * q * 4).reshape(len(us), q, 4)
+    cls = classes[inside].astype(np.int64)
+    key = (cls * len(us) + np.arange(len(us))[:, None]) * q + row[:, inside]
+    out = np.bincount(key.ravel(), minlength=4 * len(us) * q).reshape(4, len(us), q)
+    out = np.moveaxis(out, 0, -1)
     return out[0] if scalar else out
 
 
@@ -359,7 +366,7 @@ def _lemma_battery(case: CaseAnalysis):
     battery = []
     for name, point, sign, full, blocked in _EXCLUSIONS:
         applicable = np.broadcast_to(eta_boundary[point] == sign * eu, shape)
-        clash = (counts[..., full] == 2) & (counts[..., blocked] != 0)
+        clash = (counts[full] == 2) & (counts[blocked] != 0)
         battery.append((name, applicable, ~(applicable & clash)))
     boundary = np.zeros(shape, dtype=bool)
     rows = np.arange(shape[0])[:, None]

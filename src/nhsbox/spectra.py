@@ -224,7 +224,7 @@ def boomerang_row(table: FunctionTable, a):
     by_fiber = table.values[np.argsort(d, kind="stable")]  # F(x), grouped by D_a F(x)
     starts = np.cumsum(sizes) - sizes
     row = np.zeros(q, dtype=np.int64)
-    for k in np.unique(sizes[sizes > 0]).tolist():
+    for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():  # the fiber sizes seen
         fibers = by_fiber[starts[sizes == k][:, None] + np.arange(k)]  # m fibers of size k
         fx = fibers.ravel()
         owner = np.arange(len(fx)) // k  # the fiber of each x

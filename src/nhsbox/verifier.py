@@ -33,7 +33,7 @@ import numpy as np
 from .characters import boomerang_constants, theorem6_constants
 from .gf import CODE_LIMIT, Field, cached_field
 from .nh_family import (
-    _U_CHUNK,
+    _CASE_CELLS,
     DELTA_CAP,
     CaseAnalysis,
     NHParams,
@@ -384,11 +384,12 @@ def _rows_lemma_suite(field, claim, u_mode):
     if cij != want:
         problems.append(f"C_ij counts {cij} != {want}")
 
-    if q <= 499:  # every u outside {0, +1, -1}, _U_CHUNK at a time, ascending
+    if q <= 499:  # every u outside {0, +1, -1}, about _CASE_CELLS cells a chunk, ascending
         us = field.elements()[2:]
         us = us[us != field.neg(1)]
-        for lo in range(0, len(us), _U_CHUNK):
-            chunk = us[lo : lo + _U_CHUNK]
+        step = max(1, _CASE_CELLS // q)
+        for lo in range(0, len(us), step):
+            chunk = us[lo : lo + step]
             case = CaseAnalysis(field, chunk)
             wrong = (case.a_counts_all() != aij_counts_brute(field, chunk)).any(axis=(1, 2))
             failed = wrong | ~structural_lemmas_hold(field, chunk, case)

@@ -20,6 +20,7 @@ from nhsbox.nh_family import (
     structural_lemma_checks,
     structural_lemmas_hold,
     uniformity_batch,
+    _CASE_CELLS,
     _U_CHUNK,
 )
 from nhsbox.spectra import FunctionTable, derivative_row
@@ -136,22 +137,36 @@ def _generic_u(field):
 
 
 @pytest.mark.parametrize(
-    "args", [(7, 1), (11, 1), (19, 1), (3, 3), (31, 1), (43, 1), (7, 3), (3, 5)]
+    "args", [(7, 1), (11, 1), (19, 1), (3, 3), (31, 1), (43, 1), (7, 3), (3, 5), (23, 1)]
 )
 def test_batched_counts_match_per_u_reference(args):
-    # the batch over every u at once, then _U_CHUNK at a time as the
-    # LEMMA_SUITE sweep walks it (F_43 and F_343 end on a partial chunk)
+    # the batch over every u at once: an int8 read-only (U, q, 4) view of the
+    # class-major counts, whose rows are the scalar-u counts and whose
+    # (U, 4) slices are a_counts(b)
     f = cached_field(*args)
     us = _generic_u(f)
     want = np.stack([_aij_reference(f, u) for u in us.tolist()])
     assert np.array_equal(aij_counts_brute(f, us), want)
-    assert np.array_equal(CaseAnalysis(f, us).a_counts_all(), want)
-    for lo in range(0, len(us), _U_CHUNK):
-        chunk = us[lo : lo + _U_CHUNK]
-        assert np.array_equal(aij_counts_brute(f, chunk), want[lo : lo + _U_CHUNK])
-        assert np.array_equal(CaseAnalysis(f, chunk).a_counts_all(), want[lo : lo + _U_CHUNK])
-    if args in ((43, 1), (7, 3)):
-        assert len(us) % _U_CHUNK  # a partial last chunk
+    case = CaseAnalysis(f, us)
+    counts = case.a_counts_all()
+    assert np.array_equal(counts, want) and counts.dtype == np.int8
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        counts[0, 0, 0] = 1
+    for b in range(f.q):
+        assert np.array_equal(case.a_counts(b), counts[..., b, :])
+    for i, u in enumerate(us.tolist()):
+        one = CaseAnalysis(f, u).a_counts_all()
+        assert np.array_equal(one, counts[i]) and not one.flags.writeable
+    # then in chunks of _CASE_CELLS cells as the LEMMA_SUITE sweep walks it
+    # (F_343 ends on a partial chunk)
+    step = max(1, _CASE_CELLS // f.q)
+    for lo in range(0, len(us), step):
+        chunk = us[lo : lo + step]
+        assert np.array_equal(aij_counts_brute(f, chunk), want[lo : lo + step])
+        assert np.array_equal(CaseAnalysis(f, chunk).a_counts_all(), want[lo : lo + step])
+    if args == (7, 3):
+        assert len(us) > step and len(us) % step  # a partial last chunk
 
 
 def test_scalar_u_is_the_batch_of_one():

@@ -1,8 +1,12 @@
 """DDT/BCT machinery, spectra, closed forms for u = 1."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -244,6 +248,46 @@ def test_bct_bucketing_equals_bruteforce():
                 assert fast == bct_entry_bruteforce(table, a, b)
                 if a == 1:
                     assert fast == row1[b]
+
+
+def test_boomerang_row_reads_every_fiber_size():
+    # x^2 (u = 0) has D_a F a permutation, so every fiber has size 1 and the
+    # row is q at b = 0; a generic u mixes fiber sizes 0, 1 and 2 or more
+    for args, u in (((23, 1), 0), ((3, 3), 0), ((23, 1), 5), ((3, 3), 5)):
+        f = cached_field(*args)
+        table = FunctionTable.from_nh(f, NHParams(2, u))
+        for a in (1, f.q - 1):
+            row = boomerang_row(table, a)
+            assert row.tolist() == [bct_entry_bruteforce(table, a, b) for b in range(f.q)]
+            if u == 0:
+                assert row[0] == f.q and not row[1:].any()
+
+
+def test_boomerang_row_leaves_numpy_ma_unimported():
+    # np.unique without return_inverse calls np.ma.is_masked, and the first
+    # call imports numpy.ma (about 10 ms); the BCT rows and spectrum of a
+    # generic-u table do not load it
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from nhsbox.gf import cached_field\n"
+        "from nhsbox.nh_family import NHParams\n"
+        "from nhsbox.spectra import FunctionTable, boomerang_row, boomerang_spectrum\n"
+        "table = FunctionTable.from_nh(cached_field(43), NHParams(2, 5))\n"
+        "boomerang_row(table, 1)\n"
+        "boomerang_spectrum(table)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_f21_bct_row_capped_at_two():

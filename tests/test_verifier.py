@@ -338,20 +338,30 @@ def test_lemma_suite_claim():
 
 
 def test_lemma_suite_builds_one_case_per_chunk(monkeypatch):
-    from nhsbox.nh_family import _U_CHUNK, CaseAnalysis
+    from nhsbox.nh_family import _CASE_CELLS, CaseAnalysis
 
     built = []
     real = CaseAnalysis.__init__
 
     def counting(self, field, u):
-        built.append(len(np.atleast_1d(u)))
+        built.append(np.atleast_1d(u).tolist())
         real(self, field, u)
 
     monkeypatch.setattr(CaseAnalysis, "__init__", counting)
-    (row,) = verify_claim("LEMMA_SUITE", 43, 1)
-    assert row.status == "pass"
-    # every u outside {0, +1, -1}, one CaseAnalysis per chunk of _U_CHUNK
-    assert sum(built) == 43 - 3 and len(built) == -(-(43 - 3) // _U_CHUNK)
+    # one chunk of all 40 u at q = 43; chunks of 131 u at q = 499, the last
+    # one partial
+    for q in (43, 499):
+        built.clear()
+        (row,) = verify_claim("LEMMA_SUITE", q, 1)
+        assert row.status == "pass"
+        # every u outside {0, +1, -1} once, ascending, one CaseAnalysis per
+        # chunk of max(1, _CASE_CELLS // q) u
+        step = max(1, _CASE_CELLS // q)
+        assert [u for chunk in built for u in chunk] == list(range(2, q - 1))
+        assert [len(chunk) for chunk in built] == [
+            min(step, q - 3 - lo) for lo in range(0, q - 3, step)
+        ]
+    assert len(built) > 1 and len(built[-1]) < len(built[0])
 
 
 def _closed_counts_wrong_at(monkeypatch, bad_u):
@@ -394,7 +404,7 @@ def test_lemma_suite_names_the_u_whose_closed_counts_differ(monkeypatch):
     assert row.status == "exception" and row.computed == "A_ij closed != brute at u=17"
 
 
-@pytest.mark.parametrize("bad_u", [10, 40])  # 40 lies in the last, partial chunk at q = 43
+@pytest.mark.parametrize("bad_u", [10, 40])  # 40 = q - 3 is the last u at q = 43
 def test_lemma_suite_names_the_u_whose_lemma_fails(monkeypatch, bad_u):
     _lemma_fails_at(monkeypatch, bad_u)
     (row,) = verify_claim("LEMMA_SUITE", 43, 1)
@@ -403,16 +413,36 @@ def test_lemma_suite_names_the_u_whose_lemma_fails(monkeypatch, bad_u):
 
 
 def test_lemma_suite_reports_the_smallest_failing_u(monkeypatch):
-    # the first failure in ascending u wins, whichever check it is
-    _closed_counts_wrong_at(monkeypatch, 17)
-    for bad_u, want in (
-        (10, "exclusion/cap lemma failed at u=10"),
-        (30, "A_ij closed != brute at u=17"),
+    # the first failure in ascending u wins, whichever check it is; q = 499
+    # walks the u in chunks of 131 (2..132, 133..263, 264..394, 395..497),
+    # so a failure in a later chunk is reported only when no earlier u fails
+    for q, closed_u, lemma_u, want in (
+        (43, 17, 10, "exclusion/cap lemma failed at u=10"),
+        (43, 17, 30, "A_ij closed != brute at u=17"),
+        (499, 400, 300, "exclusion/cap lemma failed at u=300"),
+        (499, 400, 450, "A_ij closed != brute at u=400"),
     ):
         with monkeypatch.context() as m:
-            _lemma_fails_at(m, bad_u)
-            (row,) = verify_claim("LEMMA_SUITE", 43, 1)
-        assert row.computed == want
+            _closed_counts_wrong_at(m, closed_u)
+            _lemma_fails_at(m, lemma_u)
+            (row,) = verify_claim("LEMMA_SUITE", q, 1)
+        assert row.status == "exception" and row.computed == want
+
+
+def test_thm6_witness_memory_bound():
+    # the closed counts of one u at q ~ 10^6 are one (4, 1, q) int8 array,
+    # 4 MiB; the rest of the peak (about 96 MiB in all) is the q-long int64
+    # temporaries that compute them.  The field's tables are built before
+    # tracing.
+    verify_claim("THM6_WITNESS", 1000003, 1)
+    tracemalloc.start()
+    try:
+        (row,) = verify_claim("THM6_WITNESS", 1000003, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.status == "pass"
+    assert peak < 112 * 2**20, peak / 2**20
 
 
 def test_sweep_determinism_across_jobs():
