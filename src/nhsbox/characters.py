@@ -8,12 +8,13 @@ Polynomials over F_q are plain sequences of element codes, low degree
 first.  Bivariate polynomials are {(i, j): code} maps for monomials
 t^i * y^j.
 
-Batches: the Weil sums, the conic counts and the Jacobsthal sums take
-their parameters (coefficients, a2/a1/a0, b, a) as code arrays that
-broadcast against each other, so one call checks a whole family.  The
-parameter axes lead and x, the summation variable, is the last axis: a
-batched ``poly_eval_vec`` returns shape params + xs.shape and the sums
-reduce that axis away.  Scalar parameters give a Python int, arrays give
+Batches: the Weil sums, the closed conic count and the Jacobsthal sums
+take their parameters (coefficients, a2/a1/a0, b, a) as code arrays that
+broadcast against each other, so one call checks a whole family; the
+conic oracle conic_count_brute takes one (a1, a2) pair.  The parameter
+axes lead and x, the summation variable, is the last axis: a batched
+``poly_eval_vec`` returns shape params + xs.shape and the sums reduce
+that axis away.  Scalar parameters give a Python int, arrays give
 an int64 array; the scalar call is the batched one on 0-d arrays.
 """
 
@@ -145,9 +146,11 @@ def conic_count_brute(field: Field, a1, a2):
 
     The values v of a x^2 come with their multiplicities m(v) (a bincount
     over x); every pair of such values adds m1(v1) m2(v2) to the count of
-    v1 + v2, a grid of ((q+1)/2)^2 sums instead of q^2.
+    v1 + v2, a grid of ((q+1)/2)^2 sums instead of q^2.  One (a1, a2) pair.
     """
     a1, a2 = _codes(field, a1=a1, a2=a2)
+    if a1.ndim or a2.ndim:
+        raise ValueError("conic_count_brute takes one (a1, a2) pair of codes, not arrays")
     codes = field.elements()
     sq = field.mul_vec(codes, codes)
     m1 = np.bincount(field.mul_vec(a1, sq), minlength=field.q)

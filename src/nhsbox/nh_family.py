@@ -24,10 +24,10 @@ read-only (4, U, q) int8 array (every count is 0, 1 or 2), and hands out
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d (the a = 1 differences of s and t) is affine in u,
-so each row costs one multiply-add and one reduction mod q, and a chunk
-of rows goes through one offset bincount.  And row a of the DDT of F_{r,u}
-is row 1 of F_{r,eta(a)u} relabelled (:mod:`nhsbox.spectra`), so delta(u)
-is the larger row-1 maximum of u and -u, one maximum at q = 3 (mod 4).
+so each row costs one multiply-add and one reduction mod q, and about
+_U_CELLS (u, b) cells at a time go through one offset bincount.  And row a
+of the DDT of F_{r,u} is row 1 of F_{r,eta(a)u} relabelled (:mod:`nhsbox.spectra`),
+so delta(u) is the larger row-1 maximum of u and -u, one at q = 3 (mod 4).
 The case analysis alone needs q = 3 (mod 4) (Field.require_3_mod_4).
 """
 
@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import Field, _reduce
+from .gf import Field
 
 
 class UnsupportedParameterError(ValueError):
@@ -121,9 +121,8 @@ def derivative_row_parts(field: Field, r):
     (_value_parts): the whole derivative row is affine in u, which is
     what makes exhaustive u-sweeps cheap.
     """
-    s, t = _value_parts(field, r)
-    shifted = field.add_vec(field.elements(), 1)
-    return field.sub_vec(s[shifted], s), field.sub_vec(t[shifted], t)
+    one = np.array([1])
+    return tuple(field.difference_rows(v, one)[0] for v in _value_parts(field, r))
 
 
 def derivative_row_counts(field: Field, params: NHParams):
@@ -134,9 +133,10 @@ def derivative_row_counts(field: Field, params: NHParams):
     return np.bincount(row, minlength=field.q)
 
 
-# u values per chunk of uniformity_batch (compare spectra._A_BATCH): a chunk
-# of rows stays cache-sized, which beats fewer, larger numpy calls.
-_U_CHUNK = 16
+# (u, b) cells per chunk of uniformity_batch, max(1, _U_CELLS // q) u at a
+# time: a chunk's buffers stay cache-sized at every q, and a sweep's memory
+# follows its request rather than q times a fixed row count.
+_U_CELLS = 1 << 15
 # (u, b) cells per CaseAnalysis of the LEMMA_SUITE sweep, max(1, _CASE_CELLS // q)
 # u at a time: smaller chunks leave the case analysis bound by per-call overhead.
 _CASE_CELLS = 1 << 16
@@ -148,17 +148,19 @@ def uniformity_batch(field: Field, r, u_codes):
 
     delta(u) = max(m(u), m(-u)), m the maximum of the a = 1 row c + u*d
     (derivative_row_parts); when eta(-1) = -1, m(-u) = m(u), so only
-    min(u, -u) is evaluated.  The sorted representatives go _U_CHUNK at a
-    time through one bincount, row i offset by i*q.  Extension fields use
-    add_vec/mul_vec; a prime field computes s = c + u*d < (u + 1)q in place
-    and reduces it with gf._reduce.
+    min(u, -u) is evaluated.  The sorted representatives go
+    max(1, _U_CELLS // q) at a time through one bincount, row i keyed by
+    (c + u*d mod q) + i*q.  Extension fields use add_vec/mul_vec; a prime
+    field computes s = c + u*d < (u + 1)q in place and writes each key in
+    one pass as s - (s // q - i)*q.
 
-    dtypes: s, its quotient buffer and the offsets are int32 while s and
-    the offset keys stay below 2^31 (at q = 3 (mod 4), u <= (q - 1)/2, so
-    up to q = 65519), else int64; the keys are int64, as bincount wants
-    them.  The chunk-sized buffers, min(_U_CHUNK, #representatives) rows,
-    live for the whole call: an array allocated afresh per chunk is
-    page-faulted anew, which costs about as much as the arithmetic.
+    dtypes: s, its quotients and the row indices i are int32 while
+    max(u + 1, rows per chunk)*q < 2^31, which bounds (s // q - i)*q too
+    (at q = 3 (mod 4), u <= (q - 1)/2, so up to q = 65519), else int64;
+    the keys are int64, as bincount wants them.  The buffers of about
+    _U_CELLS cells (one row once q > _U_CELLS) live for the whole call: an
+    array allocated afresh per chunk is page-faulted anew, which costs
+    about as much as the arithmetic.
     """
     _check_r(r)
     us = _code_axis(field, u_codes, "u")[0].ravel()
@@ -168,23 +170,25 @@ def uniformity_batch(field: Field, r, u_codes):
         rows = rows.min(axis=0, keepdims=True)
     reps, back = np.unique(rows, return_inverse=True)
     c, d = derivative_row_parts(field, r)
-    chunk = min(_U_CHUNK, len(reps))
+    step = max(1, _U_CELLS // q)
+    chunk = min(step, len(reps))
     wide = np.int32 if max(reps.max(initial=0) + 1, chunk) * q < 1 << 31 else np.int64
-    offsets = np.arange(chunk, dtype=wide)[:, None] * q
+    lanes = np.arange(chunk, dtype=wide)[:, None]
     keys = np.empty((chunk, q), dtype=np.int64)
     if field.is_prime_field:
         c, d = c.astype(wide), d.astype(wide)
         sums, quotients = np.empty((2, chunk, q), dtype=wide)
     deltas = np.empty(len(reps), dtype=np.int64)
-    for lo in range(0, len(reps), _U_CHUNK):
-        hi = min(lo + _U_CHUNK, len(reps))
+    for lo in range(0, len(reps), step):
+        hi = min(lo + step, len(reps))
         if field.is_prime_field:
             row, quot = sums[: hi - lo], quotients[: hi - lo]
             np.add(np.multiply(reps[lo:hi, None].astype(wide), d, out=row), c, out=row)
-            _reduce(row, q, spare=quot)
+            np.subtract(np.floor_divide(row, q, out=quot), lanes[: hi - lo], out=quot)
+            key = np.subtract(row, np.multiply(quot, q, out=quot), out=keys[: hi - lo])
         else:
             row = field.add_vec(c, field.mul_vec(reps[lo:hi, None], d))
-        key = np.add(row, offsets[: hi - lo], out=keys[: hi - lo])
+            key = np.add(row, lanes[: hi - lo] * q, out=keys[: hi - lo])
         counts = np.bincount(key.ravel(), minlength=key.size)
         deltas[lo:hi] = counts.reshape(-1, q).max(axis=1)
     return deltas[back].reshape(rows.shape).max(axis=0)

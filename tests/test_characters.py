@@ -89,6 +89,14 @@ def test_conic_closed_vs_brute_counts():
                     assert direct[b] == conic_count_closed(f, a1, a2, b)
 
 
+def test_conic_brute_takes_one_pair():
+    f = cached_field(7)
+    for a1, a2 in (([1, 2], [3, 3]), ([1], 3), (1, np.array([[3]]))):
+        with pytest.raises(ValueError, match=r"one \(a1, a2\) pair"):
+            conic_count_brute(f, a1, a2)
+    assert conic_count_brute(f, np.int64(1), 3).tolist() == _conic_count_grid(f, 1, 3).tolist()
+
+
 def _conic_count_grid(field, a1, a2):
     """Reference: counts of a1 x1^2 + a2 x2^2 = b over the full q x q grid."""
     codes = field.elements()

@@ -1,8 +1,11 @@
 """The x^r (1 + u*eta(x)) family: evaluation, derivative case analysis."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from nhsbox import nh_family
 from nhsbox.gf import build_field, cached_field
 from nhsbox.nh_family import (
     CLASS_11,
@@ -21,7 +24,6 @@ from nhsbox.nh_family import (
     structural_lemmas_hold,
     uniformity_batch,
     _CASE_CELLS,
-    _U_CHUNK,
 )
 from nhsbox.spectra import FunctionTable, derivative_row
 
@@ -329,18 +331,37 @@ def test_derivative_row_parts_match_the_table_rows():
                 assert np.array_equal(row, derivative_row(table, 1))
 
 
-def test_uniformity_batch_matches_rows():
-    # every nonzero u, so the distinct u (one per u/-u pair) fill several
-    # _U_CHUNK chunks plus a partial one; F_343 and F_3^5 are also the
-    # every-u mirror checks for extension fields of odd degree, and r = 3
-    # checks the pairing for odd r
-    for args, r in (((167, 1), 2), ((167, 1), 3), ((7, 3), 2), ((3, 5), 2)):
-        f = cached_field(*args)
-        us = np.arange(1, f.q)
-        distinct = len(us) // 2
-        assert distinct > 2 * _U_CHUNK and distinct % _U_CHUNK
+# rows per chunk of uniformity_batch in the chunk-boundary tests below, set
+# through _U_CELLS = _ROWS * q
+_ROWS = 16
+
+
+@pytest.mark.parametrize(
+    "args, r, sample",
+    [
+        ((167, 1), 2, None),
+        ((167, 1), 3, None),
+        ((7, 3), 2, None),
+        ((3, 5), 2, None),
+        # 2^17 - 1: int64 rows, 40 random u
+        ((131071, 1), 2, 40),
+    ],
+    ids=["F167-r2", "F167-r3", "F343", "F243", "F131071"],
+)
+def test_uniformity_batch_matches_rows(args, r, sample):
+    # every nonzero u (or a random sample), so the distinct u (one per u/-u
+    # pair) fill several chunks of _ROWS plus a partial one; F_343 and F_3^5
+    # are also the every-u mirror checks for extension fields of odd degree,
+    # and r = 3 checks the pairing for odd r
+    f = cached_field(*args)
+    us = np.arange(1, f.q)
+    if sample is not None:
+        us = np.random.default_rng(7).choice(us, size=sample, replace=False)
+    distinct = len(np.unique(np.minimum(us, f.neg_vec(us))))
+    assert distinct > 2 * _ROWS and distinct % _ROWS
+    with mock.patch.object(nh_family, "_U_CELLS", _ROWS * f.q):
         batch = uniformity_batch(f, r, us)
-        assert batch.tolist() == [_delta_oracle(f, u, r) for u in us.tolist()]
+    assert batch.tolist() == [_delta_oracle(f, u, r) for u in us.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -389,16 +410,38 @@ def test_uniformity_batch_reads_u_and_minus_u_at_q_1_mod_4(q):
 def test_uniformity_batch_on_the_thm2_selection():
     # the u an exhaustive THM2_DELTA5 sweep hands over at q = 839: about
     # half of the pairs, so the sorted representatives have gaps, some of
-    # them shorter than a chunk of _U_CHUNK
+    # them shorter than a chunk of _ROWS
     from nhsbox.verifier import CLAIMS, _select_condition_us
 
     f = cached_field(839)
     us, exhaustive = _select_condition_us(f, CLAIMS["THM2_DELTA5"], "all")
     assert exhaustive
-    gaps = np.diff(np.unique(np.minimum(us, f.neg_vec(us))))
-    assert gaps.max() > 1 and np.any(gaps[gaps > 1] < _U_CHUNK)
-    batch = uniformity_batch(f, 2, us)
+    reps = np.unique(np.minimum(us, f.neg_vec(us)))
+    gaps = np.diff(reps)
+    assert gaps.max() > 1 and np.any(gaps[gaps > 1] < _ROWS)
+    assert len(reps) > 2 * _ROWS and len(reps) % _ROWS
+    with mock.patch.object(nh_family, "_U_CELLS", _ROWS * f.q):
+        batch = uniformity_batch(f, 2, us)
     assert batch.tolist() == [_delta_oracle(f, u) for u in us.tolist()]
+
+
+def test_uniformity_batch_memory_follows_the_cell_budget():
+    # at q = 1000003 a chunk is one row: the keys, sums and quotients take
+    # 16 MiB (at 16 rows a chunk the call peaked at 496 MiB); the rest of
+    # the peak is the q-long derivative row parts and the bincount
+    import tracemalloc
+
+    f = cached_field(1000003)  # built before tracing: its eta table is not counted
+    us = np.arange(2, 66)
+    tracemalloc.start()
+    try:
+        batch = uniformity_batch(f, 2, us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+    for i in (0, 1, 31, 63):
+        assert batch[i] == _delta_oracle(f, int(us[i])), int(us[i])
 
 
 def test_uniformity_batch_keeps_input_order():

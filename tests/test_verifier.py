@@ -283,8 +283,8 @@ def test_fixed_u_mode_counts_each_code_once():
 
 def test_one_fixed_u_sizes_the_batch_buffers_by_the_request():
     # one u needs one row of keys, sums and quotients (16 MiB at q ~ 10^6),
-    # not _U_CHUNK rows of each (about 260 MiB); the rest of the peak is
-    # the q-long derivative row parts
+    # not 16 rows of each (about 260 MiB); the rest of the peak (34.3 MiB
+    # in all) is the q-long derivative row parts
     cached_field(1000003)
     tracemalloc.start()
     try:
@@ -293,7 +293,7 @@ def test_one_fixed_u_sizes_the_batch_buffers_by_the_request():
     finally:
         tracemalloc.stop()
     assert (row.u_code, row.computed, row.status) == (7, "4", "pass")
-    assert peak < 72 * 2**20, peak / 2**20
+    assert peak < 40 * 2**20, peak / 2**20
 
 
 def test_fixed_u_mode_drops_codes_beyond_q():
