@@ -51,8 +51,8 @@ def poly_eval_vec(field: Field, coeffs, xs):
     A coefficient may be a code array (a batch of polynomials); the result
     then has shape broadcast(coefficients) + xs.shape.
     """
-    xs = field.check_code(np.asarray(xs, dtype=np.int64), "xs")
-    coeffs = [field.check_code(np.asarray(c, dtype=np.int64), "coeffs") for c in coeffs]
+    xs = np.asarray(field.check_code(xs, "xs"), dtype=np.int64)
+    coeffs = [np.asarray(field.check_code(c, "coeffs"), dtype=np.int64) for c in coeffs]
     coeffs = [c.reshape(c.shape + (1,) * xs.ndim) for c in coeffs]  # xs axes last
     shape = np.broadcast_shapes(*(c.shape for c in coeffs), xs.shape)
     acc = np.full(shape, coeffs[-1] if coeffs else 0, dtype=np.int64)
@@ -105,8 +105,8 @@ def poly_is_squarefree(field: Field, coeffs):
 
 
 def _codes(field: Field, **named):
-    """The named code parameters as int64 arrays, each checked to lie in [0, q)."""
-    return [field.check_code(np.asarray(v, dtype=np.int64), k) for k, v in named.items()]
+    """The named code parameters as int64 arrays, each checked (Field.check_code) first."""
+    return [np.asarray(field.check_code(v, k), dtype=np.int64) for k, v in named.items()]
 
 
 def _result(sums):

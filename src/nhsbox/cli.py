@@ -127,7 +127,7 @@ def _cmd_charsum_selftest(args):
     """Closed forms vs brute-force oracles over all q <= qmax; prints a table."""
     rows = []
     try:
-        fields = enumerate_prime_powers(3, args.qmax + 1, p_ne=(2,))
+        fields = enumerate_prime_powers(3, args.qmax + 1)
     except ValueError as exc:  # a range past CODE_LIMIT, rejected before the sieve
         raise UsageError(str(exc)) from exc
     if not fields:

@@ -19,6 +19,7 @@ across worker processes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -196,9 +197,10 @@ class Field:
     and an extension field's arithmetic runs on the tables it wires.
     Vector ops take int32/int64 code arrays or scalars, broadcast together;
     prime-field add_vec/sub_vec/neg_vec need codes in [0, p) (one wrap).
-    Each scalar op (add, sub, neg, mul, pow, inv, eta) is its vector op on
-    one code and returns a Python int: a prime field reduces any integer
-    first, an extension field checks that the code lies in [0, q).
+    Each scalar op (add, sub, neg, mul, pow, inv, eta, sqrt) is its vector op
+    on one code and returns a Python int: a prime field reduces any integer
+    first, an extension field checks that the code lies in [0, q), and a
+    non-integer is a ValueError.
     """
 
     def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table, add_tables=None):
@@ -210,7 +212,6 @@ class Field:
         self.eta_table = eta_table
         self._log = log_table
         self._alog = alog_table  # doubled: alog[k] = g^(k mod q-1) for k < 2(q-1)
-        self._pw = tuple(p**k for k in range(n))
         self._add_tables = add_tables  # (pk, pk_neg, lo, hi, shift) from _addition_tables
         self._sqrt_table = None
         self._cij = None
@@ -235,11 +236,14 @@ class Field:
 
     def check_code(self, x, name="x"):
         """x itself if it is one element code in [0, q) or an array of them, else
-        a ValueError naming x.  The package's one range check: the vector ops
-        index tables with codes and would read a negative code as q + x."""
+        a ValueError naming x.  The package's one range and type check: the
+        vector ops index tables with codes and would read a negative code as
+        q + x, and a cast to int64 would drop a fraction, so callers cast after it."""
         if isinstance(x, int) and 0 <= x < self.q:  # the scalar ops' fast path
             return x
         xs = np.asarray(x)
+        if xs.dtype.kind not in "iu" and xs.size:
+            raise ValueError(f"{name} has dtype {xs.dtype}: element codes are integers")
         if xs.min(initial=0) < 0 or xs.max(initial=0) >= self.q:
             bad = xs[(xs < 0) | (xs >= self.q)].flat[0]
             raise ValueError(f"{name} = {bad} is out of range: not an element code of F_{self.q}")
@@ -252,13 +256,15 @@ class Field:
         if self.q % 4 != 3:
             raise UnsupportedFieldError(f"{what} needs q = 3 (mod 4), and q = {self.q}")
 
-    def digits(self, x):
-        return tuple((x // w) % self.p for w in self._pw)
-
     # -- scalar arithmetic: the vector ops on one code -----------------------
 
     def _scalar(self, x, name):
-        """x as one code: reduced mod p in a prime field, checked in an extension field."""
+        """x as one code: an integer, reduced mod p in a prime field and checked
+        in an extension field; a ValueError naming x for any other value."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"{name} = {x!r} is not an integer element code") from None
         return x % self.p if self.n == 1 else self.check_code(x, name)
 
     def add(self, a, b):
@@ -364,24 +370,26 @@ class Field:
         return np.where(r == 0, 0, np.where(r == 1, 1, -1)).astype(np.int8)
 
     def sqrt(self, x):
-        """Canonical root x^((q+1)/4); None when x is a non-square."""
+        """The canonical root of one code, sqrt_vec(x); None when x is a non-square."""
         self.require_3_mod_4("the canonical sqrt")
-        if x == 0:
-            return 0
-        if self.eta(x) == -1:
-            return None
-        return self.pow(x, (self.q + 1) // 4)
+        x = self._scalar(x, "x")
+        return int(self.sqrt_vec(x)) if self.eta(x) >= 0 else None
+
+    def sqrt_vec(self, x):
+        """s = x^((q+1)/4) for every code x, so that s^2 = eta(x)*x: the root of
+        x itself exactly when x is a square, of -x otherwise.  Read from
+        sqrt_table where eta has a table, computed by pow_vec beyond it."""
+        self.require_3_mod_4("the canonical sqrt")
+        if self.eta_table is None:
+            return self.pow_vec(x, (self.q + 1) // 4)
+        return self.sqrt_table[x]
 
     @property
     def sqrt_table(self):
-        """Dense canonical-root table; -1 marks non-squares."""
+        """x^((q+1)/4) for every code x (see sqrt_vec), built on first use."""
         self.require_3_mod_4("the canonical sqrt")
         if self._sqrt_table is None:
-            codes = self.elements()
-            roots = self.pow_vec(codes, (self.q + 1) // 4)
-            table = np.where(self.eta_vec(codes) >= 0, roots, -1)
-            table[0] = 0
-            self._sqrt_table = table
+            self._sqrt_table = self.pow_vec(self.elements(), (self.q + 1) // 4)
         return self._sqrt_table
 
     def cij_partition(self):

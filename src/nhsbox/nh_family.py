@@ -200,7 +200,7 @@ CLASS_00, CLASS_01, CLASS_10, CLASS_11 = 0, 1, 2, 3
 def _code_axis(field: Field, codes, name):
     """codes (one code or a 1-D array of codes) as an (N, 1) int64 column,
     and whether they were a scalar."""
-    xs = field.check_code(np.asarray(codes, dtype=np.int64), name)
+    xs = np.asarray(field.check_code(codes, name), dtype=np.int64)
     if xs.ndim > 1:
         raise ValueError(f"{name} must be one element code or a 1-D array of them")
     return xs.reshape(-1, 1), xs.ndim == 0
@@ -233,12 +233,9 @@ class CaseAnalysis:
         self._inv_u, self._inv_2p, self._inv_2m = inverses
         self._tau1 = f.mul_vec(self._one_plus, self._inv_u)
         self._tau2 = f.mul_vec(self._one_minus, self._inv_u)
-        self._inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
         self._t1t2 = f.mul_vec(self._tau1, self._tau2)
         self._classes = f.cij_partition().classes
-        self.one_plus, self.one_minus, self.tau1, self.tau2 = (
-            self._column(c) for c in (self._one_plus, self._one_minus, self._tau1, self._tau2)
-        )
+        self.tau1, self.tau2 = self._column(self._tau1), self._column(self._tau2)
 
     def _view(self, a):
         """A (U, ...) result as the caller's shape: row 0 for a scalar u."""
@@ -272,30 +269,27 @@ class CaseAnalysis:
 
     @cached_property
     def _counts(self):
-        """The (4, U, q) int8 closed counts, class-major, computed once per case."""
+        """The (4, U, q) int8 closed counts, class-major, computed once per case:
+        plane c holds the class C_c (CLASS_00..CLASS_11 are 0..3), and each
+        plane's q-long temporaries are freed before the next plane starts."""
         f = self.field
         bs = f.elements()[None, :]
         classes = self._classes
         out = np.empty((4, len(self._us), f.q), dtype=np.int8)
-
-        x00 = f.mul_vec(f.sub_vec(bs, self._one_plus), self._inv_2p)
-        np.equal(classes[x00], CLASS_00, out=out[0])
-        x11 = f.mul_vec(f.sub_vec(bs, self._one_minus), self._inv_2m)
-        np.equal(classes[x11], CLASS_11, out=out[3])
-
+        # linear: x = (b - (1 + u)) / (2(1 + u)) on C_00, (b - (1 - u)) / (2(1 - u)) on C_11
+        for c, shift, scale in ((CLASS_00, self._one_plus, self._inv_2p),
+                                (CLASS_11, self._one_minus, self._inv_2m)):
+            np.equal(classes[f.mul_vec(f.sub_vec(bs, shift), scale)], c, out=out[c])
+        # quadratic: roots (base +- s)/2, s the canonical root of the discriminant
         two_b_over_u = f.mul_vec(f.embed(2), f.mul_vec(bs, self._inv_u))
-        for col, disc, base in (
-            (1, f.sub_vec(self._t1t2, two_b_over_u), self._tau2),
-            (2, f.add_vec(self._t1t2, two_b_over_u), f.neg_vec(self._tau1)),
-        ):
-            square = f.eta_vec(disc) >= 0
-            s = np.where(square, f.sqrt_table[disc], 0)
-            target = CLASS_01 if col == 1 else CLASS_10
-            r1 = f.mul_vec(f.add_vec(base, s), np.int64(self._inv2))
-            r2 = f.mul_vec(f.sub_vec(base, s), np.int64(self._inv2))
-            hits = np.equal(classes[r1], target, out=out[col])
-            hits += (s != 0) & (classes[r2] == target)
-            hits *= square
+        half = f.inv(2)
+        for c, op, base in ((CLASS_01, f.sub_vec, self._tau2),
+                            (CLASS_10, f.add_vec, f.neg_vec(self._tau1))):
+            disc = op(self._t1t2, two_b_over_u)
+            s = f.sqrt_vec(disc)
+            hits = np.equal(classes[f.mul_vec(f.add_vec(base, s), half)], c, out=out[c])
+            hits += (s != 0) & (classes[f.mul_vec(f.sub_vec(base, s), half)] == c)
+            hits *= f.eta_vec(disc) >= 0
         out.flags.writeable = False  # every caller shares this array
         return out
 

@@ -63,10 +63,6 @@ class DifferentialSpectrum:
     def to_json_dict(self):
         return {str(i): int(w) for i, w in sorted(self.omega.items())}
 
-    @staticmethod
-    def omega_from_json(d):
-        return {int(i): int(w) for i, w in d.items()}
-
 
 @dataclass(frozen=True)
 class BoomerangSpectrum:
@@ -302,8 +298,8 @@ def boomerang_case_counts_F21(field: Field, b):
     ints for one code b, (B,) int64 arrays for a 1-D array of b.
 
     Only the classes of _F21_CHAINS can be hit, each 0/1: with canonical
-    roots s = h^((q+1)/4) and t = (1 + 2e*s)^((q+1)/4), where
-    eta(h) = eta(s + e) = eta(1 + 2e*s) = 1 and eta(t - e) = -1.
+    roots s = h^((q+1)/4) and t = (1 + 2e*s)^((q+1)/4) (Field.sqrt_vec),
+    where eta(h) = eta(s + e) = eta(1 + 2e*s) = 1 and eta(t - e) = -1.
     """
     f = field
     bs, scalar = _code_axis(f, b, "b")
@@ -311,17 +307,12 @@ def boomerang_case_counts_F21(field: Field, b):
         raise ValueError("b = 0 is outside the boomerang case analysis")
     f.require_3_mod_4("boomerang_case_counts_F21")
     labels, signs, shifts = zip(*_F21_CHAINS)
-    e, k = f.embed(np.array(shifts)[:, None]), (f.q + 1) // 4
-
-    def root(x):  # x^k, or sqrt_table where eta has a table: a non-square's 0 fails an eta test
-        return f.pow_vec(x, k) if f.eta_table is None else np.maximum(f.sqrt_table[x], 0)
-
-    # (4, B) rows h = +-b/2, as 2 (p + 1)/2 = 1 in F_p
-    h = f.mul_vec(f.embed(np.array(signs) * ((f.p + 1) // 2))[:, None], bs.T)
-    s = root(h)
+    e = f.embed(np.array(shifts)[:, None])
+    h = f.mul_vec(f.embed(np.array(signs) * f.inv(2))[:, None], bs.T)  # (4, B) rows +-b/2
+    s = f.sqrt_vec(h)
     inner = f.add_vec(1, f.mul_vec(f.add_vec(e, e), s))
     hit = (f.eta_vec(h) == 1) & (f.eta_vec(f.add_vec(s, e)) == 1) & (f.eta_vec(inner) == 1)
-    hit &= f.eta_vec(f.sub_vec(root(inner), e)) == -1
+    hit &= f.eta_vec(f.sub_vec(f.sqrt_vec(inner), e)) == -1
     counts = {label: np.zeros(len(bs), dtype=np.int64) for label in BOOMERANG_CLASSES}
     counts.update(zip(labels, hit.astype(np.int64)))
     return {label: int(c[0]) for label, c in counts.items()} if scalar else counts

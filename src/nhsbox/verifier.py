@@ -68,9 +68,10 @@ def _sieve(limit):
     return np.flatnonzero(flags).tolist()
 
 
-def enumerate_prime_powers(min_q, max_q, congruences=(), p_ne=()):
-    """All prime powers q = p^k with min_q <= q < max_q matching every
-    congruence (modulus, residue) filter and p not in p_ne, ascending by q.
+def enumerate_prime_powers(min_q, max_q, congruences=()):
+    """All odd prime powers q = p^k (the fields build_field makes) with
+    min_q <= q < max_q matching every congruence (modulus, residue) filter,
+    ascending by q.
     Only the window is sieved, by the primes up to sqrt(max_q), so the cost
     goes as (max_q - min_q) + sqrt(max_q).  No field is larger than
     CODE_LIMIT: a max_q past it is rejected before any sieve."""
@@ -84,7 +85,7 @@ def enumerate_prime_powers(min_q, max_q, congruences=(), p_ne=()):
         is_prime[max(p * p, -(-min_q // p) * p) - min_q :: p] = False
         found += [(p, k, p**k) for k in range(2, max_q.bit_length()) if min_q <= p**k < max_q]
     found += [(q, 1, q) for q in (np.flatnonzero(is_prime) + min_q).tolist()]
-    found = [t for t in found if t[0] not in p_ne and all(t[2] % m == r for m, r in congruences)]
+    found = [t for t in found if t[0] != 2 and all(t[2] % m == r for m, r in congruences)]
     return sorted(found, key=lambda t: t[2])
 
 
@@ -318,18 +319,11 @@ def _rows_f21_lambda(field, claim, u_mode):
     f = field
     bs = f.elements()
     eta = f.eta_vec
-    inv2 = f.embed((f.p + 1) // 2)  # 1/2, as 2 (p + 1)/2 = 1 in F_p
-    half = f.mul_vec(bs, np.int64(inv2))
+    half = f.mul_vec(bs, f.inv(2))
     both_sides = (eta(f.add_vec(bs, 2)) == 1) & (eta(f.sub_vec(bs, 2)) == 1)
-
     neg_half = f.neg_vec(half)
-    m1 = both_sides & (eta(neg_half) == 1)
-    y1 = np.where(m1, f.sqrt_table[neg_half], 0)
-    m1 &= eta(f.add_vec(y1, 1)) == -1
-
-    m2 = both_sides & (eta(half) == 1)
-    y2 = np.where(m2, f.sqrt_table[half], 0)
-    m2 &= eta(f.sub_vec(y2, 1)) == -1
+    m1 = both_sides & (eta(neg_half) == 1) & (eta(f.add_vec(f.sqrt_vec(neg_half), 1)) == -1)
+    m2 = both_sides & (eta(half) == 1) & (eta(f.sub_vec(f.sqrt_vec(half), 1)) == -1)
 
     q, T = f.q, cubic_character_sum(f)
     nums = (q + 1 + 2 * f.eta(f.embed(2)) * T, q + 1 - 2 * T)
@@ -417,7 +411,7 @@ def _sqrt_pair_lemma_holds(field: Field):
     a, u = np.meshgrid(codes, codes, indexing="ij")
     up = field.sub_vec(field.mul_vec(a, a), u)
     pairs = (eta[u] == 1) & (eta[up] == 1)
-    a, r, rp = a[pairs], field.sqrt_table[u[pairs]], field.sqrt_table[up[pairs]]
+    a, r, rp = a[pairs], field.sqrt_vec(u[pairs]), field.sqrt_vec(up[pairs])
     plus, eta2 = eta[field.add_vec(a, r)], field.eta(field.embed(2))
     minus, plus_p = eta[field.sub_vec(a, r)], eta[field.add_vec(a, rp)]
     return bool(np.all(plus == minus) and np.all(plus == eta2 * plus_p))

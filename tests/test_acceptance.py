@@ -271,7 +271,7 @@ def _check_weil_bound_quartics(field):
 
 def test_acceptance_7_character_sum_suite(capfd):
     started = time.time()
-    odd_pp = enumerate_prime_powers(3, 200, p_ne=(2,))
+    odd_pp = enumerate_prime_powers(3, 200)
 
     for p, n, q in odd_pp:
         if q <= 81:

@@ -6,12 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhsbox.characters import poly_eval_vec, weil_sum_quadratic_closed
 from nhsbox.gf import (
     TABLE_LIMIT,
     DegreeError,
@@ -26,6 +28,8 @@ from nhsbox.gf import (
     is_irreducible_zp,
     lex_min_irreducible,
 )
+from nhsbox.nh_family import CaseAnalysis, NHParams, nh_table, uniformity_batch
+from nhsbox.spectra import boomerang_case_counts_F21
 
 
 def test_construction_errors_are_distinct():
@@ -167,6 +171,45 @@ def test_sqrt_rejects_q_1_mod_4():
         f.cij_partition()
 
 
+def _root_oracle(f):
+    """(x^((q+1)/4), eta(x)) of one code by arithmetic outside Field's tables
+    and vector ops: Python pow and Euler's criterion mod p in a prime field,
+    the schoolbook _TableFree in an extension field, with (mul, neg) for s^2."""
+    q, k = f.q, (f.q + 1) // 4
+    if f.n == 1:
+        euler = {0: 0, 1: 1, q - 1: -1}
+        return (lambda x: (pow(x, k, q), euler[pow(x, (q - 1) // 2, q)]),
+                lambda a, b: a * b % q, lambda a: -a % q)
+    ref = _reference(f)
+    return lambda x: (ref.pow(x, k), ref.eta(x)), ref.mul, ref.neg
+
+
+@pytest.mark.parametrize(
+    "args", [(7, 1), (19, 1), (3, 3), (7, 3), (3, 5), (4194319, 1), (2147483647, 1)],
+    ids=["F7", "F19", "F27", "F343", "F243", "F4194319", "F2147483647"],
+)
+def test_sqrt_vec_squares_to_eta_times_x(args):
+    # s = x^((q+1)/4) has s^2 = eta(x) x for every code: the root of x on the
+    # squares, of -x on the non-squares; fields past TABLE_LIMIT (no eta
+    # table) take pow_vec, on sampled codes
+    f = build_field(*args) if args[0] < TABLE_LIMIT else cached_field(*args)
+    q = f.q
+    if q < TABLE_LIMIT:
+        xs = f.elements()
+    else:
+        xs = np.unique(np.r_[0, 1, 2, q - 1, np.random.default_rng(q).integers(0, q, 300)])
+    root_eta, mul, neg = _root_oracle(f)
+    got = f.sqrt_vec(xs)
+    for x, s in zip(xs.tolist(), got.tolist()):
+        want, eta = root_eta(x)
+        assert s == want and mul(s, s) == (neg(x) if eta < 0 else x), (q, x)
+        assert f.sqrt(x) == (None if eta < 0 else s), (q, x)
+    if args in ((19, 1), (7, 3)):  # the table path against the pow path
+        with mock.patch.object(f, "eta_table", None):
+            assert np.array_equal(f.sqrt_vec(xs), got)
+        assert f._sqrt_table is not None
+
+
 def test_cij_f7_exact_sets():
     f = build_field(7)
     part = f.cij_partition()
@@ -264,6 +307,13 @@ class _TableFree(Field):
     """An extension field without tables: digit-loop addition and schoolbook
     polynomial products reduced modulo f.modulus, sharing no code with
     _powers, _mul_matrix or _addition_tables."""
+
+    @property
+    def _pw(self):
+        return tuple(self.p**k for k in range(self.n))
+
+    def digits(self, x):
+        return tuple((x // w) % self.p for w in self._pw)
 
     def _code(self, ds):
         return sum((d % self.p) * w for d, w in zip(ds, self._pw))
@@ -425,6 +475,34 @@ def test_scalar_addition_rejects_codes_outside_the_field():
         with pytest.raises(ZeroDivisionError):  # 13 and 26 are 0 in F_13
             call()
     assert f.eta(13) == 0 and f.eta(-1) == f.eta(12)
+
+
+_NON_INTEGER_CALLS = {
+    "check_code": (lambda f: f.check_code(np.array([1.0, 2.0]), "xs"), "xs"),
+    "add": (lambda f: f.add(2.5, 1), "a"),
+    "mul": (lambda f: f.mul(1, np.float64(2)), "b"),
+    "pow": (lambda f: f.pow(1.5, 2), "a"),
+    "eta": (lambda f: f.eta(3.9), "x"),
+    "sqrt": (lambda f: f.sqrt(2.5), "x"),
+    "uniformity_batch": (lambda f: uniformity_batch(f, 2, [2.5]), "u"),
+    "nh_table": (lambda f: nh_table(f, NHParams(2, 2.5)), "u"),
+    "CaseAnalysis": (lambda f: CaseAnalysis(f, np.array([3.9])), "u"),
+    "boomerang_case_counts_F21": (lambda f: boomerang_case_counts_F21(f, [1, 2.5]), "b"),
+    "poly_eval_vec xs": (lambda f: poly_eval_vec(f, [1, 1], np.array([0.5])), "xs"),
+    "poly_eval_vec coeffs": (lambda f: poly_eval_vec(f, [1, 2.5], f.elements()), "coeffs"),
+    "weil_sum_quadratic_closed": (lambda f: weil_sum_quadratic_closed(f, 1, 2.5, 0), "a1"),
+}
+
+
+@pytest.mark.parametrize("args", [(11, 1), (3, 3)], ids=["F11", "F27"])
+@pytest.mark.parametrize("entry", list(_NON_INTEGER_CALLS))
+def test_non_integer_codes_are_rejected(args, entry):
+    # a cast to int64 would drop the fraction (2.5 read as u = 2), and a prime
+    # field's reduction would read a float's bits: every entry point refuses
+    # it and names the argument
+    call, name = _NON_INTEGER_CALLS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} .*integer"):
+        call(cached_field(*args))
 
 
 def test_representation_independence_cij():
