@@ -242,8 +242,11 @@ class Field:
         if isinstance(x, int) and 0 <= x < self.q:  # the scalar ops' fast path
             return x
         xs = np.asarray(x)
-        if xs.dtype.kind not in "iu" and xs.size:
-            raise ValueError(f"{name} has dtype {xs.dtype}: element codes are integers")
+        if xs.dtype.kind not in "iu":  # Python ints past int64 come as object or float64
+            ints = np.asarray(x, dtype=object)
+            if not all(type(v) is int for v in ints.flat):
+                raise ValueError(f"{name} has dtype {xs.dtype}: element codes are integers")
+            xs = ints
         if xs.min(initial=0) < 0 or xs.max(initial=0) >= self.q:
             bad = xs[(xs < 0) | (xs >= self.q)].flat[0]
             raise ValueError(f"{name} = {bad} is out of range: not an element code of F_{self.q}")
@@ -370,10 +373,10 @@ class Field:
         return np.where(r == 0, 0, np.where(r == 1, 1, -1)).astype(np.int8)
 
     def sqrt(self, x):
-        """The canonical root of one code, sqrt_vec(x); None when x is a non-square."""
+        """The canonical root of one code, sqrt_vec(x), by one pow and no
+        sqrt_table; None when x is a non-square."""
         self.require_3_mod_4("the canonical sqrt")
-        x = self._scalar(x, "x")
-        return int(self.sqrt_vec(x)) if self.eta(x) >= 0 else None
+        return self.pow(x, (self.q + 1) // 4) if self.eta(x) >= 0 else None
 
     def sqrt_vec(self, x):
         """s = x^((q+1)/4) for every code x, so that s^2 = eta(x)*x: the root of

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import weil_sum_brute
 from .gf import Field, UnsupportedFieldError
 from .nh_family import ConsistencyError, NHParams, _code_axis, nh_table
 
@@ -248,12 +249,8 @@ def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):
 
 
 def cubic_character_sum(field: Field):
-    """T = sum of eta((y+1)(y^2+1)) over F_q."""
-    ys = field.elements()
-    prod = field.mul_vec(
-        field.add_vec(ys, 1), field.add_vec(field.mul_vec(ys, ys), 1)
-    )
-    return int(field.eta_vec(prod).astype(np.int64).sum())
+    """T = sum of eta((y+1)(y^2+1)) = eta(y^3 + y^2 + y + 1) over F_q."""
+    return weil_sum_brute(field, [1, 1, 1, 1])
 
 
 def closed_form_spectrum_F21(field: Field):
@@ -286,20 +283,18 @@ def closed_form_spectrum_F21(field: Field):
     return DifferentialSpectrum(omega=omega, uniformity=(q + 1) // 4, locally_apn=True)
 
 
-BOOMERANG_CLASSES = tuple(f"{i}{j},{k}{l}" for i in "01" for j in "01" for k in "01" for l in "01")
-
-
 # the four classes F_{2,1} can hit: (label, sign of h = +-b/2, shift e = +-1)
 _F21_CHAINS = (("00,01", 1, -1), ("00,10", 1, 1), ("01,00", -1, -1), ("10,00", -1, 1))
 
 
 def boomerang_case_counts_F21(field: Field, b):
-    """Per-class boomerang pair counts #A_{ij,kl}(b) for F_{2,1}, b != 0:
-    ints for one code b, (B,) int64 arrays for a 1-D array of b.
+    """Boomerang pair counts #A_{ij,kl}(b) of F_{2,1}, b != 0, in the four
+    classes of _F21_CHAINS, the only ones it can hit: ints for one code b,
+    (B,) int64 arrays for a 1-D array of b.
 
-    Only the classes of _F21_CHAINS can be hit, each 0/1: with canonical
-    roots s = h^((q+1)/4) and t = (1 + 2e*s)^((q+1)/4) (Field.sqrt_vec),
-    where eta(h) = eta(s + e) = eta(1 + 2e*s) = 1 and eta(t - e) = -1.
+    Each count is 0/1: with canonical roots s = h^((q+1)/4) and
+    t = (1 + 2e*s)^((q+1)/4) (Field.sqrt_vec), a class is hit where
+    eta(h) = eta(s + e) = eta(1 + 2e*s) = 1 and eta(t - e) = -1.
     """
     f = field
     bs, scalar = _code_axis(f, b, "b")
@@ -313,6 +308,5 @@ def boomerang_case_counts_F21(field: Field, b):
     inner = f.add_vec(1, f.mul_vec(f.add_vec(e, e), s))
     hit = (f.eta_vec(h) == 1) & (f.eta_vec(f.add_vec(s, e)) == 1) & (f.eta_vec(inner) == 1)
     hit &= f.eta_vec(f.sub_vec(f.sqrt_vec(inner), e)) == -1
-    counts = {label: np.zeros(len(bs), dtype=np.int64) for label in BOOMERANG_CLASSES}
-    counts.update(zip(labels, hit.astype(np.int64)))
-    return {label: int(c[0]) for label, c in counts.items()} if scalar else counts
+    hit = hit.astype(np.int64)
+    return dict(zip(labels, hit[:, 0].tolist() if scalar else hit))

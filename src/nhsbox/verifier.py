@@ -9,12 +9,12 @@ Each claim is one ClaimSpec in CLAIMS, the only place that states its
 claimed value, the sign condition on u, its threshold and its evaluator;
 verify_claim, conclusion_expected_delta and the sweep read them there.
 
-Claim thresholds come in two kinds.  Hypotheses on q alone (the u = 1/3
-uniformities, the caps, the F_{2,1} witness-set formulas) are QFilters: a
-miss anywhere inside one fails hard.  ClaimSpec.threshold is the q from
-which a claim must hold, numerically suggested (4027 / 839 / 307) or
-proven (the witness-set lower bounds, 58^2 / 1681^2 / 9613^2).  Below it
-a miss is recorded as a skipped row, from it on it is a genuine exception.
+Claim thresholds come in two kinds.  A hypothesis on the field (the u = 1/3
+uniformities, the caps, the F_{2,1} witness-set formulas) is the claim's
+admits(p, q), as the paper states it: a miss at any admitted q fails hard.
+ClaimSpec.threshold is the q from which a claim must hold, numerically
+suggested (4027 / 839 / 307) or proven (the witness-set lower bounds, 58^2 /
+1681^2 / 9613^2).  Below it a miss is a skipped row, from it on an exception.
 """
 
 from __future__ import annotations
@@ -95,24 +95,9 @@ def enumerate_prime_powers(min_q, max_q, congruences=()):
 
 
 @dataclass(frozen=True)
-class QFilter:
-    congruences: tuple = ()
-    min_q: int = 3
-    p_ne: tuple = ()
-    q_in: tuple | None = None
-
-    def admits(self, p, q):
-        if self.q_in is not None:
-            return q in self.q_in
-        if q < self.min_q or p in self.p_ne:
-            return False
-        return all(q % m == r for m, r in self.congruences)
-
-
-@dataclass(frozen=True)
 class ClaimSpec:
     id: str
-    q_filter: QFilter
+    admits: Callable  # (p, q) -> bool: the paper's hypothesis on the field
     metric: str
     description: str
     evaluate: Callable  # (field, claim, u_mode) -> [SweepRow]
@@ -159,7 +144,7 @@ def conclusion_expected_delta(field: Field, u):
         return (q + 1) // 4, None
     if field.p != 3 and u in (u_third(field), field.neg(u_third(field))):
         thirds = [c for c in CLAIMS.values() if c.evaluate is _rows_delta_third]
-        (claim,) = [c for c in thirds if c.q_filter.admits(field.p, q)]
+        (claim,) = [c for c in thirds if c.admits(field.p, q)]
     else:
         sign = field.eta(field.add(1, u)) * field.eta(field.sub(1, u))
         (claim,) = [c for c in CLAIMS.values() if c.sign == sign]
@@ -442,68 +427,68 @@ CLAIMS = {
     c.id: c
     for c in (
         ClaimSpec(
-            "THM2_DELTA5", QFilter(congruences=((4, 3),)), "differential uniformity",
+            "THM2_DELTA5", lambda p, q: q % 4 == 3, "differential uniformity",
             "delta = 5 for u outside the excluded set with eta(1+u) = eta(u-1)",
             _rows_condition_claim, expected=5, sign=-1, threshold=4027,
         ),
         ClaimSpec(
-            "THM3_DELTA4", QFilter(congruences=((4, 3),)), "differential uniformity",
+            "THM3_DELTA4", lambda p, q: q % 4 == 3, "differential uniformity",
             "delta = 4 for u outside the excluded set with eta(1+u) = eta(1-u)",
             _rows_condition_claim, expected=4, sign=1, threshold=839,
         ),
         ClaimSpec(
-            "THM5_DELTA3", QFilter(congruences=((8, 7),), min_q=8), "differential uniformity",
+            "THM5_DELTA3", lambda p, q: q % 8 == 7 and q > 7, "differential uniformity",
             "delta = 3 for u = 1/3 when q = 7 (mod 8), q > 7",
             _rows_delta_third, expected=3,
         ),
         ClaimSpec(
-            "THM6_DELTA4", QFilter(congruences=((8, 3),), min_q=44, p_ne=(3,)),
+            "THM6_DELTA4", lambda p, q: q % 8 == 3 and p != 3 and q > 43,
             "differential uniformity", "delta = 4 for u = 1/3 when q = 3 (mod 8), p != 3, q > 43",
             _rows_delta_third, expected=4,
         ),
         ClaimSpec(
-            "SPEC_F21", QFilter(congruences=((4, 3),), min_q=8), "differential spectrum",
+            "SPEC_F21", lambda p, q: q % 4 == 3 and q > 7, "differential spectrum",
             "closed-form spectrum of F_{2,1} equals brute force; locally-APN",
             _rows_spec_f21,
         ),
         ClaimSpec(
-            "BOOM_F21", QFilter(congruences=((4, 3),), min_q=7), "boomerang uniformity",
+            "BOOM_F21", lambda p, q: q % 4 == 3 and q > 3, "boomerang uniformity",
             "beta(1, b) <= 2 always; beta = 2",
             _rows_boom_f21, expected=2, threshold=307,
         ),
         ClaimSpec(
-            "APN_Q7", QFilter(q_in=(7,)), "differential uniformity",
+            "APN_Q7", lambda p, q: q == 7, "differential uniformity",
             "delta = 2 for u = 1/3 at q = 7",
             _rows_delta_third, expected=2,
         ),
         ClaimSpec(
-            "REMARK_11_19_43", QFilter(q_in=(11, 19, 43)), "differential uniformity",
+            "REMARK_11_19_43", lambda p, q: q in (11, 19, 43), "differential uniformity",
             "delta = 3 for u = 1/3 at q in {11, 19, 43}",
             _rows_delta_third, expected=3,
         ),
         ClaimSpec(
-            "LEMMA_SUITE", QFilter(congruences=((4, 3),)), "lemma checks",
+            "LEMMA_SUITE", lambda p, q: q % 4 == 3, "lemma checks",
             "C_ij counts, closed-vs-brute class counts, sqrt-pair lemma, u/-u symmetry",
             _rows_lemma_suite,
         ),
         ClaimSpec(
-            "F21_LAMBDA", QFilter(congruences=((4, 3),)), "witness set sizes",
+            "F21_LAMBDA", lambda p, q: q % 4 == 3, "witness set sizes",
             "the two delta(1, b) = 2 sets of F_{2,1} have sizes (q + 1 + 2 eta(2) T)/16 "
             "and (q + 1 - 2T)/16",
             _rows_f21_lambda,
         ),
         ClaimSpec(
-            "THM5_WITNESS", QFilter(congruences=((8, 7),), min_q=8), "witness set size",
+            "THM5_WITNESS", lambda p, q: q % 8 == 7 and q > 7, "witness set size",
             "delta(1, b) = 3 for at least (q - 58 sqrt(q) + 3)/64 b at u = 1/3",
             _rows_thm5_witness, threshold=58**2,
         ),
         ClaimSpec(
-            "THM6_WITNESS", QFilter(congruences=((8, 3),), min_q=44, p_ne=(3,)), "witness set size",
+            "THM6_WITNESS", lambda p, q: q % 8 == 3 and p != 3 and q > 43, "witness set size",
             "delta(1, b) = 4 for at least (4q + m1 sqrt(q) + m2 - 328)/256 b at u = 1/3",
             _rows_thm6_witness, threshold=1681**2,
         ),
         ClaimSpec(
-            "BOOM_WITNESS", QFilter(congruences=((4, 3),)), "witness set size",
+            "BOOM_WITNESS", lambda p, q: q % 4 == 3, "witness set size",
             "beta(1, b) = 2 for at least (q + m1 sqrt(q) + m2 - 1279)/128 b of F_{2,1}",
             _rows_boom_witness, threshold=9613**2,
         ),
@@ -529,7 +514,7 @@ def verify_claim(claim_id, p, n, *, u_mode="default"):
     """Evaluate one claim at q = p^n; returns report rows, each carrying the
     wall time of the whole (claim, q) task as elapsed_ms."""
     claim, q = _claim_spec(claim_id), p**n
-    if not claim.q_filter.admits(p, q):
+    if not claim.admits(p, q):
         return [SweepRow(q, p, n, AGGREGATE_U, claim_id, "-", "-", "skipped")]
     start = time.perf_counter()
     rows = claim.evaluate(cached_field(p, n), claim, u_mode)
@@ -641,7 +626,7 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
         (claim_id, p, n)
         for p, n, q in enumerate_prime_powers(max(config.min_q, 3), config.max_q)
         for claim_id in sorted(set(config.claims))
-        if CLAIMS[claim_id].q_filter.admits(p, q)
+        if CLAIMS[claim_id].admits(p, q)
     ]
 
     rows, errors = [], []

@@ -1,4 +1,7 @@
-"""Every script in demos/ runs to completion against the source tree."""
+"""Every script in demos/ runs to completion against the source tree and
+prints exactly its committed stdout, tests/demo_stdout/<script>.txt.  After
+a deliberate change to what a demo prints, rewrite its file with
+``PYTHONPATH=src python demos/<script>.py > tests/demo_stdout/<script>.txt``."""
 
 import os
 import subprocess
@@ -9,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "demo_stdout"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
@@ -23,3 +27,4 @@ def test_demo_runs(script):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / f"{script.stem}.txt").read_text(), script.name

@@ -210,6 +210,23 @@ def test_sqrt_vec_squares_to_eta_times_x(args):
         assert f._sqrt_table is not None
 
 
+def test_scalar_sqrt_builds_no_table_at_a_large_prime():
+    # one root is one pow: Field.sqrt leaves the q-sized sqrt_table unbuilt
+    # even where eta has a table
+    f = cached_field(4194247)
+    q = f.q
+    no_table = property(lambda self: pytest.fail("the q-sized sqrt table was built"))
+    with mock.patch.object(type(f), "sqrt_table", no_table):
+        roots = {x: f.sqrt(x) for x in (0, 1, 2, 3, 12345, q - 2, q - 1)}
+    assert f.eta_table is not None
+    for x, root in roots.items():
+        if pow(x, (q - 1) // 2, q) == q - 1:
+            assert root is None, x
+        else:
+            assert root == pow(x, (q + 1) // 4, q) and root * root % q == x, x
+    assert roots[q - 1] is None  # -1 is a non-square at q = 3 (mod 4)
+
+
 def test_cij_f7_exact_sets():
     f = build_field(7)
     part = f.cij_partition()
@@ -503,6 +520,23 @@ def test_non_integer_codes_are_rejected(args, entry):
     call, name = _NON_INTEGER_CALLS[entry]
     with pytest.raises(ValueError, match=rf"^{name} .*integer"):
         call(cached_field(*args))
+
+
+@pytest.mark.parametrize("args", [(23, 1), (3, 3)], ids=["F23", "F27"])
+@pytest.mark.parametrize("big", [2**70, -(2**70), 2**63])
+def test_python_ints_past_int64_are_out_of_range(args, big):
+    # numpy holds such an int only as dtype object; it is still an integer,
+    # so the error is the range one, not a dtype one
+    f = cached_field(*args)
+    calls = (
+        ("x", lambda: f.check_code(big)),
+        ("xs", lambda: f.check_code([1, big], "xs")),
+        ("u", lambda: uniformity_batch(f, 2, [big])),
+        ("u", lambda: CaseAnalysis(f, big)),
+    )
+    for name, call in calls:
+        with pytest.raises(ValueError, match=rf"^{name} = {big} is out of range"):
+            call()
 
 
 def test_representation_independence_cij():

@@ -160,7 +160,7 @@ def test_one_third_claims_partition_the_fields():
     for p, n, q in enumerate_prime_powers(7, 2000, congruences=((4, 3),)):
         if p == 3:
             continue
-        (claim_id,) = [c for c in third_claims if CLAIMS[c].q_filter.admits(p, q)]
+        (claim_id,) = [c for c in third_claims if CLAIMS[c].admits(p, q)]
         f = cached_field(p, n)
         third = f.inv(f.embed(3))
         for u in (third, f.neg(third)):
@@ -598,7 +598,7 @@ def test_witness_sizes_match_the_brute_force_class_counts():
     checked = 0
     for p, n, q in enumerate_prime_powers(8, 500):
         for claim_id in ("THM5_WITNESS", "THM6_WITNESS"):
-            if not CLAIMS[claim_id].q_filter.admits(p, q):
+            if not CLAIMS[claim_id].admits(p, q):
                 continue
             field = cached_field(p, n)
             counts = aij_counts_brute(field, u_third(field))
