@@ -396,12 +396,18 @@ class Field:
         return self._sqrt_table
 
     def cij_partition(self):
+        """The C_ij partition (see CijPartition), built on first use.
+
+        eta(x + 1) is read off the eta values by rotation, with no field
+        addition: x + 1 changes only the lowest base-p digit d of the code x,
+        to d + 1 mod p.  So each block of p consecutive codes p*k .. p*k + p - 1
+        maps onto itself, shifted by one place (the whole field when n = 1).
+        """
         self.require_3_mod_4("the C_ij partition")
         if self._cij is None:
-            codes = self.elements()
-            e0 = self.eta_vec(codes)
-            e1 = self.eta_vec(self.add_vec(codes, 1))
-            idx = (2 * (e0 < 0) + (e1 < 0)).astype(np.int8)
+            e0 = self.eta_vec(self.elements())
+            e1 = np.roll(e0.reshape(-1, self.p), -1, axis=1).ravel()
+            idx = 2 * (e0 < 0).astype(np.int8) + (e1 < 0)
             idx[e0 == 0] = -1
             idx[e1 == 0] = -1  # x = -1
             counts = {

@@ -1,10 +1,13 @@
 """Character sums: closed forms vs brute oracles, bounds, criteria, constants."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from nhsbox import characters
 from nhsbox.characters import (
     boomerang_constants,
     conic_count_brute,
@@ -105,7 +108,10 @@ def _conic_count_grid(field, a1, a2):
     return np.bincount(vals.ravel(), minlength=field.q)
 
 
-@pytest.mark.parametrize("p, n", [(7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (7, 2)])
+# prime fields take the convolution route, extension fields the value grid
+@pytest.mark.parametrize(
+    "p, n", [(3, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (7, 2), (31, 1)]
+)
 def test_conic_brute_matches_full_grid(p, n):
     f = cached_field(p, n)
     for a1 in range(f.q):
@@ -113,6 +119,63 @@ def test_conic_brute_matches_full_grid(p, n):
             got = conic_count_brute(f, a1, a2)
             assert got.dtype == np.int64
             assert np.array_equal(got, _conic_count_grid(f, a1, a2)), (f.q, a1, a2)
+
+
+def _peak_mib(call):
+    """The tracemalloc peak of call() in MiB; the call is made once before, so
+    that lazy tables and caches are not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_conic_brute_memory_bound():
+    # the convolution holds O(q) counts; the value grid of ((q+1)/2)^2 sums
+    # and weights peaked at 1.46 MiB here
+    f = cached_field(499)
+    assert _peak_mib(lambda: conic_count_brute(f, 2, 3)) < 0.25
+
+
+def _horner_full_shape(field, coeffs, xs):
+    """Reference: Horner from an accumulator filled to params + xs.shape."""
+    xs = np.asarray(xs, dtype=np.int64)
+    coeffs = [np.asarray(c, dtype=np.int64) for c in coeffs]
+    coeffs = [c.reshape(c.shape + (1,) * xs.ndim) for c in coeffs]
+    shape = np.broadcast_shapes(*(c.shape for c in coeffs), xs.shape)
+    acc = np.full(shape, coeffs[-1] if coeffs else 0, dtype=np.int64)
+    for c in reversed(coeffs[:-1]):
+        acc = field.add_vec(field.mul_vec(acc, xs), c)
+    return acc
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (499, 1), (3, 3), (7, 2)])
+def test_poly_eval_vec_batches_wider_than_the_leading_coefficient(p, n):
+    f = cached_field(p, n)
+    rng = np.random.default_rng(f.q)
+
+    def codes(*shape):
+        return rng.integers(0, f.q, size=shape)
+
+    batches = [
+        [codes(4, 1), codes(5), 1],  # a scalar leading coefficient
+        [codes(2, 3, 1), codes(3, 1), 2, codes(3)],  # lead (3,), params (2, 3, 3)
+        [codes(6), codes(1), 0],  # a zero lead: lower degree
+        [codes(2, 1), codes(2, 1)],
+        [codes(3, 2)],  # constant polynomials: no Horner step
+        [],
+    ]
+    for xs in (f.elements(), codes(3, 4), 5):
+        for coeffs in batches:
+            got = poly_eval_vec(f, coeffs, xs)
+            want = _horner_full_shape(f, coeffs, xs)
+            params = np.broadcast_shapes(*(np.shape(c) for c in coeffs))
+            assert np.shape(got) == params + np.shape(xs) == np.shape(want)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (np.shape(xs), [np.shape(c) for c in coeffs])
 
 
 def test_jacobsthal():
@@ -196,6 +259,25 @@ def test_jacobsthal_batch_matches_scalar_calls():
             assert np.array_equal(jacobsthal_sum(f, n_exp, a.reshape(-1, 2)), batch.reshape(-1, 2))
 
 
+def test_jacobsthal_blocks_cover_every_a():
+    # 100 a per block at F_499: four full blocks, then one of 98
+    f = cached_field(499)
+    a = f.elements()[1:]
+    whole = {n_exp: jacobsthal_sum(f, n_exp, a) for n_exp in (1, 2, 3)}
+    with mock.patch.object(characters, "_BLOCK", 100 * f.q):
+        for n_exp, sums in whole.items():
+            assert np.array_equal(jacobsthal_sum(f, n_exp, a), sums), n_exp
+            assert np.array_equal(jacobsthal_sum(f, n_exp, a.reshape(6, 83)), sums.reshape(6, 83))
+    assert np.all(whole[2] == 0)  # H_n vanishes for even n at q = 3 (mod 4)
+
+
+def test_jacobsthal_memory_bound():
+    # blocks of _BLOCK cells; at 2^18 cells every a at F_499 peaked at 5.70 MiB
+    f = cached_field(499)
+    a = f.elements()[1:]
+    assert _peak_mib(lambda: jacobsthal_sum(f, 2, a)) < 2
+
+
 def test_cubic_reciprocal_identity():
     cases = [(7, (1, 0, 0, 1)), (11, (1, 2, 3, 4)), (19, (5, 0, 7, 1))]
     for p, (a, b, c, d) in cases:
@@ -250,6 +332,24 @@ def test_curve_point_count():
     assert curve_point_count(f7, {(1, 0): 1}) == 7  # the line t = 0
     with pytest.raises(ValueError):
         curve_point_count(f7, {(1, 1): 0})
+
+
+def test_curve_point_count_reads_coefficients_as_codes():
+    # unchecked, F_27 read a coefficient of -1 as the table slot _log[-1] and
+    # counted 53 points, and a coefficient of 30 raised an IndexError
+    f7 = cached_field(7)
+    assert curve_point_count(f7, {(1, 0): -1}) == curve_point_count(f7, {(1, 0): 6}) == 7
+    assert curve_point_count(f7, {(2, 0): 1, (0, 0): -2}) == 14  # t^2 = 2 = 3^2
+    assert curve_point_count(f7, {(2, 0): 30, (0, 0): 5}) == curve_point_count(
+        f7, {(2, 0): 2, (0, 0): 5}
+    )
+    with pytest.raises(ValueError):  # 7 reduces to 0: the zero polynomial
+        curve_point_count(f7, {(1, 1): 7})
+    f27 = cached_field(3, 3)
+    assert curve_point_count(f27, {(1, 0): 26}) == 27
+    for c in (-1, 30):
+        with pytest.raises(ValueError, match=rf"^monomials\[\(1, 0\)\] = {c} is out of range"):
+            curve_point_count(f27, {(1, 0): c})
 
 
 def test_curve_count_quartic_instance_within_bound():

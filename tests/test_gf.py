@@ -246,6 +246,45 @@ def test_cij_counts_match_closed_forms():
         assert sum(part.counts.values()) == q - 2
 
 
+def _cij_by_add_vec(f):
+    """Reference classes: (eta(x), eta(x + 1)), with x + 1 through add_vec."""
+    codes = f.elements()
+    e0, e1 = f.eta_vec(codes), f.eta_vec(f.add_vec(codes, 1))
+    want = 2 * (e0 < 0) + (e1 < 0)
+    want[(e0 == 0) | (e1 == 0)] = -1
+    return want
+
+
+@pytest.mark.parametrize(
+    "p, n, table",
+    [(7, 1, True), (19, 1, True), (499, 1, True), (3, 3, True), (7, 3, True),
+     (3, 5, True), (43, 3, True), (499, 1, False)],
+)
+def test_cij_rotation_matches_add_vec(p, n, table):
+    f = build_field(p, n)
+    want = _cij_by_add_vec(f)
+    with mock.patch.object(f, "eta_table", f.eta_table if table else None):
+        part = f.cij_partition()
+    assert part.classes.dtype == np.int8
+    assert np.array_equal(part.classes, want)
+    assert part.counts == {
+        label: int(np.count_nonzero(want == k)) for k, label in enumerate(part.CLASS_LABELS)
+    }
+
+
+def test_cij_partition_memory_bound():
+    # the rotation holds q-long int8 arrays next to the q codes; x + 1
+    # through add_vec over every code peaked at 2.50 MiB
+    f = build_field(43, 3)
+    tracemalloc.start()
+    try:
+        f.cij_partition()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak / 2**20
+
+
 def test_sqrt_pair_lemma_small_fields():
     # eta(a + sqrt(u)) = eta(a - sqrt(u)) = eta(2) * eta(a + sqrt(u'))
     # whenever u, u' are nonzero squares with u + u' = a^2
