@@ -23,7 +23,6 @@ from .spectra import (
     cubic_character_sum,
     ddt_entry,
     differential_spectrum,
-    locally_apn_check,
 )
 from .verifier import (
     CLAIMS,
@@ -60,7 +59,6 @@ __all__ = [
     "enumerate_prime_powers",
     "eval_F",
     "excluded_u_set",
-    "locally_apn_check",
     "nh_table",
     "structural_lemma_checks",
     "sweep",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -244,19 +244,21 @@ def weil_bound_check(field: Field, coeffs):
 
 def curve_point_count(field: Field, monomials):
     """#{(t, y) in F_q^2 : F(t, y) = 0} by double enumeration (O(q^2)).  Each
-    coefficient is read as the scalar Field ops read a code (Field._scalar)."""
+    coefficient is read as the scalar Field ops read a code (Field._scalar).
+
+    F is Horner in y: the coefficient of each y^j is a polynomial in t,
+    evaluated on every t, and that batch of q coefficients is evaluated on
+    every y, giving the (t, y) grid of values.
+    """
     monomials = {k: field._scalar(v, f"monomials[{k}]") for k, v in monomials.items()}
     monomials = {k: v for k, v in monomials.items() if v != 0}
     if not monomials:
         raise ValueError("zero polynomial has q^2 zeros; pass a nonzero F")
     codes = field.elements()
-    t_pows = {i: field.pow_vec(codes, i) for i in {i for i, _ in monomials}}
-    y_pows = {j: field.pow_vec(codes, j) for j in {j for _, j in monomials}}
-    acc = np.zeros((field.q, field.q), dtype=np.int64)
-    for (i, j), c in sorted(monomials.items()):
-        term = field.mul_vec(t_pows[i][:, None], y_pows[j][None, :])
-        acc = field.add_vec(acc, field.mul_vec(term, c))
-    return int(np.count_nonzero(acc == 0))
+    deg_t, deg_y = (max(k[axis] for k in monomials) for axis in (0, 1))
+    in_t = [[monomials.get((i, j), 0) for i in range(deg_t + 1)] for j in range(deg_y + 1)]
+    values = poly_eval_vec(field, [poly_eval_vec(field, c, codes) for c in in_t], codes)
+    return int(np.count_nonzero(values == 0))
 
 
 def curve_count_bound(degree, q):
@@ -304,19 +306,25 @@ def quartic_has_factor(field: Field, A, B):
 
 
 # ---------------------------------------------------------------------------
-# subset-sum lower-bound engines for the delta/beta witness counts
+# subset-sum lower-bound engine for the delta/beta witness counts
 # ---------------------------------------------------------------------------
 #
-# Each engine accumulates a bound of the form  (leading q-terms) + m1*sqrt(q) + m2
-# over all subsets I of a fixed family of character-argument polynomials
-# restricted to a conic.  Products that stay univariate contribute
-# -2*d(gamma)*sqrt(q); products of the shape phi(y)*(z + rho(y)) go through
-# the plane-curve estimate with
-#     deg(Omega) = max(4, 2 + 2 deg(phi))   when deg(rho) = 0,
-#     deg(Omega) = 4 + 2 deg(phi)           when deg(rho) = 2,
-# contributing -(deg(Omega)-1)(deg(Omega)-2)*sqrt(q) - 5*deg(Omega)^(13/3)
-# - deg(phi) - 1.  The fractional powers are accumulated exactly and
-# floored once at the very end.
+# Each bound has the form  (leading q-terms) + m1*sqrt(q) + m2,  summed over
+# every subset I of a fixed family of character-argument polynomials
+# restricted to a conic; deg I is the degree sum of the factors in I.  A
+# theorem is its factor degrees plus a table of cases, each run on every I:
+#   poly (shift, folds, skipped): the product stays univariate, gamma of
+#     degree deg I + shift, less 2 for each factor of I that a folded pair
+#     of linear factors squares (folds); it adds -2*deg(gamma)*sqrt(q),
+#     unless I is one of the perfect-square subsets in skipped (those feed
+#     the leading terms);
+#   curve (shift, deg rho, times): `times` products phi(y)*(z + rho(y)),
+#     deg phi = deg I + shift, go through the plane-curve estimate with
+#         deg(Omega) = max(4, 2 + 2 deg(phi))   when deg(rho) = 0,
+#         deg(Omega) = 4 + 2 deg(phi)           when deg(rho) = 2,
+#     each adding -(deg(Omega)-1)(deg(Omega)-2)*sqrt(q) - 5*deg(Omega)^(13/3)
+#     - deg(phi) - 1.
+# The fractional powers are accumulated exactly and floored once at the end.
 
 
 def _omega_degree(deg_phi, deg_rho):
@@ -325,45 +333,42 @@ def _omega_degree(deg_phi, deg_rho):
     return 4 + 2 * deg_phi
 
 
-class _BoundAccumulator:
-    def __init__(self):
-        self.m1 = 0
-        self.m2_int = 0
-        self.m2_pow = {}  # omega degree -> multiplicity of -5*omega^(13/3)
+def _floor_m2(m2_int, m2_pow):
+    """floor(m2_int - 5 * sum of count * omega^(13/3)) over m2_pow's
+    {omega: count}, in 60-digit Decimal; ArithmeticError if that is too close
+    to an integer to tell."""
+    import decimal  # its only user here; kept off the import path
 
-    def add_poly_case(self, d_gamma):
-        self.m1 += -2 * d_gamma
-
-    def add_curve_case(self, deg_phi, deg_rho):
-        om = _omega_degree(deg_phi, deg_rho)
-        self.m1 += -(om - 1) * (om - 2)
-        self.m2_int += -(deg_phi + 1)
-        self.m2_pow[om] = self.m2_pow.get(om, 0) + 1
-
-    def floor_m2(self):
-        import decimal  # its only user here; kept off the import path
-
-        D = decimal.Decimal
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            total = D(self.m2_int)
-            for om, count in sorted(self.m2_pow.items()):
-                total += -5 * count * D(om) ** (D(13) / 3)
-            floored = total.to_integral_value(rounding=decimal.ROUND_FLOOR)
-            if abs(total - floored) < D("1e-30") or abs(total - floored - 1) < D("1e-30"):
-                raise ArithmeticError("floor is numerically ambiguous; raise precision")
-        return int(floored)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        total = D(m2_int)
+        for om, count in sorted(m2_pow.items()):
+            total += -5 * count * D(om) ** (D(13) / 3)
+        floored = total.to_integral_value(rounding=decimal.ROUND_FLOOR)
+        if abs(total - floored) < D("1e-30") or abs(total - floored - 1) < D("1e-30"):
+            raise ArithmeticError("floor is numerically ambiguous; raise precision")
+    return int(floored)
 
 
-def _subset_degrees(degrees):
-    """(I1, the degree sum over I1) for every subset I1 of the factor
-    indices 1..len(degrees), smallest subsets first."""
+def _bound_constants(degrees, polys, curves):
+    """(m1, m2) over every subset I of the factor indices 1..len(degrees),
+    running each poly case (shift, folds, skipped) and each curve case
+    (shift, deg rho, times) on it; folds and the subsets in skipped are
+    ascending index tuples, as combinations gives I."""
+    m1, m2_int, m2_pow = 0, 0, {}
     indices = range(1, len(degrees) + 1)
-    return [
-        (frozenset(I1), sum(degrees[i - 1] for i in I1))
-        for k in range(len(degrees) + 1)
-        for I1 in combinations(indices, k)
-    ]
+    for I in chain.from_iterable(combinations(indices, k) for k in range(len(degrees) + 1)):
+        deg = sum(degrees[i - 1] for i in I)
+        for shift, folds, skipped in polys:
+            if I not in skipped:
+                m1 -= 2 * (deg + shift - 2 * sum(i in folds for i in I))
+        for shift, deg_rho, times in curves:
+            om = _omega_degree(deg + shift, deg_rho)
+            m1 -= times * (om - 1) * (om - 2)
+            m2_int -= times * (deg + shift + 1)
+            m2_pow[om] = m2_pow.get(om, 0) + times
+    return m1, _floor_m2(m2_int, m2_pow)
 
 
 def theorem2_constants():
@@ -375,41 +380,20 @@ def theorem2_constants():
     p7*p8 ~ p5 and p9*p10 ~ p6, which creates the perfect-square subsets
     {5,7,8}, {6,9,10}, {5,..,10} handled by the leading q-terms instead.
     """
-    acc = _BoundAccumulator()
-    subsets = _subset_degrees((1, 1, 1, 1, 2, 2))
-
-    # no z-factor: gamma(y), both branch sums bounded by -2 d(gamma) sqrt(q)
-    for I1, deg in subsets:
-        if I1:
-            acc.add_poly_case(deg)
-
-    # one z-factor: phi(y) * (z + a) with constant rho, four choices of a
-    for _, deg in subsets:
-        for _ in range(4):
-            acc.add_curve_case(deg, 0)
-
-    # three z-factors: the paired product folds into phi(y), degree + 2
-    for _, deg in subsets:
-        for _ in range(4):
-            acc.add_curve_case(deg + 2, 0)
-
-    # all four z-factors: fully univariate, p5/p6 may appear squared
-    for I1, deg in subsets:
-        if I1 != frozenset({5, 6}):
-            acc.add_poly_case(deg + 4 - 2 * (5 in I1) - 2 * (6 in I1))
-
-    # paired z-factors {7,8} (fold onto p5) and {9,10} (fold onto p6)
-    for fold, skip in ((5, frozenset({5})), (6, frozenset({6}))):
-        for I1, deg in subsets:
-            if I1 != skip:
-                acc.add_poly_case(deg + 2 - 2 * (fold in I1))
-
-    # mixed z-pairs {7,9}, {7,10}, {8,9}, {8,10}: rho of degree 2
-    for _, deg in subsets:
-        for _ in range(4):
-            acc.add_curve_case(deg, 2)
-
-    return acc.m1, acc.floor_m2()
+    return _bound_constants(
+        (1, 1, 1, 1, 2, 2),
+        polys=(
+            (0, (), [()]),  # no z-factor: gamma(y), both branch sums <= -2 d(gamma) sqrt(q)
+            (4, (5, 6), [(5, 6)]),  # all four z-factors: p5/p6 may appear squared
+            (2, (5,), [(5,)]),  # paired z-factors {7,8}: fold onto p5
+            (2, (6,), [(6,)]),  # paired z-factors {9,10}: fold onto p6
+        ),
+        curves=(
+            (0, 0, 4),  # one z-factor: phi(y) * (z + a), four choices of a
+            (2, 0, 4),  # three z-factors: the paired product folds into phi(y), degree + 2
+            (0, 2, 4),  # mixed z-pairs {7,9}, {7,10}, {8,9}, {8,10}: rho of degree 2
+        ),
+    )
 
 
 def theorem6_constants():
@@ -420,22 +404,14 @@ def theorem6_constants():
     p6*p7 = p5 and p1*p2 = z^2, giving the square subsets {1,2}, {5,6,7},
     {1,2,5,6,7} that feed the leading 4q - 8 term.
     """
-    acc = _BoundAccumulator()
-    subsets = _subset_degrees((1, 1, 1, 1, 2))
-
-    for I1, deg in subsets:
-        if I1 and I1 != frozenset({1, 2}):
-            acc.add_poly_case(deg)
-
-    for _, deg in subsets:
-        for _ in range(2):  # z + 1 and z - 1
-            acc.add_curve_case(deg, 0)
-
-    for I1, deg in subsets:  # both z-factors fold onto p5
-        if I1 not in (frozenset({5}), frozenset({1, 2, 5})):
-            acc.add_poly_case(deg + 2 - 2 * (5 in I1))
-
-    return acc.m1, acc.floor_m2()
+    return _bound_constants(
+        (1, 1, 1, 1, 2),
+        polys=(
+            (0, (), [(), (1, 2)]),  # no z-factor
+            (2, (5,), [(5,), (1, 2, 5)]),  # both z-factors fold onto p5
+        ),
+        curves=((0, 0, 2),),  # one z-factor: z + 1 or z - 1
+    )
 
 
 def boomerang_constants():
@@ -446,18 +422,11 @@ def boomerang_constants():
     y-product turns into z^2 - y - 2, i.e. a rho of degree 2; no subset
     collapses to a perfect square, so the only leading term is q + 1.
     """
-    acc = _BoundAccumulator()
-    subsets = _subset_degrees((1, 1, 1, 2, 2))
-
-    for I1, deg in subsets:
-        if I1:
-            acc.add_poly_case(deg)
-
-    for _, deg in subsets:
-        for _ in range(2):
-            acc.add_curve_case(deg, 0)
-
-    for _, deg in subsets:  # both y-factors together: rho(z) of degree 2
-        acc.add_curve_case(deg, 2)
-
-    return acc.m1, acc.floor_m2()
+    return _bound_constants(
+        (1, 1, 1, 2, 2),
+        polys=((0, (), [()]),),  # no y-factor
+        curves=(
+            (0, 0, 2),  # one y-factor
+            (0, 2, 1),  # both y-factors together: rho(z) of degree 2
+        ),
+    )

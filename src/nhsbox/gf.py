@@ -523,13 +523,16 @@ def build_field(p, n=1, *, modulus=None):
     comes with its tables; above TABLE_LIMIT it raises FieldSizeError
     before any search starts, as does a prime field above CODE_LIMIT.
     """
-    # a p above CODE_LIMIT is left to the size check below
-    if not isinstance(p, int) or p < 2 or (p <= CODE_LIMIT and factorize(p) != {p: 1}):
+    # integers of any type (numpy's too) are read as Field._scalar reads a
+    # code; a p above CODE_LIMIT is left to the size check below
+    p_int, n_int = (operator.index(v) if hasattr(v, "__index__") else None for v in (p, n))
+    if p_int is None or p_int < 2 or (p_int <= CODE_LIMIT and factorize(p_int) != {p_int: 1}):
         raise NotPrimeError(f"p = {p} is not prime")
-    if p == 2:
+    if p_int == 2:
         raise EvenCharacteristicError("characteristic 2 is out of scope")
-    if not isinstance(n, int) or n < 1:
+    if n_int is None or n_int < 1:
         raise DegreeError(f"extension degree n = {n} must be a positive integer")
+    p, n = p_int, n_int
     q = p**n
     if q > CODE_LIMIT:
         raise FieldSizeError(f"q = {q} exceeds the element-code limit {CODE_LIMIT}")

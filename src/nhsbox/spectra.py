@@ -145,11 +145,6 @@ def _row1_outside(field: Field, r):
     return slice(1, None)
 
 
-def locally_apn_check(table: FunctionTable):
-    """True iff max{delta(a, b): a != 0, b outside the prime subfield} == 2."""
-    return differential_spectrum(table).locally_apn
-
-
 def _spectrum_rows(table: FunctionTable, reduction: NHParams | None):
     """(rows a, weight of each, the b of the locally-APN maximum) for a
     spectrum: a < -a with weight 2, or for a table checked to be F_{r,u},

@@ -450,22 +450,23 @@ def test_theorem2_constants_exact():
 def test_floor_m2_matches_mpmath_and_keeps_its_guard():
     import mpmath
 
-    from nhsbox.characters import _BoundAccumulator
+    from nhsbox.characters import _floor_m2, _omega_degree
 
     rng = np.random.default_rng(6060)
     for _ in range(50):
-        acc = _BoundAccumulator()
+        m2_int, m2_pow = 0, {}  # the curve-case terms of _bound_constants
         for deg_phi, deg_rho in rng.integers(0, 6, size=(int(rng.integers(1, 12)), 2)).tolist():
-            acc.add_curve_case(deg_phi, deg_rho)
+            om = _omega_degree(deg_phi, deg_rho)
+            m2_int -= deg_phi + 1
+            m2_pow[om] = m2_pow.get(om, 0) + 1
         with mpmath.workdps(60):
-            total = mpmath.mpf(acc.m2_int) + sum(
-                -5 * c * mpmath.power(om, mpmath.mpf(13) / 3) for om, c in acc.m2_pow.items()
+            total = mpmath.mpf(m2_int) + sum(
+                -5 * c * mpmath.power(om, mpmath.mpf(13) / 3) for om, c in m2_pow.items()
             )
-            assert acc.floor_m2() == int(mpmath.floor(total))
-    exact = _BoundAccumulator()  # no fractional power: the sum is an integer
-    exact.m2_int = -7
+            assert _floor_m2(m2_int, m2_pow) == int(mpmath.floor(total))
+    # no fractional power: the sum is an integer
     with pytest.raises(ArithmeticError, match="ambiguous"):
-        exact.floor_m2()
+        _floor_m2(-7, {})
 
 
 def test_companion_engine_constants():

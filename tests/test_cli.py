@@ -7,7 +7,7 @@ import pytest
 
 from nhsbox import verifier
 from nhsbox.cli import main, parse_u_token, UsageError
-from nhsbox.gf import Field, cached_field
+from nhsbox.gf import CODE_LIMIT, Field, cached_field
 
 
 def run_cli(capsys, *argv):
@@ -16,10 +16,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_constants_thm2(capsys):
-    code, out, _ = run_cli(capsys, "constants", "--which", "thm2")
-    assert code == 0
-    assert out.strip() == "m1=-98312 m2=-325643353"
+@pytest.mark.parametrize("which, want", [
+    ("thm2", "m1=-98312 m2=-325643353"),
+    ("thm6", "m1=-3644 m2=-5173713"),
+    ("boomerang", "m1=-7756 m2=-17843871"),
+])
+def test_constants(capsys, which, want):
+    code, out, _ = run_cli(capsys, "constants", "--which", which)
+    assert (code, out) == (0, want + "\n")
 
 
 def test_spectrum_q11(capsys):
@@ -180,6 +184,11 @@ def test_sweep_and_verify_input_errors_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sweep", "--min", "8", "--max", "20", "--claims", "BOOM_F21",
                            "--jobs", "0")
     assert code == 2 and "jobs" in err
+    # one q past the element-code limit is a usage error, before any field is built
+    for argv in (("field",), ("verify", "--claims", "BOOM_F21")):
+        code, out, err = run_cli(capsys, *argv, "--q", "3000000000")
+        assert code == 2 and out == ""
+        assert err == f"error: q = 3000000000 exceeds the element-code limit {CODE_LIMIT}\n"
     code, out, err = run_cli(capsys, "verify", "--q", "12", "--claims", "BOOM_F21")
     assert code == 2 and out == "" and "not a prime power" in err
 

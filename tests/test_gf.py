@@ -19,6 +19,7 @@ from nhsbox.gf import (
     DegreeError,
     EvenCharacteristicError,
     Field,
+    FieldConstructionError,
     FieldSizeError,
     NotPrimeError,
     UnsupportedFieldError,
@@ -43,6 +44,32 @@ def test_construction_errors_are_distinct():
         build_field(7, 0)
     with pytest.raises(FieldSizeError):
         build_field(3, 64)
+
+
+def test_build_field_reads_numpy_integers():
+    # p and n are read as operator.index reads them, so a numpy integer builds
+    # the field its Python int does; a float is still no prime and no degree
+    for args in ((7,), (3, 3), (7, 1)):
+        want, got = build_field(*args), build_field(*(np.int64(a) for a in args))
+        assert (got.p, got.n, got.q) == (want.p, want.n, want.q)
+        assert all(type(v) is int for v in (got.p, got.n, got.q))
+        assert (got.modulus, got.generator) == (want.modulus, want.generator)
+        assert np.array_equal(got.eta_table, want.eta_table)
+    with pytest.raises(NotPrimeError, match=r"^p = 7\.0 is not prime$"):
+        build_field(7.0)
+    with pytest.raises(DegreeError, match=r"^extension degree n = 3\.0 must be"):
+        build_field(3, 3.0)
+
+
+def test_build_field_rejects_a_bad_modulus():
+    with pytest.raises(FieldConstructionError, match="prime fields take no modulus"):
+        build_field(7, modulus=(0, 1))
+    for modulus in ((1, 2, 1), (1, 2, 0, 1, 1), (1, 2, 0, 2)):  # degree 2, degree 4, lead 2
+        with pytest.raises(FieldConstructionError, match="monic of degree n"):
+            build_field(3, 3, modulus=modulus)
+    with pytest.raises(FieldConstructionError, match="reducible"):  # x^3 + 1 = (x + 1)^3
+        build_field(3, 3, modulus=(1, 0, 0, 1))
+    assert build_field(3, 3, modulus=(1, 2, 0, 4)).modulus == (1, 2, 0, 1)  # read mod p
 
 
 def test_prime_field_has_no_modulus():

@@ -36,7 +36,6 @@ from nhsbox.spectra import (
     ddt_entry,
     derivative_row,
     differential_spectrum,
-    locally_apn_check,
 )
 from nhsbox.verifier import conclusion_expected_delta
 
@@ -204,10 +203,11 @@ def test_closed_form_matches_brute_small():
 
 
 def test_locally_apn():
-    assert locally_apn_check(f21(cached_field(11)))
-    assert locally_apn_check(f21(cached_field(31)))
-    assert locally_apn_check(f21(cached_field(3, 3)))
-    assert not locally_apn_check(FunctionTable.from_nh(cached_field(11), NHParams(2, 0)))
+    assert differential_spectrum(f21(cached_field(11))).locally_apn
+    assert differential_spectrum(f21(cached_field(31))).locally_apn
+    assert differential_spectrum(f21(cached_field(3, 3))).locally_apn
+    table = FunctionTable.from_nh(cached_field(11), NHParams(2, 0))
+    assert not differential_spectrum(table).locally_apn
 
 
 def test_bct_linear_function():

@@ -1,6 +1,8 @@
 """Prime-power enumeration, claims, sweeps, reports, witness censuses."""
 
+import dataclasses
 import functools
+import math
 import time
 import tracemalloc
 from unittest import mock
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from nhsbox import verifier
+from nhsbox.characters import boomerang_constants, theorem6_constants
 from nhsbox.gf import CODE_LIMIT, UnsupportedFieldError, cached_field, factorize
 from nhsbox.nh_family import UnsupportedParameterError, aij_counts_brute, u_third
 from nhsbox.verifier import (
@@ -238,6 +241,81 @@ def test_spec_f21_and_boom_claims():
     assert row.status == "pass" and row.computed == "2"
     rows = verify_claim("BOOM_F21", 7, 1)
     assert all(r.status in ("pass", "skipped") for r in rows)
+
+
+@pytest.mark.parametrize("name, change, problem", [
+    ("closed_form_spectrum_F21", {"omega": {0: 1}}, "spectrum {brute} != {{0: 1}}"),
+    ("identities_hold", None, "sum identities failed"),
+    ("differential_spectrum", {"uniformity": 12}, "delta 12 != (q+1)/4"),
+    ("differential_spectrum", {"locally_apn": False}, "not locally-APN"),
+])
+def test_spec_f21_names_each_broken_input(monkeypatch, name, change, problem):
+    # one input broken at a time gives exactly its own problem; q = 43 has
+    # uniformity (q + 1)/4 = 11
+    from nhsbox.spectra import DifferentialSpectrum, FunctionTable, differential_spectrum
+
+    brute = differential_spectrum(FunctionTable.from_nh(cached_field(43), verifier.NHParams(2, 1)))
+    if change is None:
+        monkeypatch.setattr(DifferentialSpectrum, name, lambda self, q: False)
+    else:
+        real = getattr(verifier, name)
+        monkeypatch.setattr(
+            verifier, name, lambda *args: dataclasses.replace(real(*args), **change)
+        )
+    (row,) = verify_claim("SPEC_F21", 43, 1)
+    want = problem.format(brute=brute.omega)
+    assert (row.computed, row.expected, row.status) == (want, "ok", "exception")
+
+
+@pytest.mark.parametrize("q", [19, 311])  # below and above the threshold 307
+def test_boom_f21_cap_breach_is_an_exception_at_every_q(monkeypatch, q):
+    real = verifier.boomerang_row
+
+    def beta_3(table, a):
+        row = real(table, a).copy()
+        row[1] = 3
+        return row
+
+    monkeypatch.setattr(verifier, "boomerang_row", beta_3)
+    (row,) = verify_claim("BOOM_F21", q, 1)
+    assert (row.computed, row.expected, row.status) == ("3", "<=2", "exception")
+
+
+def test_lemma_suite_names_each_failed_check(monkeypatch):
+    from nhsbox.gf import Field
+
+    q = 19
+    real_cij = Field.cij_partition
+    counts = dict(real_cij(cached_field(q)).counts)
+    wrong = {**counts, "00": counts["00"] + 1}
+    want = {"00": (q - 3) // 4, "01": (q + 1) // 4, "10": (q - 3) // 4, "11": (q - 3) // 4}
+    assert counts == want
+    real_parts = verifier.derivative_row_parts
+
+    def shifted_parts(field, r):  # c off by one at x = 2 only
+        c, d = real_parts(field, r)
+        c = c.copy()
+        c[2] = field.add(int(c[2]), 1)
+        return c, d
+
+    for target, name, fake, problem in (
+        (Field, "cij_partition", lambda self: dataclasses.replace(real_cij(self), counts=wrong),
+         f"C_ij counts {wrong} != {want}"),
+        (verifier, "_sqrt_pair_lemma_holds", lambda field: False,
+         "sqrt-pair character lemma failed"),
+        (verifier, "derivative_row_parts", shifted_parts, "u/-u derivative symmetry failed"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, fake)
+            (row,) = verify_claim("LEMMA_SUITE", q, 1)
+        assert (row.computed, row.expected, row.status) == (problem, "ok", "exception")
+
+
+def test_sqrt_pair_lemma_fails_on_a_wrong_root(monkeypatch):
+    field = cached_field(19)
+    assert verifier._sqrt_pair_lemma_holds(field)
+    monkeypatch.setattr(field, "sqrt_vec", lambda x: field.add_vec(x, 1))  # no root at all
+    assert not verifier._sqrt_pair_lemma_holds(field)
 
 
 def test_suggested_delta5_threshold_counterexamples():
@@ -571,6 +649,25 @@ def test_lambda_census_thm5_bound():
     (row,) = verify_claim("THM5_WITNESS", 3607, 1)
     assert row.status == "pass" and row.expected.startswith(">=")
     assert int(row.computed) >= int(row.expected[2:]) > 0
+
+
+def test_witness_thresholds_are_where_the_bounds_turn_positive():
+    # each witness claim's threshold is s^2, s the least integer from which
+    # its bound's numerator is positive at sqrt(q) = s: at most 0 at s - 1,
+    # positive at s, and s - 1 already past the vertex, so it stays positive
+    m1_6, m2_6 = theorem6_constants()
+    m1_b, m2_b = boomerang_constants()
+    numerators = {  # (coefficient of q, of sqrt(q), constant) -> (N(s - 1), N(s))
+        "THM5_WITNESS": ((1, -58, 3), (-54, 3)),
+        "THM6_WITNESS": ((4, m1_6, m2_6 - 328), (-6361, 3439)),
+        "BOOM_WITNESS": ((1, m1_b, m2_b + 1 - 1280), (-5278, 6191)),
+    }
+    for claim_id, ((a, b, c), values) in numerators.items():
+        threshold = CLAIMS[claim_id].threshold
+        s = math.isqrt(threshold)
+        assert s * s == threshold, claim_id
+        assert tuple(a * x * x + b * x + c for x in (s - 1, s)) == values, claim_id
+        assert values[0] <= 0 < values[1] and 2 * a * (s - 1) + b >= 0, claim_id
 
 
 def test_witness_bound_miss_is_skipped_below_the_threshold_only():
