@@ -6,7 +6,6 @@ from .nh_family import (
     CaseAnalysis,
     NHParams,
     aij_counts_closed,
-    derivative_value,
     eval_F,
     excluded_u_set,
     nh_table,
@@ -21,7 +20,6 @@ from .spectra import (
     boomerang_spectrum,
     closed_form_spectrum_F21,
     cubic_character_sum,
-    ddt_entry,
     differential_spectrum,
 )
 from .verifier import (
@@ -53,8 +51,6 @@ __all__ = [
     "cached_field",
     "closed_form_spectrum_F21",
     "cubic_character_sum",
-    "ddt_entry",
-    "derivative_value",
     "differential_spectrum",
     "enumerate_prime_powers",
     "eval_F",

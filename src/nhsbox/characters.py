@@ -5,8 +5,7 @@ be cross-checked by direct enumeration; the brute paths are the oracles
 and stay independent of the closed-form code.
 
 Polynomials over F_q are plain sequences of element codes, low degree
-first.  Bivariate polynomials are {(i, j): code} maps for monomials
-t^i * y^j.
+first.
 
 Batches: the Weil sums, the closed conic count and the Jacobsthal sums
 take their parameters (coefficients, a2/a1/a0, b, a) as code arrays that
@@ -240,30 +239,6 @@ def weil_bound_check(field: Field, coeffs):
     # compare exactly: |s| <= (deg-1) sqrt(q)  <=>  s^2 <= (deg-1)^2 q
     ok = s * s <= (deg - 1) * (deg - 1) * field.q
     return WeilBoundResult(sum=s, bound=bound, ok=ok)
-
-
-def curve_point_count(field: Field, monomials):
-    """#{(t, y) in F_q^2 : F(t, y) = 0} by double enumeration (O(q^2)).  Each
-    coefficient is read as the scalar Field ops read a code (Field._scalar).
-
-    F is Horner in y: the coefficient of each y^j is a polynomial in t,
-    evaluated on every t, and that batch of q coefficients is evaluated on
-    every y, giving the (t, y) grid of values.
-    """
-    monomials = {k: field._scalar(v, f"monomials[{k}]") for k, v in monomials.items()}
-    monomials = {k: v for k, v in monomials.items() if v != 0}
-    if not monomials:
-        raise ValueError("zero polynomial has q^2 zeros; pass a nonzero F")
-    codes = field.elements()
-    deg_t, deg_y = (max(k[axis] for k in monomials) for axis in (0, 1))
-    in_t = [[monomials.get((i, j), 0) for i in range(deg_t + 1)] for j in range(deg_y + 1)]
-    values = poly_eval_vec(field, [poly_eval_vec(field, c, codes) for c in in_t], codes)
-    return int(np.count_nonzero(values == 0))
-
-
-def curve_count_bound(degree, q):
-    """Deviation bound (d-1)(d-2) sqrt(q) + 5 d^(13/3) for a plane curve."""
-    return (degree - 1) * (degree - 2) * math.sqrt(q) + 5.0 * degree ** (13.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------

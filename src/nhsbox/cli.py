@@ -16,22 +16,11 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from .characters import (
-    boomerang_constants,
-    conic_count_brute,
-    conic_count_closed,
-    jacobsthal_sum,
-    theorem2_constants,
-    theorem6_constants,
-    weil_sum_brute,
-    weil_sum_quadratic_closed,
-)
+from .characters import boomerang_constants, theorem2_constants, theorem6_constants
 from .gf import CODE_LIMIT, FieldConstructionError, build_field, cached_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
-from .verifier import U_MODES, SweepConfig, _sweep_worker, check_request, enumerate_prime_powers, sweep
+from .verifier import U_MODES, SweepConfig, _sweep_worker, check_request, sweep
 
 
 class UsageError(ValueError):
@@ -117,50 +106,24 @@ def _spectrum_payload(args, boomerang):
     return 0
 
 
-# the closed sides of the two selftest checks that have no closed-form
-# function: sum of eta(x^4 - 1) and the Jacobsthal sum H_2(a), q = 3 (mod 4)
-_X4_MINUS_1_SUM = -1
-_JACOBSTHAL_H2 = 0
-
-
 def _cmd_charsum_selftest(args):
-    """Closed forms vs brute-force oracles over all q <= qmax; prints a table."""
-    rows = []
+    """The CHARSUM claim at every odd q <= qmax, one job; prints a q/result
+    table, a check that raises being a FAIL with its error on stderr."""
+    if args.qmax < 3:
+        raise UsageError(f"no odd prime power q <= qmax = {args.qmax}")
     try:
-        fields = enumerate_prime_powers(3, args.qmax + 1)
+        report = sweep(SweepConfig(("CHARSUM",), 3, args.qmax + 1))
     except ValueError as exc:  # a range past CODE_LIMIT, rejected before the sieve
         raise UsageError(str(exc)) from exc
-    if not fields:
-        raise UsageError(f"no odd prime power q <= qmax = {args.qmax}")
-    for p, n, q in fields:
-        field = build_field(p, n)
-        codes = field.elements()
-        c2, c1, c0 = codes[1:6, None, None], codes[:5, None], codes[:5]  # (a2, a1, a0) axes
-        ok_quad = np.array_equal(
-            weil_sum_quadratic_closed(field, c2, c1, c0), weil_sum_brute(field, [c0, c1, c2])
-        )
-        s = codes[1:4]
-        ok_conic = np.array_equal(
-            np.array([[conic_count_brute(field, s1, s2) for s2 in s] for s1 in s]),
-            conic_count_closed(field, s[:, None, None], s[None, :, None], codes),
-        )
-        ok_quartic = (
-            weil_sum_brute(field, [field.neg(1), 0, 0, 0, 1]) == _X4_MINUS_1_SUM
-            if q % 4 == 3
-            else True
-        )
-        ok_jac = (
-            np.all(jacobsthal_sum(field, 2, codes[1:]) == _JACOBSTHAL_H2)
-            if (n == 1 and q % 4 == 3)
-            else True
-        )
-        ok = ok_quad and ok_conic and ok_quartic and ok_jac
-        rows.append((q, "pass" if ok else "FAIL"))
-    width = max(len(str(q)) for q, _ in rows)
+    results = {r.q: "pass" if r.status == "pass" else "FAIL" for r in report.rows}
+    for q, claim_id, msg in report.errors:
+        results[q] = "FAIL"
+        print(f"Error: q={q}, claim={claim_id}: {msg}", file=sys.stderr)
+    width = len(str(max(results)))
     print(f"{'q':>{width}}  result")
-    for q, res in rows:
-        print(f"{q:>{width}}  {res}")
-    return 1 if any(res == "FAIL" for _, res in rows) else 0
+    for q in sorted(results):
+        print(f"{q:>{width}}  {results[q]}")
+    return 0 if report.ok else 1
 
 
 def _cmd_constants(args):

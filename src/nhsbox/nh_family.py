@@ -105,15 +105,6 @@ def nh_table(field: Field, params: NHParams):
     return field.add_vec(s, field.mul_vec(np.int64(params.u), t))
 
 
-def derivative_value(field: Field, params: NHParams, a, x):
-    """D_a F(x) = F(x+a) - F(x)."""
-    field.check_code(a, "a")
-    field.check_code(x)
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    return field.sub(eval_F(field, params, field.add(x, a)), eval_F(field, params, x))
-
-
 def derivative_row_parts(field: Field, r):
     """Vectors (c, d) with D_1 F_{r,u}(x) = c(x) + u*d(x) for every u.
 
@@ -248,11 +239,6 @@ class CaseAnalysis:
     def _boundary(self):
         """(U, 1) columns (D_1F(0), D_1F(-1)) = (u + 1, u - 1)."""
         return self._one_plus, self.field.sub_vec(self._us, 1)
-
-    @property
-    def boundary_values(self):
-        """D_1F at the two excluded points: (D_1F(0), D_1F(-1)) = (u+1, u-1)."""
-        return tuple(self._column(v) for v in self._boundary())
 
     def a_counts(self, b):
         """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all

@@ -118,12 +118,6 @@ def derivative_row(table: FunctionTable, a):
     return table.field.difference_rows(table.values, np.array([a]))[0].astype(np.int64)
 
 
-def ddt_entry(table: FunctionTable, a, b):
-    """delta_F(a, b): preimage count of b under D_a F."""
-    table.field.check_code(b, "b")
-    return int(np.count_nonzero(derivative_row(table, a) == b))
-
-
 def _outside_prime_subfield(field: Field):
     # For extension fields the prime subfield is codes 0..p-1.  For a prime
     # field that set is everything, so the exclusion degenerates to {0}

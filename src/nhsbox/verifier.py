@@ -30,7 +30,15 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .characters import boomerang_constants, theorem6_constants
+from .characters import (
+    boomerang_constants,
+    conic_count_brute,
+    conic_count_closed,
+    jacobsthal_sum,
+    theorem6_constants,
+    weil_sum_brute,
+    weil_sum_quadratic_closed,
+)
 from .gf import CODE_LIMIT, Field, cached_field
 from .nh_family import (
     _CASE_CELLS,
@@ -387,6 +395,36 @@ def _rows_lemma_suite(field, claim, u_mode):
     return [_verdict_row(field, claim, AGGREGATE_U, problems)]
 
 
+# the closed sides of the two CHARSUM checks that have no closed-form
+# function: sum of eta(x^4 - 1) and the Jacobsthal sum H_2(a), q = 3 (mod 4)
+_X4_MINUS_1_SUM = -1
+_JACOBSTHAL_H2 = 0
+
+
+def _rows_charsum(field, claim, u_mode):
+    """The character-sum identities under the delta and beta arguments, each
+    closed side against its brute-force oracle, on a few small arguments."""
+    q, codes = field.q, field.elements()
+    problems = []
+    c2, c1, c0 = codes[1:6, None, None], codes[:5, None], codes[:5]  # (a2, a1, a0) axes
+    if not np.array_equal(
+        weil_sum_quadratic_closed(field, c2, c1, c0), weil_sum_brute(field, [c0, c1, c2])
+    ):
+        problems.append("quadratic Weil sum closed != brute")
+    s = codes[1:4]
+    if not np.array_equal(
+        [[conic_count_brute(field, s1, s2) for s2 in s] for s1 in s],
+        conic_count_closed(field, s[:, None, None], s[None, :, None], codes),
+    ):
+        problems.append("conic count closed != brute")
+    if q % 4 == 3 and weil_sum_brute(field, [field.neg(1), 0, 0, 0, 1]) != _X4_MINUS_1_SUM:
+        problems.append(f"sum of eta(x^4 - 1) != {_X4_MINUS_1_SUM}")
+    if q % 4 == 3 and field.is_prime_field:
+        if np.any(jacobsthal_sum(field, 2, codes[1:]) != _JACOBSTHAL_H2):
+            problems.append(f"Jacobsthal H_2(a) != {_JACOBSTHAL_H2}")
+    return [_verdict_row(field, claim, AGGREGATE_U, problems)]
+
+
 def _sqrt_pair_lemma_holds(field: Field):
     """For u, u' nonzero squares with u + u' = a^2: eta(a + sqrt(u)) equals
     eta(a - sqrt(u)) and equals eta(2) * eta(a + sqrt(u')), over the whole
@@ -470,6 +508,12 @@ CLAIMS = {
             "LEMMA_SUITE", lambda p, q: q % 4 == 3, "lemma checks",
             "C_ij counts, closed-vs-brute class counts, sqrt-pair lemma, u/-u symmetry",
             _rows_lemma_suite,
+        ),
+        ClaimSpec(
+            "CHARSUM", lambda p, q: True, "character sums",
+            "quadratic Weil sums and conic counts closed = brute; at q = 3 (mod 4), "
+            "sum eta(x^4 - 1) = -1 and (prime q) H_2(a) = 0",
+            _rows_charsum,
         ),
         ClaimSpec(
             "F21_LAMBDA", lambda p, q: q % 4 == 3, "witness set sizes",

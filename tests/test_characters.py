@@ -13,8 +13,6 @@ from nhsbox.characters import (
     conic_count_brute,
     conic_count_closed,
     cubic_reciprocal_check,
-    curve_count_bound,
-    curve_point_count,
     jacobsthal_sum,
     poly_divmod,
     poly_eval_vec,
@@ -29,6 +27,31 @@ from nhsbox.characters import (
     weil_sum_quadratic_closed,
 )
 from nhsbox.gf import UnsupportedFieldError, build_field, cached_field
+
+
+def curve_point_count(field, monomials):
+    """#{(t, y) in F_q^2 : F(t, y) = 0} by double enumeration (O(q^2)), F a
+    {(i, j): code} map of monomials t^i * y^j.  Each coefficient is read as
+    the scalar Field ops read a code (Field._scalar).
+
+    F is Horner in y: the coefficient of each y^j is a polynomial in t,
+    evaluated on every t, and that batch of q coefficients is evaluated on
+    every y, giving the (t, y) grid of values.
+    """
+    monomials = {k: field._scalar(v, f"monomials[{k}]") for k, v in monomials.items()}
+    monomials = {k: v for k, v in monomials.items() if v != 0}
+    if not monomials:
+        raise ValueError("zero polynomial has q^2 zeros; pass a nonzero F")
+    codes = field.elements()
+    deg_t, deg_y = (max(k[axis] for k in monomials) for axis in (0, 1))
+    in_t = [[monomials.get((i, j), 0) for i in range(deg_t + 1)] for j in range(deg_y + 1)]
+    values = poly_eval_vec(field, [poly_eval_vec(field, c, codes) for c in in_t], codes)
+    return int(np.count_nonzero(values == 0))
+
+
+def curve_count_bound(degree, q):
+    """Deviation bound (d-1)(d-2) sqrt(q) + 5 d^(13/3) for a plane curve."""
+    return (degree - 1) * (degree - 2) * math.sqrt(q) + 5.0 * degree ** (13.0 / 3.0)
 
 
 def test_quadratic_closed_examples():
@@ -188,6 +211,9 @@ def test_jacobsthal():
         jacobsthal_sum(f7, 2, 0)
     with pytest.raises(UnsupportedFieldError):
         jacobsthal_sum(cached_field(3, 3), 2, 1)
+    for n_exp in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
+            jacobsthal_sum(f7, n_exp, 1)
 
 
 def test_jacobsthal_even_vanishing():
@@ -314,6 +340,16 @@ def test_weil_bound_check():
         weil_bound_check(f7, [0, 0, 1])  # x^2: not squarefree
     with pytest.raises(ValueError):
         weil_bound_check(f7, [1, 1, 0, 2])  # not monic
+    for constant in ([1], [3, 0, 0], []):
+        with pytest.raises(ValueError, match="positive degree"):
+            weil_bound_check(f7, constant)
+
+
+def test_poly_divmod_by_zero_polynomial():
+    f7 = cached_field(7)
+    for zero in ([], [0], [0, 0, 0]):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            poly_divmod(f7, [1, 2, 3], zero)
 
 
 def test_poly_squarefree_char3_cube():

@@ -110,6 +110,8 @@ def test_u_tokens():
         parse_u_token(cached_field(3, 3), "1/3")
     with pytest.raises(UsageError):
         parse_u_token(f7, "x")
+    with pytest.raises(UsageError, match="bad u token '1/x'"):
+        parse_u_token(f7, "1/x")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -350,17 +352,54 @@ def _off_by_one(fn):
     ("_X4_MINUS_1_SUM", lambda p, n, q: q % 4 == 3),
 ])
 def test_charsum_selftest_detects_a_wrong_closed_side(capsys, monkeypatch, name, fails):
-    from nhsbox import cli
     from nhsbox.verifier import enumerate_prime_powers
 
-    old = getattr(cli, name)
-    monkeypatch.setattr(cli, name, old + 1 if isinstance(old, int) else _off_by_one(old))
+    old = getattr(verifier, name)
+    monkeypatch.setattr(verifier, name, old + 1 if isinstance(old, int) else _off_by_one(old))
     code, out, _ = run_cli(capsys, "charsum", "selftest", "--qmax", "50")
     assert code == 1
     got = {int(q): res for q, res in (line.split() for line in out.strip().splitlines()[1:])}
     want = {q: "FAIL" if fails(p, n, q) else "pass"
             for p, n, q in enumerate_prime_powers(3, 51)}
     assert got == want
+
+
+def test_charsum_selftest_reports_a_raising_check_as_fail(capsys, monkeypatch):
+    real = verifier.conic_count_closed
+
+    def conic_raises_at_11(field, *args):
+        if field.q == 11:
+            raise RuntimeError("conic broke")
+        return real(field, *args)
+
+    monkeypatch.setattr(verifier, "conic_count_closed", conic_raises_at_11)
+    code, out, err = run_cli(capsys, "charsum", "selftest", "--qmax", "13")
+    assert code == 1
+    assert out == (
+        " q  result\n 3  pass\n 5  pass\n 7  pass\n 9  pass\n11  FAIL\n13  pass\n"
+    )
+    assert err == "Error: q=11, claim=CHARSUM: RuntimeError: conic broke\n"
+
+
+def test_charsum_sweep_is_the_same_at_any_job_count(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--claims", "CHARSUM", "--min", "3", "--max", "200", "--jobs", jobs
+        )
+        assert code == 0 and err.startswith("pass=")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    rows = outs[0].splitlines()[1:]
+    assert len(rows) == len(verifier.enumerate_prime_powers(3, 200))
+    assert all(row.endswith(",-1,CHARSUM,ok,ok,pass,0") for row in rows)
+
+
+def test_verify_charsum_at_27(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--q", "27", "--claims", "CHARSUM")
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert (row["q"], row["u_code"], row["status"]) == (27, -1, "pass")
 
 
 def test_readme_lists_every_sweep_claim():

@@ -640,6 +640,14 @@ def test_negative_exponents():
     assert f27.mul(f27.pow(x, -2), f27.pow(x, 2)) == 1
     with pytest.raises(ZeroDivisionError):
         f7.pow(0, -1)
+    for f in (f7, f27):  # the vector op takes no negative exponent
+        with pytest.raises(ValueError, match="scalar-only"):
+            f.pow_vec(np.arange(1, 5), -1)
+
+
+def test_field_repr():
+    assert repr(build_field(7)) == "Field(p=7)"
+    assert repr(build_field(3, 3)) == "Field(p=3, n=3, modulus=(1, 0, 2, 1))"
 
 
 def test_generator_has_full_order():

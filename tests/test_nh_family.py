@@ -16,7 +16,6 @@ from nhsbox.nh_family import (
     aij_counts_closed,
     derivative_row_counts,
     derivative_row_parts,
-    derivative_value,
     eval_F,
     excluded_u_set,
     nh_table,
@@ -59,15 +58,18 @@ def test_nh_table_matches_pointwise():
                     assert table[x] == eval_F(f, params, x)
 
 
+def _d1(f, params, x):
+    """D_1 F(x) = F(x + 1) - F(x), from two scalar evaluations."""
+    return f.sub(eval_F(f, params, f.add(x, 1)), eval_F(f, params, x))
+
+
 def test_derivative_boundary_values():
     for args in ((7, 1), (11, 1), (3, 3), (23, 1)):
         f = cached_field(*args)
         for u in range(f.q):
             params = NHParams(2, u)
-            assert derivative_value(f, params, 1, 0) == f.add(u, 1)
-            assert derivative_value(f, params, 1, f.neg(1)) == f.sub(u, 1)
-    with pytest.raises(ValueError):
-        derivative_value(cached_field(7), NHParams(2, 1), 0, 3)
+            assert _d1(f, params, 0) == f.add(u, 1)
+            assert _d1(f, params, f.neg(1)) == f.sub(u, 1)
 
 
 def test_derivative_vanishes_on_c11_for_u1():
@@ -75,7 +77,7 @@ def test_derivative_vanishes_on_c11_for_u1():
         f = cached_field(*args)
         params = NHParams(2, 1)
         for x in np.nonzero(f.cij_partition().classes == CLASS_11)[0]:
-            assert derivative_value(f, params, 1, int(x)) == 0
+            assert _d1(f, params, int(x)) == 0
 
 
 def test_excluded_u_set():
@@ -182,9 +184,7 @@ def test_scalar_u_is_the_batch_of_one():
         one = CaseAnalysis(f, u)
         assert one.a_counts_all().shape == aij_counts_brute(f, u).shape == (f.q, 4)
         assert np.array_equal(one.a_counts_all(), case.a_counts_all()[i])
-        assert (one.tau1, one.tau2, one.boundary_values) == (
-            case.tau1[i], case.tau2[i], (case.boundary_values[0][i], case.boundary_values[1][i]),
-        )
+        assert (one.tau1, one.tau2) == (case.tau1[i], case.tau2[i])
         assert type(one.tau1) is int and np.array_equal(one.a_counts(5), case.a_counts(5)[i])
         assert structural_lemmas_hold(f, u) is True
 
@@ -481,10 +481,6 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
     for x in (-1, 27):
         with pytest.raises(ValueError, match="element code"):
             eval_F(f, params, x)
-        with pytest.raises(ValueError, match="element code"):
-            derivative_value(f, params, 1, x)
-        with pytest.raises(ValueError, match="element code"):
-            derivative_value(f, params, x, 1)
     # a u past q would alias to u mod q in a prime field (28 reads as 5 at
     # F_23) and index past the tables in an extension field
     for field, u in ((cached_field(23), 28), (f, 40)):

@@ -33,7 +33,6 @@ from nhsbox.spectra import (
     boomerang_spectrum,
     closed_form_spectrum_F21,
     cubic_character_sum,
-    ddt_entry,
     derivative_row,
     differential_spectrum,
 )
@@ -42,6 +41,11 @@ from nhsbox.verifier import conclusion_expected_delta
 
 def f21(field):
     return FunctionTable.from_nh(field, NHParams(2, 1))
+
+
+def ddt_entry(table, a, b):
+    """delta_F(a, b): the preimage count of b on the derivative row D_a F."""
+    return int(np.count_nonzero(derivative_row(table, a) == b))
 
 
 def test_ddt_entry_examples():
@@ -56,7 +60,7 @@ def test_ddt_entry_examples():
     f19 = cached_field(19)
     assert ddt_entry(f21(f19), 1, 0) == 5
     with pytest.raises(ValueError):
-        ddt_entry(t, 0, 1)
+        derivative_row(t, 0)
 
 
 def test_scalar_entry_points_reject_codes_outside_the_field():
@@ -64,8 +68,6 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
     for code in (-1, 27):
         for call in (
             lambda: derivative_row(t, code),
-            lambda: ddt_entry(t, code, 1),
-            lambda: ddt_entry(t, 1, code),
             lambda: bct_entry(t, 1, code),
             lambda: bct_entry_bruteforce(t, code, 1),
             lambda: bct_entry_bruteforce(t, 1, code),
@@ -73,6 +75,8 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
             with pytest.raises(ValueError, match="element code"):
                 call()
     assert bct_entry(t, 1, 26) == bct_entry_bruteforce(t, 1, 26)
+    with pytest.raises(ValueError, match="a must be nonzero"):
+        bct_entry_bruteforce(t, 0, 1)
     # a b outside [0, q) would be answered for b mod q at F_23 (32 as 9)
     for field in (cached_field(23), cached_field(3, 3)):
         for b in (-1, field.q, 32, 40):
@@ -80,13 +84,29 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
                 boomerang_case_counts_F21(field, b)
 
 
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_f21_boomerang_uniformity_is_1_in_characteristic_3(k):
+    # beta(F_{2,1}) = 1 at 3^k, not 2: see README.md, "Characteristic 3"
+    assert boomerang_row(f21(cached_field(3, k)), 1)[1:].max() == 1
+
+
+def test_f21_boomerang_chains_exclude_each_other_in_characteristic_3():
+    # 2 = -1 gives eta(1 + 2s) = eta(1 - s) = -eta(s - 1), so the two chains
+    # of one sign never meet; eta(-1) = -1 parts the + and - sides
+    for k in range(3, 12, 2):
+        field = cached_field(3, k)
+        cc = boomerang_case_counts_F21(field, field.elements()[1:])
+        assert not np.any((cc["00,01"] == 1) & (cc["00,10"] == 1)), k
+        assert not np.any((cc["01,00"] == 1) & (cc["10,00"] == 1)), k
+        assert sum(cc.values()).max() == 1, k
+
+
 def test_derivative_row_matches_entries():
     f = cached_field(19)
     t = f21(f)
     row = derivative_row(t, 3)
-    counts = np.bincount(row, minlength=19)
-    for b in range(19):
-        assert counts[b] == ddt_entry(t, 3, b)
+    for x in range(19):  # F(x + 3) - F(x) by scalar ops
+        assert row[x] == f.sub(int(t.values[f.add(x, 3)]), int(t.values[x]))
 
 
 def test_spectrum_identities_and_reduction_agreement():
@@ -399,7 +419,8 @@ def test_random_table_row_and_pair_identities(seed, field_args):
     # every derivative row partitions F_q: counts sum to q
     counts = np.bincount(derivative_row(table, a), minlength=q)
     assert counts.sum() == q
-    assert ddt_entry(table, a, b) == counts[b]
+    shifted = table.values[field.add_vec(field.elements(), a)]
+    assert np.count_nonzero(field.sub_vec(shifted, table.values) == b) == counts[b]
     # the O(q) bucketing BCT equals O(q^2) pair enumeration
     assert bct_entry(table, a, b) == bct_entry_bruteforce(table, a, b)
 

@@ -311,6 +311,33 @@ def test_lemma_suite_names_each_failed_check(monkeypatch):
         assert (row.computed, row.expected, row.status) == (problem, "ok", "exception")
 
 
+def _off_by_one(old):
+    return old + 1 if isinstance(old, int) else lambda *args: old(*args) + 1
+
+
+@pytest.mark.parametrize("name, problem", [
+    ("weil_sum_quadratic_closed", "quadratic Weil sum closed != brute"),
+    ("conic_count_closed", "conic count closed != brute"),
+    ("_X4_MINUS_1_SUM", "sum of eta(x^4 - 1) != 0"),
+    ("_JACOBSTHAL_H2", "Jacobsthal H_2(a) != 1"),
+])
+def test_charsum_names_each_failed_check(monkeypatch, name, problem):
+    monkeypatch.setattr(verifier, name, _off_by_one(getattr(verifier, name)))
+    (row,) = verify_claim("CHARSUM", 19, 1)
+    assert (row.u_code, row.computed, row.expected, row.status) == (
+        AGGREGATE_U, problem, "ok", "exception"
+    )
+
+
+def test_charsum_names_every_failed_check_in_one_row(monkeypatch):
+    for name in ("weil_sum_quadratic_closed", "_JACOBSTHAL_H2"):
+        monkeypatch.setattr(verifier, name, _off_by_one(getattr(verifier, name)))
+    (row,) = verify_claim("CHARSUM", 19, 1)
+    assert row.computed == "quadratic Weil sum closed != brute; Jacobsthal H_2(a) != 1"
+    (row,) = verify_claim("CHARSUM", 3, 3)  # no Jacobsthal check off a prime field
+    assert row.computed == "quadratic Weil sum closed != brute"
+
+
 def test_sqrt_pair_lemma_fails_on_a_wrong_root(monkeypatch):
     field = cached_field(19)
     assert verifier._sqrt_pair_lemma_holds(field)
@@ -342,6 +369,15 @@ def test_suggested_delta5_threshold_counterexamples():
             row = (np.roll(table, -a) - table) % q
             best = max(best, int(np.bincount(row, minlength=q).max()))
         assert best == 4
+
+
+def test_thm2_exhaustive_rows_above_the_threshold():
+    # one exception row per missed u, then the aggregate of the agreeing u
+    for q, missed in ((4211, (999, 3212)), (4219, (2002, 2217))):
+        rows = verify_claim("THM2_DELTA5", q, 1, u_mode="all")
+        assert [(r.u_code, r.computed, r.expected, r.status) for r in rows] == [
+            (u, "4", "5", "exception") for u in missed
+        ] + [(AGGREGATE_U, "5", "5", "pass")]
 
 
 def test_fixed_u_mode():
