@@ -196,7 +196,9 @@ def jacobsthal_sum(field: Field, n_exp, a):
     sums = np.empty(len(flat), dtype=np.int64)
     rows = max(1, _BLOCK // field.q)
     for i in range(0, len(flat), rows):
-        vals = field.add_vec(lead, field.mul_vec(flat[i : i + rows], xs))
+        # rebinding vals after the multiply frees the last block before the add
+        vals = field.mul_vec(flat[i : i + rows], xs)
+        vals = field.add_vec(vals, lead)
         sums[i : i + rows] = field.eta_vec(vals).sum(axis=-1, dtype=np.int64)
     return _result(sums.reshape(a.shape))
 

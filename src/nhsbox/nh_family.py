@@ -18,9 +18,11 @@ Batch convention (as for the character-sum oracles): CaseAnalysis,
 aij_counts_brute and structural_lemmas_hold take one u code or a 1-D
 array of U codes.  The u axis leads, so a batch gives (U, q, 4) counts
 and a (U,) verdict, and a scalar u gives the (q, 4) counts and the bool
-of the batch of one.  CaseAnalysis keeps its counts class-major, as one
-read-only (4, U, q) int8 array (every count is 0, 1 or 2), and hands out
-(U, q, 4) views of it.
+of the batch of one.  CaseAnalysis.counts_at(bs) gives the class-major
+(4, U, B) int8 counts (each 0, 1 or 2) at any b cells bs: one code, every
+code, or a (U, K) array of per-u codes.  The full grid is counts_at(every
+b), kept read-only once per case and handed out as (U, q, 4) views; one-b
+views such as a_counts(b) evaluate only their own cell.
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d (the a = 1 differences of s and t) is affine in u,
@@ -236,32 +238,16 @@ class CaseAnalysis:
         """A (U, 1) constant as the caller's value: an int for a scalar u."""
         return int(col[0, 0]) if self._scalar else col[:, 0]
 
-    def _boundary(self):
-        """(U, 1) columns (D_1F(0), D_1F(-1)) = (u + 1, u - 1)."""
-        return self._one_plus, self.field.sub_vec(self._us, 1)
-
-    def a_counts(self, b):
-        """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)): row b of a_counts_all
-        (a tuple for a scalar u, a (U, 4) array for a batch)."""
-        self.field.check_code(b, "b")
-        counts = self.a_counts_all()[..., b, :]
-        return tuple(int(c) for c in counts) if self._scalar else counts
-
-    def a_counts_all(self):
-        """(q, 4) int8 array of (#A_00, #A_01, #A_10, #A_11) for every b;
-        (U, q, 4) for a batch of u.  A read-only view of the class-major
-        counts; every call views the same array."""
-        return self._view(np.moveaxis(self._counts, 0, -1))
-
-    @cached_property
-    def _counts(self):
-        """The (4, U, q) int8 closed counts, class-major, computed once per case:
-        plane c holds the class C_c (CLASS_00..CLASS_11 are 0..3), and each
-        plane's q-long temporaries are freed before the next plane starts."""
+    def counts_at(self, bs):
+        """The (4, U, B) int8 closed counts, class-major, at the b cells bs: one
+        code, a 1-D array of codes for every u, or a (U, K) array of per-u codes,
+        anything that broadcasts against the (U, 1) constants.  Plane c holds
+        the class C_c (CLASS_00..CLASS_11 are 0..3), and each plane's
+        temporaries are freed before the next plane starts."""
         f = self.field
-        bs = f.elements()[None, :]
+        bs = np.asarray(f.check_code(bs, "b"), dtype=np.int64)
         classes = self._classes
-        out = np.empty((4, len(self._us), f.q), dtype=np.int8)
+        out = np.empty((4, *np.broadcast_shapes(self._us.shape, bs.shape)), dtype=np.int8)
         # linear: x = (b - (1 + u)) / (2(1 + u)) on C_00, (b - (1 - u)) / (2(1 - u)) on C_11
         for c, shift, scale in ((CLASS_00, self._one_plus, self._inv_2p),
                                 (CLASS_11, self._one_minus, self._inv_2m)):
@@ -276,21 +262,39 @@ class CaseAnalysis:
             hits = np.equal(classes[f.mul_vec(f.add_vec(base, s), half)], c, out=out[c])
             hits += (s != 0) & (classes[f.mul_vec(f.sub_vec(base, s), half)] == c)
             hits *= f.eta_vec(disc) >= 0
+        return out
+
+    def _boundary_delta(self, bs, counts):
+        """(boundary, delta) at the b cells bs with their counts_at(bs): whether
+        b is D_1F(0) = u + 1 or D_1F(-1) = u - 1 (two points, as 2 != 0), and
+        delta(1, b), the class counts plus that point."""
+        boundary = (bs == self._one_plus) | (bs == self.field.sub_vec(self._us, 1))
+        return boundary, counts.sum(axis=0, dtype=np.int64) + boundary
+
+    def a_counts(self, b):
+        """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)) at one code b: counts_at(b),
+        one cell per u (a tuple for a scalar u, a (U, 4) array for a batch)."""
+        if np.ndim(b):
+            raise ValueError("a_counts takes one b code; counts_at takes arrays of them")
+        counts = self.counts_at(b)[:, :, 0].T
+        return tuple(int(c) for c in counts[0]) if self._scalar else counts
+
+    def a_counts_all(self):
+        """(q, 4) int8 array of (#A_00, #A_01, #A_10, #A_11) for every b;
+        (U, q, 4) for a batch of u.  A read-only view of the class-major
+        counts; every call views the same array."""
+        return self._view(np.moveaxis(self._counts, 0, -1))
+
+    @cached_property
+    def _counts(self):
+        """counts_at(every b), (4, U, q), computed once per case and read-only."""
+        out = self.counts_at(self.field.elements())
         out.flags.writeable = False  # every caller shares this array
         return out
 
     def delta_row(self):
         """delta(1, b) for every b, assembled from the closed counts."""
-        return self._view(self._delta_from(self._counts))
-
-    def _delta_from(self, counts):
-        """(U, q) delta(1, b) from (4, U, q) class counts plus the two
-        boundary points of each row."""
-        row = counts.sum(axis=0, dtype=np.int64)
-        rows = np.arange(len(row))[:, None]
-        for point in self._boundary():
-            row[rows, point] += 1
-        return row
+        return self._view(self._boundary_delta(self.field.elements(), self._counts)[1])
 
 
 def aij_counts_closed(field: Field, u, b):
@@ -336,15 +340,14 @@ _EXCLUSIONS = (
 )
 
 
-def _lemma_battery(case: CaseAnalysis):
-    """(name, applicable, ok) per lemma as (U, q) boolean arrays, where ok
-    means the lemma holds at (u, b) or does not apply there: the four
-    exclusion implications, the boundary bound delta(1, u +/- 1) <= 4 and
-    the cap delta(1, b) <= DELTA_CAP, all from the case's closed counts."""
+def _lemma_battery(case: CaseAnalysis, bs, counts):
+    """(name, applicable, ok) per lemma as (U, B) boolean arrays at the b cells
+    bs with their counts_at(bs), where ok means the lemma holds at (u, b) or
+    does not apply there: the four exclusion implications, the boundary bound
+    delta(1, u +/- 1) <= 4 and the cap delta(1, b) <= DELTA_CAP."""
     field = case.field
-    shape = (len(case._us), field.q)
-    counts = case._counts
-    delta = case._delta_from(counts)
+    boundary, delta = case._boundary_delta(bs, counts)
+    shape = delta.shape
     eu = field.eta_vec(case._us)
     eta_boundary = (field.eta_vec(case._one_plus), field.eta_vec(case._one_minus))
     battery = []
@@ -352,10 +355,6 @@ def _lemma_battery(case: CaseAnalysis):
         applicable = np.broadcast_to(eta_boundary[point] == sign * eu, shape)
         clash = (counts[full] == 2) & (counts[blocked] != 0)
         battery.append((name, applicable, ~(applicable & clash)))
-    boundary = np.zeros(shape, dtype=bool)
-    rows = np.arange(shape[0])[:, None]
-    for point in case._boundary():
-        boundary[rows, point] = True
     battery.append(("boundary_delta_le_4", boundary, ~boundary | (delta <= 4)))
     battery.append(("delta_le_5", np.ones(shape, dtype=bool), delta <= DELTA_CAP))
     return battery
@@ -366,7 +365,8 @@ def structural_lemmas_hold(field: Field, u, case=None):
     for one u, a (U,) boolean array for a 1-D array of u.  case, if given,
     is the caller's CaseAnalysis(field, u), whose closed counts are reused."""
     case = CaseAnalysis(field, u) if case is None else case
-    held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in _lemma_battery(case)])
+    battery = _lemma_battery(case, case.field.elements(), case._counts)
+    held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in battery])
     return bool(held[0]) if case._scalar else held
 
 
@@ -381,11 +381,10 @@ def structural_lemma_checks(field: Field, u, b):
     """Per-b verdicts for the four exclusion implications, the boundary
     bound delta(1, u +/- 1) <= 4, and the overall cap delta(1, b) <= 5.
     A lemma that does not apply at b is reported as ok.  u is one code."""
-    field.check_code(b, "b")
     case = CaseAnalysis(field, u)
-    if not case._scalar:
-        raise ValueError("structural_lemma_checks takes one u code")
+    if not case._scalar or np.ndim(b):
+        raise ValueError("structural_lemma_checks takes one u code and one b code")
     return [
-        LemmaVerdict(name, bool(applicable[0, b]), bool(ok[0, b]))
-        for name, applicable, ok in _lemma_battery(case)
+        LemmaVerdict(name, bool(applicable[0, 0]), bool(ok[0, 0]))
+        for name, applicable, ok in _lemma_battery(case, b, case.counts_at(b))
     ]

@@ -26,6 +26,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -42,6 +43,9 @@ from .characters import (
 from .gf import CODE_LIMIT, Field, cached_field
 from .nh_family import (
     _CASE_CELLS,
+    CLASS_01,
+    CLASS_10,
+    CLASS_11,
     DELTA_CAP,
     CaseAnalysis,
     NHParams,
@@ -331,23 +335,18 @@ def _bound_row(field, claim, u, size, bound):
     return _row(field, claim, u, size, f">={math.ceil(bound)}", status)
 
 
-def _rows_thm5_witness(field, claim, u_mode):
-    """#{b : (A_10, A_11) = (2, 1)} at u = 1/3, each b with delta(1, b) = 3,
-    against (q - 58 sqrt(q) + 3) / 64."""
-    q, u = field.q, u_third(field)
+def _rows_third_witness(field, claim, u_mode, *, pattern, bound):
+    """#{b : A_c(b) = k for every (c, k) in pattern} at u = 1/3, against
+    bound(q)."""
+    u = u_third(field)
     counts = CaseAnalysis(field, u).a_counts_all()
-    size = int(np.count_nonzero((counts[:, 2] == 2) & (counts[:, 3] == 1)))
-    return [_bound_row(field, claim, u, size, (q - 58 * math.sqrt(q) + 3) / 64)]
+    hits = np.logical_and.reduce([counts[:, c] == k for c, k in pattern.items()])
+    return [_bound_row(field, claim, u, int(np.count_nonzero(hits)), bound(field.q))]
 
 
-def _rows_thm6_witness(field, claim, u_mode):
-    """#{b : (A_01, A_10, A_11) = (2, 1, 1)} at u = 1/3, each b with
-    delta(1, b) = 4, against (4q + m1 sqrt(q) + m2 - 328) / 256."""
-    q, u = field.q, u_third(field)
-    counts = CaseAnalysis(field, u).a_counts_all()
-    size = int(np.count_nonzero((counts[:, 1] == 2) & (counts[:, 2] == 1) & (counts[:, 3] == 1)))
+def _thm6_bound(q):
     m1, m2 = theorem6_constants()
-    return [_bound_row(field, claim, u, size, (4 * q + m1 * math.sqrt(q) + m2 - 328) / 256)]
+    return (4 * q + m1 * math.sqrt(q) + m2 - 328) / 256
 
 
 def _rows_boom_witness(field, claim, u_mode):
@@ -524,12 +523,18 @@ CLAIMS = {
         ClaimSpec(
             "THM5_WITNESS", lambda p, q: q % 8 == 7 and q > 7, "witness set size",
             "delta(1, b) = 3 for at least (q - 58 sqrt(q) + 3)/64 b at u = 1/3",
-            _rows_thm5_witness, threshold=58**2,
+            # each b with (A_10, A_11) = (2, 1) has delta(1, b) = 3
+            partial(_rows_third_witness, pattern={CLASS_10: 2, CLASS_11: 1},
+                    bound=lambda q: (q - 58 * math.sqrt(q) + 3) / 64),
+            threshold=58**2,
         ),
         ClaimSpec(
             "THM6_WITNESS", lambda p, q: q % 8 == 3 and p != 3 and q > 43, "witness set size",
             "delta(1, b) = 4 for at least (4q + m1 sqrt(q) + m2 - 328)/256 b at u = 1/3",
-            _rows_thm6_witness, threshold=1681**2,
+            # each b with (A_01, A_10, A_11) = (2, 1, 1) has delta(1, b) = 4
+            partial(_rows_third_witness, pattern={CLASS_01: 2, CLASS_10: 1, CLASS_11: 1},
+                    bound=_thm6_bound),
+            threshold=1681**2,
         ),
         ClaimSpec(
             "BOOM_WITNESS", lambda p, q: q % 4 == 3, "witness set size",

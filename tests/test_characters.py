@@ -298,10 +298,12 @@ def test_jacobsthal_blocks_cover_every_a():
 
 
 def test_jacobsthal_memory_bound():
-    # blocks of _BLOCK cells; at 2^18 cells every a at F_499 peaked at 5.70 MiB
+    # blocks of _BLOCK cells, the last one freed before the next one's add:
+    # about 0.75 MiB for every a at F_499 (1.00 MiB when it was freed after
+    # the add, 5.70 MiB at 2^18 cells)
     f = cached_field(499)
     a = f.elements()[1:]
-    assert _peak_mib(lambda: jacobsthal_sum(f, 2, a)) < 2
+    assert _peak_mib(lambda: jacobsthal_sum(f, 2, a)) < 0.9
 
 
 def test_cubic_reciprocal_identity():

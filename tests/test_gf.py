@@ -570,6 +570,7 @@ _NON_INTEGER_CALLS = {
     "uniformity_batch": (lambda f: uniformity_batch(f, 2, [2.5]), "u"),
     "nh_table": (lambda f: nh_table(f, NHParams(2, 2.5)), "u"),
     "CaseAnalysis": (lambda f: CaseAnalysis(f, np.array([3.9])), "u"),
+    "CaseAnalysis.counts_at": (lambda f: CaseAnalysis(f, 5).counts_at(np.array([[1.0]])), "b"),
     "boomerang_case_counts_F21": (lambda f: boomerang_case_counts_F21(f, [1, 2.5]), "b"),
     "poly_eval_vec xs": (lambda f: poly_eval_vec(f, [1, 1], np.array([0.5])), "xs"),
     "poly_eval_vec coeffs": (lambda f: poly_eval_vec(f, [1, 2.5], f.elements()), "coeffs"),

@@ -200,6 +200,69 @@ def test_batched_u_input_checks():
             aij_counts_brute(f, bad)
     with pytest.raises(ValueError, match="one u"):
         structural_lemma_checks(f, np.array([5, 7]), 3)
+    # the one-cell views take one b; an array of b is a set of cells for counts_at
+    for call in (
+        lambda: CaseAnalysis(f, 5).a_counts(np.array([3, 4])),
+        lambda: aij_counts_closed(f, 5, [3]),
+        lambda: structural_lemma_checks(f, 5, np.array([3, 4])),
+    ):
+        with pytest.raises(ValueError, match="one b"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "args", [(7, 1), (11, 1), (19, 1), (23, 1), (43, 1), (3, 3), (7, 3), (3, 5)]
+)
+def test_counts_at_per_u_cells_match_the_oracles(args):
+    # a seeded (U, K) array of per-u b, each row holding b = 0 and the
+    # boundary points b = u +/- 1: the counts are the brute-force counts and
+    # delta the derivative row, both gathered at those cells
+    f = cached_field(*args)
+    us = _generic_u(f)
+    rng = np.random.default_rng(32)
+    bs = np.concatenate(
+        [
+            np.zeros((len(us), 1), dtype=np.int64),
+            f.add_vec(us, 1)[:, None],
+            f.sub_vec(us, 1)[:, None],
+            rng.integers(0, f.q, size=(len(us), 6)),
+        ],
+        axis=1,
+    )
+    case = CaseAnalysis(f, us)
+    counts = case.counts_at(bs)
+    assert counts.shape == (4, *bs.shape) and counts.dtype == np.int8
+    rows = np.arange(len(us))[:, None]
+    assert np.array_equal(np.moveaxis(counts, 0, -1), aij_counts_brute(f, us)[rows, bs])
+    delta = np.stack([derivative_row_counts(f, NHParams(2, u)) for u in us.tolist()])
+    assert np.array_equal(case._boundary_delta(bs, counts)[1], delta[rows, bs])
+    # one code, and every code as a 1-D array, are cells of the same kernel
+    assert np.array_equal(case.counts_at(f.elements()), case._counts)
+    assert np.array_equal(case.counts_at(0)[..., 0], case._counts[..., 0])
+
+
+def test_one_cell_views_stay_small_at_large_q():
+    # aij_counts_closed and structural_lemma_checks read their one cell, not
+    # the (4, 1, q) grid (58.18 MiB at q = 1000003 when they built it); the
+    # field's tables are built before tracing
+    import tracemalloc
+
+    f = cached_field(1000003)
+    u = 12345
+    brute = aij_counts_brute(f, u)
+    for b in (777, f.add(u, 1), f.sub(u, 1)):
+        aij_counts_closed(f, u, b), structural_lemma_checks(f, u, b)
+        tracemalloc.start()
+        try:
+            counts, verdicts = aij_counts_closed(f, u, b), structural_lemma_checks(f, u, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (b, peak)
+        assert counts == tuple(brute[b])
+        assert all(v.ok for v in verdicts)
+        boundary = {v.name: v.applicable for v in verdicts}["boundary_delta_le_4"]
+        assert boundary == (b != 777)
 
 
 def test_aij_scalar_equals_vectorized():
@@ -493,6 +556,7 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
             for call in (
                 lambda: aij_counts_closed(field, 5, b),
                 lambda: CaseAnalysis(field, 5).a_counts(b),
+                lambda: CaseAnalysis(field, np.array([5, 7])).counts_at([[0, b], [1, 2]]),
                 lambda: structural_lemma_checks(field, 5, b),
             ):
                 with pytest.raises(ValueError, match="element code"):

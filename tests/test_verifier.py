@@ -503,8 +503,8 @@ def _lemma_fails_at(monkeypatch, bad_u):
 
     real = nh_family._lemma_battery
 
-    def failing(case):
-        battery = real(case)
+    def failing(case, bs, counts):
+        battery = real(case, bs, counts)
         name, applicable, ok = battery[-1]
         us = np.atleast_1d(case.u)
         ok = np.array(ok)
