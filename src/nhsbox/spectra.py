@@ -3,7 +3,10 @@
 D_a F of a table is computed in one place, Field.difference_rows, and
 DDT rows, BCT rows and the locally-APN check all read it: the fiber sizes
 of D_a F are the DDT row, and the BCT row tallies F(x) - F(y) over the
-pairs inside each fiber, in O(q + sum k^2) work.  Whole-table spectra
+pairs inside each fiber: a pair loop in O(k^2) for a fiber of k elements
+with k^2 < _FFT_CUT * q, an FFT autocorrelation in O(q log q) above that.
+For F_{2,+-1}, whose D_1 F has one fiber of (q + 1)/4, that is O(q log q)
+in all from q = 512 on.  Whole-table spectra
 (_spectrum_rows) of any table over any odd q read one row per pair {a, -a}:
 delta(-a, b) = delta(a, -b), as D_{-a} F(x) = -D_a F(x - a), and
 beta(-a, b) = beta(a, b), by (x, y) -> (x - a, y - a).  The reduced paths
@@ -96,9 +99,13 @@ def _tally_add(tally, counts):
 # derivative rows and the DDT
 # ---------------------------------------------------------------------------
 
-# a values per batch of the full-DDT loop; pairs per block of a BCT row.
+# a values per batch of the full-DDT loop; pairs per block of a BCT row; a
+# fiber of k elements goes through the FFT of a BCT row when k^2 >= _FFT_CUT * q.
+# One FFT costs about as much as 12 to 64 q pairs, by the field (the measured
+# table is in CHANGES.md), so the cut grows with q and not as a fixed size.
 _A_BATCH = 16
 _PAIR_BLOCK = 1 << 16
+_FFT_CUT = 32
 
 
 def _ddt_rows(table: FunctionTable, a):
@@ -196,7 +203,9 @@ def bct_entry_bruteforce(table: FunctionTable, a, b):
 
 def boomerang_row(table: FunctionTable, a):
     """beta(a, b) for every b (b = 0 included), from the pairs inside the
-    fibers of D_a F: O(q + sum k^2) work over the fiber sizes k.
+    fibers of D_a F: a pair loop in O(k^2) for a fiber of k elements with
+    k^2 < _FFT_CUT * q, and one FFT autocorrelation in O(q log q) for each
+    larger fiber (_autocorrelation).
 
     beta(a, b) counts the pairs (x, y) inside one fiber of D_a F with
     F(x) - F(y) = b, as F(x) - F(y) = F(x+a) - F(y+a) exactly when
@@ -209,8 +218,10 @@ def boomerang_row(table: FunctionTable, a):
     sizes = np.bincount(d, minlength=q)
     by_fiber = table.values[np.argsort(d, kind="stable")]  # F(x), grouped by D_a F(x)
     starts = np.cumsum(sizes) - sizes
+    large = sizes * sizes >= _FFT_CUT * q
+    seen = np.flatnonzero(np.bincount(sizes[~large])[1:]) + 1  # the small fiber sizes seen
     row = np.zeros(q, dtype=np.int64)
-    for k in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():  # the fiber sizes seen
+    for k in seen.tolist():
         fibers = by_fiber[starts[sizes == k][:, None] + np.arange(k)]  # m fibers of size k
         fx = fibers.ravel()
         owner = np.arange(len(fx)) // k  # the fiber of each x
@@ -218,7 +229,30 @@ def boomerang_row(table: FunctionTable, a):
         for lo in range(0, len(fx), step):
             fy = fibers[owner[lo : lo + step]]
             row += np.bincount(f.sub_vec(fx[lo : lo + step, None], fy).ravel(), minlength=q)
+    if large.any():
+        row += _autocorrelation(f, [by_fiber[i : i + k] for i, k in zip(starts[large], sizes[large])])
     return row
+
+
+def _autocorrelation(field: Field, fibers):
+    """sum over the fibers S of #{(x, y) in S^2 : F(x) - F(y) = b}, for every b,
+    from the F values of each S.  With g the histogram of those values this is
+    sum_v g(v) g(v + b), and code addition is digit-wise mod p, so it is a
+    cyclic autocorrelation over (Z_p)^n: the inverse FFT of the summed |G|^2.
+    numpy.fft loads on the first call, so a run with no large fiber skips it.
+    Raises ArithmeticError unless every value lies within 0.25 of an integer
+    and the values sum to sum |S|^2, the pair count."""
+    shape = (field.p,) * field.n
+    axes = tuple(range(field.n))
+    power = 0
+    for values in fibers:
+        G = np.fft.rfftn(np.bincount(values, minlength=field.q).reshape(shape), axes=axes)
+        power += G.real**2 + G.imag**2
+    exact = np.fft.irfftn(power, s=shape, axes=axes).ravel()
+    counts = np.rint(exact)
+    if np.abs(exact - counts).max() > 0.25 or counts.sum() != sum(len(s) ** 2 for s in fibers):
+        raise ArithmeticError("the FFT autocorrelation of a BCT row is not exact")
+    return counts.astype(np.int64)
 
 
 def boomerang_spectrum(table: FunctionTable, reduction: NHParams | None = None):

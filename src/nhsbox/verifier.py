@@ -282,8 +282,9 @@ def _rows_condition_claim(field, claim, u_mode):
 
 def _rows_spec_f21(field, claim, u_mode):
     q = field.q
-    table = FunctionTable.from_nh(field, NHParams(2, 1))
-    brute = differential_spectrum(table)
+    params = NHParams(2, 1)
+    # row 1 by bincount, weighted by q - 1 (the orbit identity in spectra)
+    brute = differential_spectrum(FunctionTable.from_nh(field, params), reduction=params)
     closed = closed_form_spectrum_F21(field)
     problems = []
     if brute.omega != closed.omega:

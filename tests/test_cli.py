@@ -439,7 +439,7 @@ def test_documented_commands_parse():
     from nhsbox.cli import build_parser
 
     commands = _documented_commands()
-    assert len(commands) == 13
+    assert len(commands) == 14
     for doc, argv in commands:
         try:
             build_parser().parse_args(argv)

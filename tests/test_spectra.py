@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhsbox import spectra
+from nhsbox import nh_family, spectra
 from nhsbox.gf import UnsupportedFieldError, build_field, cached_field
 from nhsbox.nh_family import (
     CaseAnalysis,
@@ -36,7 +36,7 @@ from nhsbox.spectra import (
     derivative_row,
     differential_spectrum,
 )
-from nhsbox.verifier import conclusion_expected_delta
+from nhsbox.verifier import conclusion_expected_delta, enumerate_prime_powers, verify_claim
 
 
 def f21(field):
@@ -193,6 +193,40 @@ def test_row1_outside_is_the_union_of_line_complements(args):
         assert set(range(q)[spectra._row1_outside(f, r)]) == union, (q, r)
 
 
+F21_ORACLE_FIELDS = [
+    (p, n) for p, n, _ in enumerate_prime_powers(8, 200, congruences=((4, 3),))
+] + [(3, 5), (7, 3), (11, 3), (3, 7)]
+
+
+@pytest.mark.parametrize("args", F21_ORACLE_FIELDS, ids=lambda a: f"F{a[0]}^{a[1]}")
+def test_f21_reduced_spectrum_matches_the_full_ddt(args):
+    # SPEC_F21 reads the reduced spectrum (row 1, weighted by q - 1); the
+    # full DDT over the rows a < -a is its oracle, for u = 1 and u = -1
+    f = cached_field(*args)
+    for u in (1, f.neg(1)):
+        params = NHParams(2, u)
+        table = FunctionTable.from_nh(f, params)
+        full = differential_spectrum(table)
+        red = differential_spectrum(table, reduction=params)
+        assert (red.omega, red.uniformity, red.locally_apn) == (
+            full.omega, full.uniformity, full.locally_apn), (f.q, u)
+        assert full.uniformity == (f.q + 1) // 4 and full.locally_apn
+
+
+def test_spec_f21_counts_one_ddt_row(monkeypatch):
+    rows = []
+    real = spectra._ddt_rows
+
+    def spy(table, a):
+        rows.append(len(a))
+        return real(table, a)
+
+    monkeypatch.setattr(spectra, "_ddt_rows", spy)
+    (row,) = verify_claim("SPEC_F21", 3, 7)
+    assert (row.q, row.status) == (2187, "pass")
+    assert rows == [1]
+
+
 def test_reduction_consistency_error():
     f = cached_field(11)
     table = f21(f)
@@ -285,7 +319,7 @@ def test_boomerang_row_reads_every_fiber_size():
 def test_boomerang_row_leaves_numpy_ma_unimported():
     # np.unique without return_inverse calls np.ma.is_masked, and the first
     # call imports numpy.ma (about 10 ms); the BCT rows and spectrum of a
-    # generic-u table do not load it
+    # generic-u table do not load it, nor numpy.fft, as no fiber is large
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     code = (
@@ -296,7 +330,7 @@ def test_boomerang_row_leaves_numpy_ma_unimported():
         "table = FunctionTable.from_nh(cached_field(43), NHParams(2, 5))\n"
         "boomerang_row(table, 1)\n"
         "boomerang_spectrum(table)\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'numpy.fft' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -306,7 +340,62 @@ def test_boomerang_row_leaves_numpy_ma_unimported():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
+
+
+FFT_ROUTE_FIELDS = [(307, 1), (1327, 1), (7, 3), (3, 5), (11, 3), (3, 7)]
+
+
+@pytest.mark.parametrize("args", FFT_ROUTE_FIELDS, ids=lambda a: f"F{a[0]}^{a[1]}")
+def test_boomerang_row_fft_route_matches_the_pair_loop(args):
+    # a cut of 0 sends every fiber through the FFT, q + 1 none (k^2 <= q^2)
+    f = cached_field(*args)
+    generic = int(np.random.default_rng(list(args)).choice(
+        [v for v in range(2, f.q) if v not in nh_family.excluded_u_set(f)]))
+    for u in (1, generic):
+        table = FunctionTable.from_nh(f, NHParams(2, u))
+        rows = []
+        for cut in (0, spectra._FFT_CUT, f.q + 1):
+            with mock.patch.object(spectra, "_FFT_CUT", cut):
+                rows.append(boomerang_row(table, 1))
+        assert all(np.array_equal(rows[0], row) for row in rows[1:]), (f.q, u)
+
+
+@pytest.mark.parametrize("args", [(7, 1), (11, 1), (19, 1), (23, 1), (3, 3), (3, 5), (7, 3)])
+def test_boomerang_row_fft_route_matches_pair_enumeration(args):
+    # every fiber through the FFT against the O(q^2) oracle: F_{2,1}, a
+    # generic u and a table whose D_a F has one fiber of q - 3 or more
+    f = cached_field(*args)
+    rng = np.random.default_rng(list(args))
+    bs = range(f.q) if f.q < 100 else sorted({0, 1, 2, *rng.integers(3, f.q, size=30).tolist()})
+    for kind in ("F_{2,1}", "mostly-constant"):
+        table = _kernel_table(f, kind, rng)
+        a = int(rng.integers(1, f.q))
+        with mock.patch.object(spectra, "_FFT_CUT", 0):
+            row = boomerang_row(table, a)
+        assert [int(row[b]) for b in bs] == [bct_entry_bruteforce(table, a, b) for b in bs]
+    table = FunctionTable.from_nh(f, NHParams(2, 5))
+    with mock.patch.object(spectra, "_FFT_CUT", 0):
+        row = boomerang_row(table, 1)
+    assert [int(row[b]) for b in bs] == [bct_entry_bruteforce(table, 1, b) for b in bs]
+
+
+def test_boomerang_row_fft_guard_raises_on_an_inexact_result(monkeypatch):
+    real = np.fft.irfftn
+    table = f21(cached_field(1327))  # (q + 1)/4 = 332 goes through the FFT
+    assert 332**2 >= spectra._FFT_CUT * 1327
+
+    def one_off(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.flat[1] += 1  # every value an integer, the sum one too many
+        return out
+
+    for wrong in (lambda *args, **kwargs: real(*args, **kwargs) + 0.3, one_off):
+        monkeypatch.setattr(spectra.np.fft, "irfftn", wrong)
+        with pytest.raises(ArithmeticError, match="not exact"):
+            boomerang_row(table, 1)
+    monkeypatch.setattr(spectra.np.fft, "irfftn", real)
+    assert boomerang_row(table, 1)[1:].max() == 2
 
 
 def test_f21_bct_row_capped_at_two():
@@ -497,15 +586,17 @@ def _kernel_table(field, kind, rng):
     st.sampled_from([(7, 1), (11, 1), (3, 3), (7, 2), (3, 5)]),
     st.sampled_from(["uniform", "mostly-constant", "F_{2,1}", "F_{2,-1}"]),
     st.sampled_from([1, 7, 64, spectra._PAIR_BLOCK]),
+    st.sampled_from([0, spectra._FFT_CUT, 2**40]),
 )
-def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block):
+def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block, fft_cut):
     field = cached_field(*field_args)
     q = field.q
     rng = np.random.default_rng(seed)
     table = _kernel_table(field, kind, rng)
     a_values = [int(a) for a in rng.choice(np.arange(1, q), size=5, replace=False)]
-    # small pair blocks split the large fibers into row blocks
-    with mock.patch.object(spectra, "_PAIR_BLOCK", pair_block):
+    # small pair blocks split the large fibers into row blocks; the cut sends
+    # every fiber, the large ones (the default) or none through the FFT
+    with mock.patch.multiple(spectra, _PAIR_BLOCK=pair_block, _FFT_CUT=fft_cut):
         ddt = spectra._ddt_rows(table, np.array(a_values))
         bct = boomerang_row(table, a_values[0])
     v = table.values.tolist()
@@ -550,7 +641,8 @@ def test_differential_spectrum_memory_bound():
 
 def test_boomerang_row_memory_bound():
     # D_1 F_{2,1} has a fiber of size (q+1)/4 = 547 at q = 3^7; the row
-    # must not allocate anything of size q^2 (one int64 q x q array is 38 MB)
+    # must not allocate anything of size q^2 (one int64 q x q array is 38 MB),
+    # and its FFT holds O(q) (0.20 MiB; the pair blocks took 2.08 MiB)
     table = f21(cached_field(3, 7))
     tracemalloc.start()
     try:
@@ -558,5 +650,5 @@ def test_boomerang_row_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    assert peak < 2**20, peak
     assert int(row[1:].max()) == 1  # the characteristic-3 exception to beta = 2

@@ -260,7 +260,7 @@ def test_spec_f21_names_each_broken_input(monkeypatch, name, change, problem):
     else:
         real = getattr(verifier, name)
         monkeypatch.setattr(
-            verifier, name, lambda *args: dataclasses.replace(real(*args), **change)
+            verifier, name, lambda *args, **kw: dataclasses.replace(real(*args, **kw), **change)
         )
     (row,) = verify_claim("SPEC_F21", 43, 1)
     want = problem.format(brute=brute.omega)
