@@ -11,7 +11,8 @@ by matrix doubling (see :func:`_powers`), the eta table,
 and carry-free packed digit codes with two normalise tables for addition
 and subtraction (see :func:`_addition_tables`).  Hence TABLE_LIMIT bounds
 extension fields; prime fields go up to CODE_LIMIT.  Field.difference_rows
-translates a value table by x -> x + a with no field addition per element.
+translates a value table by x -> x + a with no field addition per element,
+a block of rows at a time in buffers kept for the walk.
 
 All tables are immutable after construction; a Field is safe to share
 across worker processes.
@@ -33,11 +34,13 @@ def _reduce(s, p, sign=0, spare=None):
     """s mod p, in place in the fresh integer array s, which it returns.  A sum
     (sign +1) or difference (-1) of two codes takes min(s, s -/+ p) on the
     unsigned view, where s -/+ p wraps around for the elements that stay;
-    any other s takes s - s // p * p, the quotient in spare if given."""
+    any other s takes s - s // p * p.  spare, if given, is an array shaped
+    and typed as s that takes s -/+ p or the quotient."""
     s = np.asarray(s)
     if sign:
         u = s.view(f"u{s.itemsize}")
-        np.minimum(u, u - p if sign > 0 else u + p, out=u)
+        shifted = None if spare is None else spare.view(u.dtype)
+        np.minimum(u, (np.subtract if sign > 0 else np.add)(u, p, out=shifted), out=u)
     else:
         quot = np.floor_divide(s, p, out=np.empty_like(s) if spare is None else spare)
         s -= np.multiply(quot, p, out=quot)
@@ -310,29 +313,66 @@ class Field:
     def neg_vec(self, x):
         return self.sub_vec(0, x)
 
-    def difference_rows(self, values, a):
-        """values[x + a] - values[x] for every code x (values: q codes), one row
-        per code in the 1-D array a.  A prime field's row a is a rotation of the
-        values (int32 rows); an extension field's x + a acts on the two digit
-        blocks of _addition_tables apart, so two small add_vec tables index them."""
-        if self.n == 1:
-            v = np.asarray(values, dtype=np.int32)
-            rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v]), self.q)[a]
-            return _reduce(np.subtract(rows, v, out=rows), self.p, -1)
-        m = self.p ** ((self.n + 1) // 2)  # codes below m: the low block
-        low = self.add_vec(np.arange(m), a[:, None] % m)[:, None, :]
-        high = self.add_vec(np.arange(0, self.q, m), (a - a % m)[:, None])[:, :, None]
-        pk, pk_neg = self._add_tables[:2]
-        s = pk[values][(high + low).reshape(len(a), -1)]
-        s += pk_neg[values]
-        return self._unpack(s)
+    def difference_rows(self, values, a, block):
+        """Iterate over values[x + a] - values[x] for every code x (values: q codes),
+        one row per code in a (a 1-D integer array-like), in (B, q) blocks of
+        block rows, the last one shorter.  The inputs are checked here, and the
+        walk writes every block into buffers allocated once, so a block is valid
+        until the next one is drawn.  A prime field's row a is the slice
+        a .. a + q - 1 of the doubled values minus the values (int32); an
+        extension field's x + a acts on the two digit blocks of _addition_tables
+        apart, so two small add_vec tables index the packed values (int64).
+        Each gather is a take with mode="clip", as the default mode buffers its
+        out; every index is in range by construction."""
+        v = np.asarray(self.check_code(values, "values"), dtype=np.int64)
+        a = np.asarray(self.check_code(a, "a"), dtype=np.int64)
+        if v.shape != (self.q,) or a.ndim != 1 or block < 1:
+            raise ValueError("difference_rows takes q value codes, a 1-D array of a, block >= 1")
+        return self._difference_walk(v, a, block)
 
-    def _unpack(self, s):
-        """Codes of the packed digit sums s, a numpy array (see :func:`_addition_tables`)."""
+    def _difference_walk(self, v, a, block):
+        q, width = self.q, min(block, len(a))
+        if self.n == 1:
+            v = v.astype(np.int32)
+            twice = np.concatenate([v, v])
+            rows, spare = (np.empty((width, q), dtype=np.int32) for _ in range(2))
+            for lo in range(0, len(a), block):
+                ks = a[lo : lo + block].tolist()
+                for row, k in zip(rows, ks):
+                    np.subtract(twice[k : k + q], v, out=row)
+                yield _reduce(rows[: len(ks)], self.p, -1, spare[: len(ks)])
+            return
+        m = self.p ** ((self.n + 1) // 2)  # codes below m: the low block
+        pk, pk_neg = self._add_tables[:2]
+        packed, packed_neg = pk[v], pk_neg[v]
+        # three arrays, not one (3, width, q) array: the first full DDT at 3^7
+        # raised the peak RSS by 0.5 MB with three, by 0.75 MB with one
+        index, sums, rows = (np.empty((width, q), dtype=np.int64) for _ in range(3))
+        for lo in range(0, len(a), block):
+            ks = a[lo : lo + block, None]
+            n = len(ks)
+            low = self.add_vec(np.arange(m), ks % m)[:, None, :]
+            high = self.add_vec(np.arange(0, q, m), ks - ks % m)[:, :, None]
+            np.add(high, low, out=index[:n].reshape(n, q // m, m))
+            s = packed.take(index[:n], out=sums[:n], mode="clip")
+            s += packed_neg
+            yield self._unpack(s, rows[:n], index[:n])
+
+    def _unpack(self, s, out=None, spare=None):
+        """Codes of the packed digit sums s (see :func:`_addition_tables`), which
+        it overwrites: into out, with spare for the half sums, when given (arrays
+        shaped as s), else into fresh arrays by plain indexing, which costs the
+        least per call on one code or a small array."""
         _, _, lo, hi, shift = self._add_tables
-        out = lo[s & ((1 << shift) - 1)]
-        s >>= shift  # s is a fresh sum, so it is safe to overwrite
-        out += hi[s]
+        mask = (1 << shift) - 1
+        if out is None:
+            out = lo[s & mask]
+            s >>= shift
+            out += hi[s]
+            return out
+        lo.take(np.bitwise_and(s, mask, out=spare), out=out, mode="clip")
+        s >>= shift
+        out += hi.take(s, out=spare, mode="clip")
         return out
 
     def mul_vec(self, x, y):

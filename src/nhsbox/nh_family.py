@@ -114,8 +114,7 @@ def derivative_row_parts(field: Field, r):
     (_value_parts): the whole derivative row is affine in u, which is
     what makes exhaustive u-sweeps cheap.
     """
-    one = np.array([1])
-    return tuple(field.difference_rows(v, one)[0] for v in _value_parts(field, r))
+    return tuple(next(field.difference_rows(v, [1], 1))[0] for v in _value_parts(field, r))
 
 
 def derivative_row_counts(field: Field, params: NHParams):

@@ -513,17 +513,73 @@ def test_difference_rows_match_scalar_oracle(args):
     a = [1, q - 1, *rng.integers(2, q - 1, size=2).tolist()]
     if f.n > 1:
         a += [m * int(rng.integers(1, q // m)), int(rng.integers(2, m))]
-    rows = f.difference_rows(values, np.array(a))
-    assert rows.shape == (len(a), q)
     v = values.tolist()
-    for k, row in zip(a, rows.tolist()):
-        if q < 10**4:
-            xs = range(q)
-        else:  # the planted codes on either side of the difference, and the wrap
-            xs = {0, q - 1, q - k, *planted.tolist(), *((planted - k) % q).tolist(),
-                  *rng.integers(0, q, size=500).tolist()}
-        for x in xs:
-            assert row[x] == f.sub(v[f.add(x, k)], v[x]), (k, x)
+    # blocks of 3 rows leave a shorter last block; each block is checked
+    # before the walk writes the next one over it
+    blocks = f.difference_rows(values, np.array(a), 3)
+    for lo, rows in zip(range(0, len(a), 3), blocks):
+        assert rows.shape == (min(3, len(a) - lo), q)
+        for k, row in zip(a[lo:], rows.tolist()):
+            if q < 10**4:
+                xs = range(q)
+            else:  # the planted codes on either side of the difference, and the wrap
+                xs = {0, q - 1, q - k, *planted.tolist(), *((planted - k) % q).tolist(),
+                      *rng.integers(0, q, size=500).tolist()}
+            for x in xs:
+                assert row[x] == f.sub(v[f.add(x, k)], v[x]), (k, x)
+    assert next(blocks, None) is None
+
+
+def _oracle_tables(f):
+    """A random table with 0 and q - 1 planted, and two F_{2,u} tables."""
+    q = f.q
+    rng = np.random.default_rng(q)
+    values = rng.integers(0, q, size=q)
+    values[rng.choice(q, size=2, replace=False)] = [0, q - 1]
+    return [values, nh_table(f, NHParams(2, 5)), nh_table(f, NHParams(2, f.neg(1)))]
+
+
+@pytest.mark.parametrize("args", [(3, 3), (3, 5), (7, 3), (11, 3), (3, 7), (31, 1), (1999, 1)])
+def test_difference_rows_blocked_walk_matches_vector_oracle(args):
+    # every a, in blocks of 1, of 16 and of 10 (which leaves a shorter last
+    # block at each of these q), against rows built from add_vec/sub_vec alone;
+    # each block is checked before the next is drawn, as the walk writes every
+    # block into the buffers of the first
+    f = cached_field(*args)
+    q, xs = f.q, f.elements()
+    every_a = np.arange(q)
+    for values in _oracle_tables(f):
+        for block in (1, 16, 10):
+            walk = f.difference_rows(values, every_a, block)
+            first = None
+            for lo in range(0, q, block):
+                rows = next(walk)
+                ks = every_a[lo : lo + block, None]
+                assert rows.shape == ks.shape[:1] + (q,)
+                assert np.array_equal(rows, f.sub_vec(values[f.add_vec(xs, ks)], values)), (
+                    block, lo)
+                first = rows if first is None else first
+                assert np.shares_memory(rows, first)
+            assert next(walk, None) is None
+
+
+def test_difference_rows_checks_its_inputs():
+    f7, f27 = cached_field(7), cached_field(3, 3)
+    for f, a in ((f7, 7), (f7, -1), (f27, -1), (f27, 27)):
+        with pytest.raises(ValueError, match="a = "):
+            f.difference_rows(f.elements(), [a], 1)  # raised before the walk starts
+    with pytest.raises(ValueError, match="values = 8"):
+        f7.difference_rows(np.array([0, 1, 2, 3, 4, 5, 8]), [1], 1)
+    for bad in (dict(values=np.arange(6)), dict(a=[[1]]), dict(block=0)):
+        args = dict(values=f7.elements(), a=[1], block=1) | bad
+        with pytest.raises(ValueError):
+            f7.difference_rows(**args)
+    # any 1-D integer array-like for a, in either kind of field
+    for f in (f7, f27):
+        values = np.roll(f.elements(), 3)
+        listed = next(f.difference_rows(values, [1, 2], 2))
+        assert np.array_equal(listed, next(f.difference_rows(values, np.array([1, 2]), 2)))
+        assert np.array_equal(listed[0], f.sub_vec(values[f.add_vec(f.elements(), 1)], values))
 
 
 def test_packed_addition_rejects_codes_out_of_range():

@@ -218,8 +218,9 @@ def test_spec_f21_counts_one_ddt_row(monkeypatch):
     real = spectra._ddt_rows
 
     def spy(table, a):
-        rows.append(len(a))
-        return real(table, a)
+        for block in real(table, a):
+            rows.append(len(block))
+            yield block
 
     monkeypatch.setattr(spectra, "_ddt_rows", spy)
     (row,) = verify_claim("SPEC_F21", 3, 7)
@@ -587,18 +588,23 @@ def _kernel_table(field, kind, rng):
     st.sampled_from(["uniform", "mostly-constant", "F_{2,1}", "F_{2,-1}"]),
     st.sampled_from([1, 7, 64, spectra._PAIR_BLOCK]),
     st.sampled_from([0, spectra._FFT_CUT, 2**40]),
+    st.sampled_from([1, 2, spectra._A_BATCH]),
 )
-def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block, fft_cut):
+def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block, fft_cut, a_batch):
     field = cached_field(*field_args)
     q = field.q
     rng = np.random.default_rng(seed)
     table = _kernel_table(field, kind, rng)
     a_values = [int(a) for a in rng.choice(np.arange(1, q), size=5, replace=False)]
     # small pair blocks split the large fibers into row blocks; the cut sends
-    # every fiber, the large ones (the default) or none through the FFT
-    with mock.patch.multiple(spectra, _PAIR_BLOCK=pair_block, _FFT_CUT=fft_cut):
-        ddt = spectra._ddt_rows(table, np.array(a_values))
+    # every fiber, the large ones (the default) or none through the FFT; the
+    # DDT walk goes 1, 2 (a shorter last block) or all 5 rows at a time
+    with mock.patch.multiple(spectra, _PAIR_BLOCK=pair_block, _FFT_CUT=fft_cut,
+                             _A_BATCH=a_batch):
+        blocks = list(spectra._ddt_rows(table, np.array(a_values)))
         bct = boomerang_row(table, a_values[0])
+    assert [len(b) for b in blocks[:-1]] == [a_batch] * (len(blocks) - 1)
+    ddt = np.concatenate(blocks)
     v = table.values.tolist()
     for a, counts in zip(a_values, ddt):
         # D_a F from scalar field arithmetic, x by x
@@ -625,7 +631,10 @@ def test_function_table_rejects_non_codes():
 
 def test_differential_spectrum_memory_bound():
     # the full DDT of a generic u goes _A_BATCH rows at a time: nothing of
-    # size q^2 (one int64 q x q array is 38 MB at q = 3^7)
+    # size q^2 (one int64 q x q array is 38 MB at q = 3^7).  The blocked walk
+    # peaks at 1.19 MiB at 3^7 (its three int64 blocks and the block's
+    # counts) and 0.83 MiB at 1999; the bound adds 0.3 MiB, about one more
+    # (16, q) int64 block at 3^7 (0.27 MiB)
     for args in ((3, 7), (1999, 1)):
         f = cached_field(*args)
         table = FunctionTable.from_nh(f, NHParams(2, 5))
@@ -636,7 +645,28 @@ def test_differential_spectrum_memory_bound():
         finally:
             tracemalloc.stop()
         assert spec.identities_hold(f.q)
-        assert peak < 4 * 2**20, (args, peak)
+        assert peak < 1.5 * 2**20, (args, peak)
+
+
+@pytest.mark.parametrize("q", [65519, 65539])
+def test_boomerang_row_matches_python_fibers_across_the_sort_dtype(q):
+    # boomerang_row groups the fibers by a uint16 sort up to q = 2^16 and by
+    # the int64 sort above; on either side, a generic-u row equals a count
+    # over a dict of fibers in plain Python, at every b
+    f = cached_field(q)
+    table = FunctionTable.from_nh(f, NHParams(2, 12345))
+    a = 3
+    v = table.values.tolist()
+    fibers = {}
+    for x in range(q):
+        fibers.setdefault((v[(x + a) % q] - v[x]) % q, []).append(v[x])
+    want = [0] * q
+    for values in fibers.values():
+        for fx in values:
+            for fy in values:
+                want[(fx - fy) % q] += 1
+    assert max(map(len, fibers.values())) <= 5  # generic u: every fiber is small
+    assert boomerang_row(table, a).tolist() == want
 
 
 def test_boomerang_row_memory_bound():
