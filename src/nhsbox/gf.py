@@ -12,7 +12,7 @@ and carry-free packed digit codes with two normalise tables for addition
 and subtraction (see :func:`_addition_tables`).  Hence TABLE_LIMIT bounds
 extension fields; prime fields go up to CODE_LIMIT.  Field.difference_rows
 translates a value table by x -> x + a with no field addition per element,
-a block of rows at a time in buffers kept for the walk.
+_WALK_ROWS rows at a time in buffers kept for the walk.
 
 All tables are immutable after construction; a Field is safe to share
 across worker processes.
@@ -193,6 +193,12 @@ class CijPartition:
     CLASS_LABELS = ("00", "01", "10", "11")
 
 
+# rows per block of Field.difference_rows: the full DDT counts each block
+# before it draws the next, and a one-row walk holds one row.  Do not retry 4,
+# 8 or 32: none beat 16 in cold full-DDT runs.
+_WALK_ROWS = 16
+
+
 class Field:
     """F_{p^n} for odd p, with eta / sqrt / C_ij machinery.
 
@@ -206,7 +212,7 @@ class Field:
     non-integer is a ValueError.
     """
 
-    def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table, add_tables=None):
+    def __init__(self, p, n, modulus, generator, eta_table, log_table, alog_table, add_tables):
         self.p = p
         self.n = n
         self.q = p**n
@@ -242,7 +248,7 @@ class Field:
         a ValueError naming x.  The package's one range and type check: the
         vector ops index tables with codes and would read a negative code as
         q + x, and a cast to int64 would drop a fraction, so callers cast after it."""
-        if isinstance(x, int) and 0 <= x < self.q:  # the scalar ops' fast path
+        if type(x) is int and 0 <= x < self.q:  # the scalar ops' fast path; not a bool
             return x
         xs = np.asarray(x)
         if xs.dtype.kind not in "iu":  # Python ints past int64 come as object or float64
@@ -266,11 +272,11 @@ class Field:
 
     def _scalar(self, x, name):
         """x as one code: an integer, reduced mod p in a prime field and checked
-        in an extension field; a ValueError naming x for any other value."""
-        try:
-            x = operator.index(x)
-        except TypeError:
-            raise ValueError(f"{name} = {x!r} is not an integer element code") from None
+        in an extension field; a ValueError naming x for any other value, a bool
+        included (operator.index(True) is 1)."""
+        if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+            raise ValueError(f"{name} = {x!r} is not an integer element code")
+        x = operator.index(x)
         return x % self.p if self.n == 1 else self.check_code(x, name)
 
     def add(self, a, b):
@@ -313,12 +319,12 @@ class Field:
     def neg_vec(self, x):
         return self.sub_vec(0, x)
 
-    def difference_rows(self, values, a, block):
+    def difference_rows(self, values, a):
         """Iterate over values[x + a] - values[x] for every code x (values: q codes),
         one row per code in a (a 1-D integer array-like), in (B, q) blocks of
-        block rows, the last one shorter.  The inputs are checked here, and the
-        walk writes every block into buffers allocated once, so a block is valid
-        until the next one is drawn.  A prime field's row a is the slice
+        _WALK_ROWS rows, the last one shorter.  The inputs are checked here, and
+        the walk writes every block into buffers allocated once, so a block is
+        valid until the next one is drawn.  A prime field's row a is the slice
         a .. a + q - 1 of the doubled values minus the values (int32); an
         extension field's x + a acts on the two digit blocks of _addition_tables
         apart, so two small add_vec tables index the packed values (int64).
@@ -326,12 +332,12 @@ class Field:
         out; every index is in range by construction."""
         v = np.asarray(self.check_code(values, "values"), dtype=np.int64)
         a = np.asarray(self.check_code(a, "a"), dtype=np.int64)
-        if v.shape != (self.q,) or a.ndim != 1 or block < 1:
-            raise ValueError("difference_rows takes q value codes, a 1-D array of a, block >= 1")
-        return self._difference_walk(v, a, block)
+        if v.shape != (self.q,) or a.ndim != 1:
+            raise ValueError("difference_rows takes q value codes and a 1-D array of a")
+        return self._difference_walk(v, a)
 
-    def _difference_walk(self, v, a, block):
-        q, width = self.q, min(block, len(a))
+    def _difference_walk(self, v, a):
+        q, block, width = self.q, _WALK_ROWS, min(_WALK_ROWS, len(a))
         if self.n == 1:
             v = v.astype(np.int32)
             twice = np.concatenate([v, v])

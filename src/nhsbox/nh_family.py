@@ -14,15 +14,15 @@ where tau1 = (1+u)/u and tau2 = (1-u)/u.  Solutions are counted by
 explicit membership of the (distinct) roots in the respective class,
 which is exactly what a brute-force scan over x counts.
 
-Batch convention (as for the character-sum oracles): CaseAnalysis,
-aij_counts_brute and structural_lemmas_hold take one u code or a 1-D
-array of U codes.  The u axis leads, so a batch gives (U, q, 4) counts
-and a (U,) verdict, and a scalar u gives the (q, 4) counts and the bool
-of the batch of one.  CaseAnalysis.counts_at(bs) gives the class-major
-(4, U, B) int8 counts (each 0, 1 or 2) at any b cells bs: one code, every
-code, or a (U, K) array of per-u codes.  The full grid is counts_at(every
-b), kept read-only once per case and handed out as (U, q, 4) views; one-b
-views such as a_counts(b) evaluate only their own cell.
+Batch convention (as for the character-sum oracles): CaseAnalysis and
+aij_counts_brute take one u code or a 1-D array of U codes.  The u axis
+leads, so a batch gives (U, q, 4) counts and a (U,) lemmas_hold verdict,
+and a scalar u the (q, 4) counts and the bool of the batch of one.
+CaseAnalysis.counts_at(bs) gives the class-major (4, U, B) int8 counts
+(each 0, 1 or 2) at any b cells bs: one code, every code, or a (U, K)
+array of per-u codes.  The full grid is counts_at(every b), kept read-only
+once per case, handed out as (U, q, 4) views and read by the lemma
+battery; one-b views such as a_counts(b) evaluate only their own cell.
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d (the a = 1 differences of s and t) is affine in u,
@@ -114,7 +114,7 @@ def derivative_row_parts(field: Field, r):
     (_value_parts): the whole derivative row is affine in u, which is
     what makes exhaustive u-sweeps cheap.
     """
-    return tuple(next(field.difference_rows(v, [1], 1))[0] for v in _value_parts(field, r))
+    return tuple(next(field.difference_rows(v, [1]))[0] for v in _value_parts(field, r))
 
 
 def derivative_row_counts(field: Field, params: NHParams):
@@ -129,9 +129,6 @@ def derivative_row_counts(field: Field, params: NHParams):
 # time: a chunk's buffers stay cache-sized at every q, and a sweep's memory
 # follows its request rather than q times a fixed row count.
 _U_CELLS = 1 << 15
-# (u, b) cells per CaseAnalysis of the LEMMA_SUITE sweep, max(1, _CASE_CELLS // q)
-# u at a time: smaller chunks leave the case analysis bound by per-call overhead.
-_CASE_CELLS = 1 << 16
 
 
 def uniformity_batch(field: Field, r, u_codes):
@@ -295,10 +292,13 @@ class CaseAnalysis:
         """delta(1, b) for every b, assembled from the closed counts."""
         return self._view(self._boundary_delta(self.field.elements(), self._counts)[1])
 
-
-def aij_counts_closed(field: Field, u, b):
-    """Closed-form (#A_00(b), #A_01(b), #A_10(b), #A_11(b)) for F_{2,u}."""
-    return CaseAnalysis(field, u).a_counts(b)
+    def lemmas_hold(self):
+        """Every lemma of the battery (_lemma_battery) holds at every b where it
+        applies, read off the cached grid: a bool for one u, a (U,) boolean
+        array for a batch."""
+        battery = _lemma_battery(self, self.field.elements(), self._counts)
+        held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in battery])
+        return bool(held[0]) if self._scalar else held
 
 
 def aij_counts_brute(field: Field, u):
@@ -359,31 +359,28 @@ def _lemma_battery(case: CaseAnalysis, bs, counts):
     return battery
 
 
-def structural_lemmas_hold(field: Field, u, case=None):
-    """Every lemma of the battery holds at every b where it applies: a bool
-    for one u, a (U,) boolean array for a 1-D array of u.  case, if given,
-    is the caller's CaseAnalysis(field, u), whose closed counts are reused."""
-    case = CaseAnalysis(field, u) if case is None else case
-    battery = _lemma_battery(case, case.field.elements(), case._counts)
-    held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in battery])
-    return bool(held[0]) if case._scalar else held
+# One-call forms of CaseAnalysis.  They stay while perfbench/tracer.py wraps
+# these names and test_tracer_targets_exist pins them (ROADMAP items 6-7).
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
-    name: str
-    applicable: bool
-    ok: bool
+def aij_counts_closed(field: Field, u, b):
+    """Closed-form (#A_00(b), #A_01(b), #A_10(b), #A_11(b)) for F_{2,u}."""
+    return CaseAnalysis(field, u).a_counts(b)
+
+
+def structural_lemmas_hold(field: Field, u):
+    """CaseAnalysis(field, u).lemmas_hold()."""
+    return CaseAnalysis(field, u).lemmas_hold()
 
 
 def structural_lemma_checks(field: Field, u, b):
-    """Per-b verdicts for the four exclusion implications, the boundary
-    bound delta(1, u +/- 1) <= 4, and the overall cap delta(1, b) <= 5.
+    """(name, applicable, ok) bools at one b for the four exclusion implications,
+    the boundary bound delta(1, u +/- 1) <= 4 and the cap delta(1, b) <= 5.
     A lemma that does not apply at b is reported as ok.  u is one code."""
     case = CaseAnalysis(field, u)
     if not case._scalar or np.ndim(b):
         raise ValueError("structural_lemma_checks takes one u code and one b code")
     return [
-        LemmaVerdict(name, bool(applicable[0, 0]), bool(ok[0, 0]))
+        (name, bool(applicable[0, 0]), bool(ok[0, 0]))
         for name, applicable, ok in _lemma_battery(case, b, case.counts_at(b))
     ]

@@ -4,9 +4,9 @@ D_a F of a table is computed in one place, Field.difference_rows, and
 DDT rows, BCT rows and the locally-APN check all read it.  It walks the a
 values a block of rows at a time and writes each block into buffers kept
 for the walk, so a block is valid only until the next one is drawn:
-_ddt_rows counts each block of _A_BATCH rows before it draws the next, and
-a single row (derivative_row) is the walk's one block.  The fiber sizes
-of D_a F are the DDT row, and the BCT row tallies F(x) - F(y) over the
+_ddt_rows counts each block before it draws the next, and boomerang_row
+reads the one row of a one-code walk.  The fiber sizes of D_a F are the
+DDT row, and the BCT row tallies F(x) - F(y) over the
 pairs inside each fiber: a pair loop in O(k^2) for a fiber of k elements
 with k^2 < _FFT_CUT * q, an FFT autocorrelation in O(q log q) above that.
 For F_{2,+-1}, whose D_1 F has one fiber of (q + 1)/4, that is O(q log q)
@@ -103,36 +103,27 @@ def _tally_add(tally, counts):
 # derivative rows and the DDT
 # ---------------------------------------------------------------------------
 
-# a values per batch of the full-DDT loop; pairs per block of a BCT row; a
-# fiber of k elements goes through the FFT of a BCT row when k^2 >= _FFT_CUT * q.
-# One FFT costs about as much as 12 to 64 q pairs, by the field (the measured
-# table is in CHANGES.md), so the cut grows with q and not as a fixed size.
-_A_BATCH = 16
+# pairs per block of a BCT row; a fiber of k elements goes through the FFT of
+# a BCT row when k^2 >= _FFT_CUT * q.  One FFT costs about as much as 12 to 64
+# q pairs, by the field (the measured table is in CHANGES.md), so the cut grows
+# with q and not as a fixed size.
 _PAIR_BLOCK = 1 << 16
 _FFT_CUT = 32
 
 
 def _ddt_rows(table: FunctionTable, a):
     """Yield delta(a, b) for every b, one fresh (B, q) block of rows per block
-    of _A_BATCH codes of the 1-D array a: the fiber sizes of D_a F, one
-    bincount with row i keyed by D_a F + i*q, written over int64 rows or into
-    one int64 buffer from a prime field's int32 rows."""
+    of the walk over the 1-D array a (Field.difference_rows): the fiber sizes
+    of D_a F, one bincount with row i keyed by D_a F + i*q, written over int64
+    rows or into one int64 buffer from a prime field's int32 rows."""
     q = table.field.q
-    offsets = q * np.arange(_A_BATCH)[:, None]
     keys = None
-    for d in table.field.difference_rows(table.values, a, _A_BATCH):
+    for d in table.field.difference_rows(table.values, a):
         if keys is None:  # the first block is the widest
             keys = d if d.dtype == np.int64 else np.empty(d.shape, dtype=np.int64)
+            offsets = q * np.arange(len(d))[:, None]
         key = np.add(d, offsets[: len(d)], out=keys[: len(d)])
         yield np.bincount(key.ravel(), minlength=key.size).reshape(len(d), q)
-
-
-def derivative_row(table: FunctionTable, a):
-    """D_a F(x) for every x, as a length-q int64 array."""
-    table.field.check_code(a, "a")
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    return next(table.field.difference_rows(table.values, [a], 1))[0].astype(np.int64, copy=False)
 
 
 def _outside_prime_subfield(field: Field):
@@ -226,7 +217,9 @@ def boomerang_row(table: FunctionTable, a):
     """
     f = table.field
     q = f.q
-    d = derivative_row(table, a)
+    d = next(f.difference_rows(table.values, [a]))[0]  # D_a F, a checked there
+    if a == 0:
+        raise ValueError("a must be nonzero")
     sizes = np.bincount(d, minlength=q)
     keys = d.astype(np.uint16) if q <= 1 << 16 else d
     by_fiber = table.values[np.argsort(keys, kind="stable")]  # F(x), grouped by D_a F(x)

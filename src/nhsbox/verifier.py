@@ -42,7 +42,6 @@ from .characters import (
 )
 from .gf import CODE_LIMIT, Field, cached_field
 from .nh_family import (
-    _CASE_CELLS,
     CLASS_01,
     CLASS_10,
     CLASS_11,
@@ -53,7 +52,6 @@ from .nh_family import (
     aij_counts_brute,
     derivative_row_parts,
     excluded_u_set,
-    structural_lemmas_hold,
     u_third,
     uniformity_batch,
 )
@@ -226,10 +224,9 @@ def _row(field, claim, u, computed, expected, status):
 
 
 def _verdict_row(field, claim, u, problems):
-    """'ok' and pass, or the problems found and exception."""
-    if problems:
-        return _row(field, claim, u, "; ".join(problems), "ok", "exception")
-    return _row(field, claim, u, "ok", "ok", "pass")
+    """'ok', or the problems found, with the _status of finding none."""
+    status = _status(field, claim, not problems)
+    return _row(field, claim, u, "; ".join(problems) or "ok", "ok", status)
 
 
 def _status(field, claim, holds):
@@ -242,7 +239,7 @@ def _status(field, claim, holds):
 def _rows_delta_third(field, claim, u_mode):
     u = u_third(field)
     delta = int(uniformity_batch(field, 2, [u])[0])
-    status = "pass" if delta == claim.expected else "exception"
+    status = _status(field, claim, delta == claim.expected)
     return [_row(field, claim, u, delta, claim.expected, status)]
 
 
@@ -362,6 +359,11 @@ def _rows_boom_witness(field, claim, u_mode):
     return [_bound_row(field, claim, 1, size, (q + m1 * math.sqrt(q) + (m2 + 1 - 1280)) / 128)]
 
 
+# (u, b) cells per CaseAnalysis of LEMMA_SUITE, max(1, _CASE_CELLS // q) u at a
+# time: smaller chunks leave the case analysis bound by per-call overhead.
+_CASE_CELLS = 1 << 16
+
+
 def _rows_lemma_suite(field, claim, u_mode):
     q = field.q
     problems = []
@@ -379,7 +381,7 @@ def _rows_lemma_suite(field, claim, u_mode):
             chunk = us[lo : lo + step]
             case = CaseAnalysis(field, chunk)
             wrong = (case.a_counts_all() != aij_counts_brute(field, chunk)).any(axis=(1, 2))
-            failed = wrong | ~structural_lemmas_hold(field, chunk, case)
+            failed = wrong | ~case.lemmas_hold()
             if failed.any():
                 i = int(np.argmax(failed))
                 what = "A_ij closed != brute" if wrong[i] else "exclusion/cap lemma failed"

@@ -445,3 +445,16 @@ def test_documented_commands_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"{doc}: nhsbox {' '.join(argv)} does not parse")
+
+
+def test_readme_quick_start_runs(capsys):
+    # the one python block of README.md, run as written: its asserts hold and
+    # it prints the line its last comment documents
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b.removeprefix("python\n") for b in readme.split("```")[1::2]
+                if b.startswith("python\n")]
+    assert block.rstrip().endswith("# 15 True")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "15 True\n"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhsbox import gf
 from nhsbox.characters import poly_eval_vec, weil_sum_quadratic_closed
 from nhsbox.gf import (
     TABLE_LIMIT,
@@ -443,7 +444,7 @@ class _TableFree(Field):
 
 def _reference(f):
     """f without tables (see _TableFree)."""
-    return _TableFree(f.p, f.n, f.modulus, f.generator, None, None, None)
+    return _TableFree(f.p, f.n, f.modulus, f.generator, None, None, None, None)
 
 
 def _assert_addition_matches_digit_loop(f, xs, ys, scalar_pairs):
@@ -499,7 +500,7 @@ def test_packed_addition_scalar_operands_and_modulus():
     [(7, 1), (31, 1), (1999, 1), (1000003, 1),
      (3, 2), (7, 2), (3, 3), (5, 3), (3, 4), (3, 5), (3, 7)],
 )
-def test_difference_rows_match_scalar_oracle(args):
+def test_difference_rows_match_scalar_oracle(args, monkeypatch):
     # values[x + a] - values[x] against the scalar ops, x by x.  The values
     # hold 0 and q - 1, so differences wrap both ways; an extension field's
     # a also hold a multiple of p^h (zero low digit block) and a code below
@@ -516,7 +517,8 @@ def test_difference_rows_match_scalar_oracle(args):
     v = values.tolist()
     # blocks of 3 rows leave a shorter last block; each block is checked
     # before the walk writes the next one over it
-    blocks = f.difference_rows(values, np.array(a), 3)
+    monkeypatch.setattr(gf, "_WALK_ROWS", 3)
+    blocks = f.difference_rows(values, np.array(a))
     for lo, rows in zip(range(0, len(a), 3), blocks):
         assert rows.shape == (min(3, len(a) - lo), q)
         for k, row in zip(a[lo:], rows.tolist()):
@@ -540,7 +542,7 @@ def _oracle_tables(f):
 
 
 @pytest.mark.parametrize("args", [(3, 3), (3, 5), (7, 3), (11, 3), (3, 7), (31, 1), (1999, 1)])
-def test_difference_rows_blocked_walk_matches_vector_oracle(args):
+def test_difference_rows_blocked_walk_matches_vector_oracle(args, monkeypatch):
     # every a, in blocks of 1, of 16 and of 10 (which leaves a shorter last
     # block at each of these q), against rows built from add_vec/sub_vec alone;
     # each block is checked before the next is drawn, as the walk writes every
@@ -550,7 +552,8 @@ def test_difference_rows_blocked_walk_matches_vector_oracle(args):
     every_a = np.arange(q)
     for values in _oracle_tables(f):
         for block in (1, 16, 10):
-            walk = f.difference_rows(values, every_a, block)
+            monkeypatch.setattr(gf, "_WALK_ROWS", block)
+            walk = f.difference_rows(values, every_a)
             first = None
             for lo in range(0, q, block):
                 rows = next(walk)
@@ -567,18 +570,18 @@ def test_difference_rows_checks_its_inputs():
     f7, f27 = cached_field(7), cached_field(3, 3)
     for f, a in ((f7, 7), (f7, -1), (f27, -1), (f27, 27)):
         with pytest.raises(ValueError, match="a = "):
-            f.difference_rows(f.elements(), [a], 1)  # raised before the walk starts
+            f.difference_rows(f.elements(), [a])  # raised before the walk starts
     with pytest.raises(ValueError, match="values = 8"):
-        f7.difference_rows(np.array([0, 1, 2, 3, 4, 5, 8]), [1], 1)
-    for bad in (dict(values=np.arange(6)), dict(a=[[1]]), dict(block=0)):
-        args = dict(values=f7.elements(), a=[1], block=1) | bad
+        f7.difference_rows(np.array([0, 1, 2, 3, 4, 5, 8]), [1])
+    for bad in (dict(values=np.arange(6)), dict(a=[[1]])):
+        args = dict(values=f7.elements(), a=[1]) | bad
         with pytest.raises(ValueError):
             f7.difference_rows(**args)
     # any 1-D integer array-like for a, in either kind of field
     for f in (f7, f27):
         values = np.roll(f.elements(), 3)
-        listed = next(f.difference_rows(values, [1, 2], 2))
-        assert np.array_equal(listed, next(f.difference_rows(values, np.array([1, 2]), 2)))
+        listed = next(f.difference_rows(values, [1, 2]))
+        assert np.array_equal(listed, next(f.difference_rows(values, np.array([1, 2]))))
         assert np.array_equal(listed[0], f.sub_vec(values[f.add_vec(f.elements(), 1)], values))
 
 
@@ -618,7 +621,9 @@ def test_scalar_addition_rejects_codes_outside_the_field():
 
 _NON_INTEGER_CALLS = {
     "check_code": (lambda f: f.check_code(np.array([1.0, 2.0]), "xs"), "xs"),
+    "check_code bool": (lambda f: f.check_code(True), "x"),
     "add": (lambda f: f.add(2.5, 1), "a"),
+    "add bool": (lambda f: f.add(True, 1), "a"),
     "mul": (lambda f: f.mul(1, np.float64(2)), "b"),
     "pow": (lambda f: f.pow(1.5, 2), "a"),
     "eta": (lambda f: f.eta(3.9), "x"),

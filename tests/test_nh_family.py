@@ -22,9 +22,9 @@ from nhsbox.nh_family import (
     structural_lemma_checks,
     structural_lemmas_hold,
     uniformity_batch,
-    _CASE_CELLS,
 )
-from nhsbox.spectra import FunctionTable, derivative_row
+from nhsbox.spectra import FunctionTable
+from nhsbox.verifier import _CASE_CELLS
 
 
 def test_eval_examples():
@@ -260,8 +260,8 @@ def test_one_cell_views_stay_small_at_large_q():
             tracemalloc.stop()
         assert peak < 2**20, (b, peak)
         assert counts == tuple(brute[b])
-        assert all(v.ok for v in verdicts)
-        boundary = {v.name: v.applicable for v in verdicts}["boundary_delta_le_4"]
+        assert all(ok for _, _, ok in verdicts)
+        boundary = {name: applicable for name, applicable, _ in verdicts}["boundary_delta_le_4"]
         assert boundary == (b != 777)
 
 
@@ -316,7 +316,7 @@ def test_structural_lemma_checks_scalar():
     for u in range(2, 22):
         for b in (0, 1, f.add(u, 1), f.sub(u, 1), 7):
             for verdict in structural_lemma_checks(f, u, b):
-                assert verdict.ok, (u, b, verdict)
+                assert verdict[2], (u, b, verdict)
 
 
 def test_structural_lemmas_vectorized():
@@ -353,13 +353,13 @@ def test_lemma_checks_agree_with_lemmas_hold():
                     "delta_le_5": (True, delta[b] <= 5),
                 }
                 verdicts = structural_lemma_checks(f, u, b)
-                assert [v.name for v in verdicts] == list(want)
-                for v in verdicts:
-                    applicable, holds = want[v.name]
-                    assert (v.applicable, v.ok) == (applicable, holds or not applicable), (
-                        f.q, u, b, v,
+                assert [name for name, _, _ in verdicts] == list(want)
+                for name, applicable, ok in verdicts:
+                    want_applicable, holds = want[name]
+                    assert (applicable, ok) == (want_applicable, holds or not want_applicable), (
+                        f.q, u, b, name,
                     )
-                    all_ok &= v.ok
+                    all_ok &= ok
             assert all_ok and structural_lemmas_hold(f, u), (f.q, u)
 
 
@@ -391,7 +391,7 @@ def test_derivative_row_parts_match_the_table_rows():
             for u in range(f.q):
                 table = FunctionTable.from_nh(f, NHParams(r, u))
                 row = f.add_vec(c, f.mul_vec(np.int64(u), d))
-                assert np.array_equal(row, derivative_row(table, 1))
+                assert np.array_equal(row, next(f.difference_rows(table.values, [1]))[0])
 
 
 # rows per chunk of uniformity_batch in the chunk-boundary tests below, set
@@ -561,3 +561,16 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
             ):
                 with pytest.raises(ValueError, match="element code"):
                     call()
+    # True would read as the code 1: eval_F(F_7, NHParams(2, True), 3) gave 0
+    f7 = cached_field(7)
+    for call in (
+        lambda: eval_F(f7, NHParams(2, True), 3),
+        lambda: eval_F(f, params, True),
+        lambda: derivative_row_counts(f7, NHParams(2, True)),
+        lambda: CaseAnalysis(f, True),
+        lambda: aij_counts_closed(f, 5, True),
+        lambda: CaseAnalysis(f, 5).a_counts(True),
+        lambda: structural_lemma_checks(f, 5, True),
+    ):
+        with pytest.raises(ValueError, match="element code"):
+            call()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhsbox import nh_family, spectra
+from nhsbox import gf, nh_family, spectra
 from nhsbox.gf import UnsupportedFieldError, build_field, cached_field
 from nhsbox.nh_family import (
     CaseAnalysis,
@@ -33,7 +33,6 @@ from nhsbox.spectra import (
     boomerang_spectrum,
     closed_form_spectrum_F21,
     cubic_character_sum,
-    derivative_row,
     differential_spectrum,
 )
 from nhsbox.verifier import conclusion_expected_delta, enumerate_prime_powers, verify_claim
@@ -43,9 +42,14 @@ def f21(field):
     return FunctionTable.from_nh(field, NHParams(2, 1))
 
 
+def _d_row(table, a):
+    """D_a F(x) for every x: the one row of a one-code difference walk."""
+    return next(table.field.difference_rows(table.values, [a]))[0]
+
+
 def ddt_entry(table, a, b):
     """delta_F(a, b): the preimage count of b on the derivative row D_a F."""
-    return int(np.count_nonzero(derivative_row(table, a) == b))
+    return int(np.count_nonzero(_d_row(table, a) == b))
 
 
 def test_ddt_entry_examples():
@@ -59,15 +63,16 @@ def test_ddt_entry_examples():
     assert ddt_entry(t, 1, 2) == 1
     f19 = cached_field(19)
     assert ddt_entry(f21(f19), 1, 0) == 5
-    with pytest.raises(ValueError):
-        derivative_row(t, 0)
+    with pytest.raises(ValueError, match="a must be nonzero"):
+        boomerang_row(t, 0)
 
 
 def test_scalar_entry_points_reject_codes_outside_the_field():
     t = f21(cached_field(3, 3))
-    for code in (-1, 27):
+    # True would pass as the code 1, and bct_entry would read row[True], a mask
+    for code in (-1, 27, True):
         for call in (
-            lambda: derivative_row(t, code),
+            lambda: boomerang_row(t, code),
             lambda: bct_entry(t, 1, code),
             lambda: bct_entry_bruteforce(t, code, 1),
             lambda: bct_entry_bruteforce(t, 1, code),
@@ -79,7 +84,7 @@ def test_scalar_entry_points_reject_codes_outside_the_field():
         bct_entry_bruteforce(t, 0, 1)
     # a b outside [0, q) would be answered for b mod q at F_23 (32 as 9)
     for field in (cached_field(23), cached_field(3, 3)):
-        for b in (-1, field.q, 32, 40):
+        for b in (-1, field.q, 32, 40, True):
             with pytest.raises(ValueError, match="element code"):
                 boomerang_case_counts_F21(field, b)
 
@@ -104,7 +109,7 @@ def test_f21_boomerang_chains_exclude_each_other_in_characteristic_3():
 def test_derivative_row_matches_entries():
     f = cached_field(19)
     t = f21(f)
-    row = derivative_row(t, 3)
+    row = _d_row(t, 3)
     for x in range(19):  # F(x + 3) - F(x) by scalar ops
         assert row[x] == f.sub(int(t.values[f.add(x, 3)]), int(t.values[x]))
 
@@ -507,7 +512,7 @@ def test_random_table_row_and_pair_identities(seed, field_args):
     a = int(rng.integers(1, q))
     b = int(rng.integers(0, q))
     # every derivative row partitions F_q: counts sum to q
-    counts = np.bincount(derivative_row(table, a), minlength=q)
+    counts = np.bincount(_d_row(table, a), minlength=q)
     assert counts.sum() == q
     shifted = table.values[field.add_vec(field.elements(), a)]
     assert np.count_nonzero(field.sub_vec(shifted, table.values) == b) == counts[b]
@@ -588,7 +593,7 @@ def _kernel_table(field, kind, rng):
     st.sampled_from(["uniform", "mostly-constant", "F_{2,1}", "F_{2,-1}"]),
     st.sampled_from([1, 7, 64, spectra._PAIR_BLOCK]),
     st.sampled_from([0, spectra._FFT_CUT, 2**40]),
-    st.sampled_from([1, 2, spectra._A_BATCH]),
+    st.sampled_from([1, 2, gf._WALK_ROWS]),
 )
 def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block, fft_cut, a_batch):
     field = cached_field(*field_args)
@@ -599,8 +604,8 @@ def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block, fft_cu
     # small pair blocks split the large fibers into row blocks; the cut sends
     # every fiber, the large ones (the default) or none through the FFT; the
     # DDT walk goes 1, 2 (a shorter last block) or all 5 rows at a time
-    with mock.patch.multiple(spectra, _PAIR_BLOCK=pair_block, _FFT_CUT=fft_cut,
-                             _A_BATCH=a_batch):
+    with mock.patch.multiple(spectra, _PAIR_BLOCK=pair_block, _FFT_CUT=fft_cut), \
+            mock.patch.object(gf, "_WALK_ROWS", a_batch):
         blocks = list(spectra._ddt_rows(table, np.array(a_values)))
         bct = boomerang_row(table, a_values[0])
     assert [len(b) for b in blocks[:-1]] == [a_batch] * (len(blocks) - 1)
@@ -609,7 +614,7 @@ def test_fiber_kernel_matches_oracles(seed, field_args, kind, pair_block, fft_cu
     for a, counts in zip(a_values, ddt):
         # D_a F from scalar field arithmetic, x by x
         row = [field.sub(v[field.add(x, a)], v[x]) for x in range(q)]
-        assert derivative_row(table, a).tolist() == row
+        assert _d_row(table, a).tolist() == row
         assert np.array_equal(counts, np.bincount(row, minlength=q))
     assert bct.tolist() == [bct_entry_bruteforce(table, a_values[0], b) for b in range(q)]
 
@@ -630,7 +635,7 @@ def test_function_table_rejects_non_codes():
 
 
 def test_differential_spectrum_memory_bound():
-    # the full DDT of a generic u goes _A_BATCH rows at a time: nothing of
+    # the full DDT of a generic u goes gf._WALK_ROWS rows at a time: nothing of
     # size q^2 (one int64 q x q array is 38 MB at q = 3^7).  The blocked walk
     # peaks at 1.19 MiB at 3^7 (its three int64 blocks and the block's
     # counts) and 0.83 MiB at 1999; the bound adds 0.3 MiB, about one more

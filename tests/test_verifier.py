@@ -455,7 +455,7 @@ def test_lemma_suite_claim():
 
 
 def test_lemma_suite_builds_one_case_per_chunk(monkeypatch):
-    from nhsbox.nh_family import _CASE_CELLS, CaseAnalysis
+    from nhsbox.nh_family import CaseAnalysis
 
     built = []
     real = CaseAnalysis.__init__
@@ -473,7 +473,7 @@ def test_lemma_suite_builds_one_case_per_chunk(monkeypatch):
         assert row.status == "pass"
         # every u outside {0, +1, -1} once, ascending, one CaseAnalysis per
         # chunk of max(1, _CASE_CELLS // q) u
-        step = max(1, _CASE_CELLS // q)
+        step = max(1, verifier._CASE_CELLS // q)
         assert [u for chunk in built for u in chunk] == list(range(2, q - 1))
         assert [len(chunk) for chunk in built] == [
             min(step, q - 3 - lo) for lo in range(0, q - 3, step)
