@@ -15,8 +15,8 @@ routes: a cyclic convolution of the two value multiplicities in a prime
 field, a grid of value sums in an extension field.  The parameter axes
 lead and x, the summation variable, is the last axis: a batched
 ``poly_eval_vec`` returns shape params + xs.shape and the sums reduce
-that axis away.  Scalar parameters give a Python int, arrays give
-an int64 array; the scalar call is the batched one on 0-d arrays.
+that axis away.  One code per parameter gives a Python int and arrays an
+int64 array, on gf's convention (Field.codes in, gf.unwrap out).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .gf import Field, UnsupportedFieldError
+from .gf import Field, UnsupportedFieldError, integer, unwrap
 
 # ---------------------------------------------------------------------------
 # polynomial helpers on element codes
@@ -52,8 +52,8 @@ def poly_eval_vec(field: Field, coeffs, xs):
     A coefficient may be a code array (a batch of polynomials); the result
     then has shape broadcast(coefficients) + xs.shape.
     """
-    xs = np.asarray(field.check_code(xs, "xs"), dtype=np.int64)
-    coeffs = [np.asarray(field.check_code(c, "coeffs"), dtype=np.int64) for c in coeffs]
+    xs = field.codes(xs, "xs")
+    coeffs = [field.codes(c, "coeffs") for c in coeffs]
     coeffs = [c.reshape(c.shape + (1,) * xs.ndim) for c in coeffs]  # xs axes last
     if len(coeffs) < 2:  # a constant polynomial: no Horner step meets xs
         shape = np.broadcast_shapes(*(c.shape for c in coeffs), xs.shape)
@@ -108,20 +108,14 @@ def poly_is_squarefree(field: Field, coeffs):
 
 
 def _codes(field: Field, **named):
-    """The named code parameters as int64 arrays, each checked (Field.check_code) first."""
-    return [np.asarray(field.check_code(v, k), dtype=np.int64) for k, v in named.items()]
-
-
-def _result(sums):
-    """A Python int for a 0-d result (scalar parameters), else the int64 array."""
-    sums = np.asarray(sums, dtype=np.int64)
-    return int(sums) if sums.ndim == 0 else sums
+    """The named code parameters through Field.codes, each under its own name."""
+    return [field.codes(v, k) for k, v in named.items()]
 
 
 def weil_sum_brute(field: Field, coeffs):
     """Exact sum of eta(f(x)) over F_q by direct enumeration (the oracle)."""
     values = poly_eval_vec(field, coeffs, field.elements())
-    return _result(field.eta_vec(values).sum(axis=-1, dtype=np.int64))
+    return unwrap(field.eta_vec(values).sum(axis=-1, dtype=np.int64))
 
 
 def weil_sum_quadratic_closed(field: Field, a2, a1, a0):
@@ -132,7 +126,7 @@ def weil_sum_quadratic_closed(field: Field, a2, a1, a0):
     four_a0a2 = field.mul_vec(field.embed(4), field.mul_vec(a0, a2))
     d = field.sub_vec(field.mul_vec(a1, a1), four_a0a2)
     eta_a2 = field.eta_vec(a2).astype(np.int64)
-    return _result(np.where(d == 0, (field.q - 1) * eta_a2, -eta_a2))
+    return unwrap(np.where(d == 0, (field.q - 1) * eta_a2, -eta_a2))
 
 
 def conic_count_closed(field: Field, a1, a2, b):
@@ -141,7 +135,7 @@ def conic_count_closed(field: Field, a1, a2, b):
     if np.any(a1 == 0) or np.any(a2 == 0):
         raise ValueError("a1, a2 must be nonzero")
     nu = np.where(b == 0, field.q - 1, -1)
-    return _result(field.q + nu * field.eta_vec(field.neg_vec(field.mul_vec(a1, a2))))
+    return unwrap(field.q + nu * field.eta_vec(field.neg_vec(field.mul_vec(a1, a2))))
 
 
 def conic_count_brute(field: Field, a1, a2):
@@ -188,8 +182,7 @@ def jacobsthal_sum(field: Field, n_exp, a):
         raise ValueError("a must be nonzero")
     if not field.is_prime_field:
         raise UnsupportedFieldError("Jacobsthal sums are defined over prime fields")
-    if n_exp < 1:
-        raise ValueError("n must be a positive integer")
+    n_exp = integer(n_exp, "n_exp", positive=True)
     xs = field.elements()
     lead = field.pow_vec(xs, n_exp + 1)
     flat = a.reshape(-1, 1)
@@ -200,7 +193,7 @@ def jacobsthal_sum(field: Field, n_exp, a):
         vals = field.mul_vec(flat[i : i + rows], xs)
         vals = field.add_vec(vals, lead)
         sums[i : i + rows] = field.eta_vec(vals).sum(axis=-1, dtype=np.int64)
-    return _result(sums.reshape(a.shape))
+    return unwrap(sums.reshape(a.shape))
 
 
 def cubic_reciprocal_check(field: Field, a, b, c, d):

@@ -14,6 +14,11 @@ extension fields; prime fields go up to CODE_LIMIT.  Field.difference_rows
 translates a value table by x -> x + a with no field addition per element,
 _WALK_ROWS rows at a time in buffers kept for the walk.
 
+One code is the batch of one: Field.codes checks codes and gives them as
+int64, a 0-d array for one code, batched APIs broadcast their per-code
+constants against that shape, and unwrap turns a 0-d result into a Python
+int or bool.  integer checks the other integer parameters (exponents, jobs).
+
 All tables are immutable after construction; a Field is safe to share
 across worker processes.
 """
@@ -69,6 +74,23 @@ class FieldSizeError(FieldConstructionError):
 
 class UnsupportedFieldError(ValueError):
     """A paper-only path needs q = 3 (mod 4) (or another unmet field shape)."""
+
+
+def integer(value, name, positive=False):
+    """value as a Python int, numpy integers included; a ValueError naming it
+    for a bool (operator.index(True) is 1) or any other non-integer, and for
+    value < 1 when positive."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    value = operator.index(value)
+    if positive and value < 1:
+        raise ValueError(f"{name} = {value} must be a positive integer")
+    return value
+
+
+def unwrap(result):
+    """A result of one code (0-d) as its Python int or bool; a batch as it is."""
+    return result.item() if np.ndim(result) == 0 else result
 
 
 def factorize(m):
@@ -247,7 +269,7 @@ class Field:
         """x itself if it is one element code in [0, q) or an array of them, else
         a ValueError naming x.  The package's one range and type check: the
         vector ops index tables with codes and would read a negative code as
-        q + x, and a cast to int64 would drop a fraction, so callers cast after it."""
+        q + x, and a cast to int64 would drop a fraction, so codes casts after it."""
         if type(x) is int and 0 <= x < self.q:  # the scalar ops' fast path; not a bool
             return x
         xs = np.asarray(x)
@@ -261,6 +283,15 @@ class Field:
             raise ValueError(f"{name} = {bad} is out of range: not an element code of F_{self.q}")
         return x
 
+    def codes(self, x, name="x", ndim=None):
+        """x checked (check_code) as int64 codes: a 0-d array for one code.  More
+        axes than ndim, if given, are a ValueError naming x."""
+        self.check_code(x, name)
+        xs = np.asarray(x, dtype=np.int64)
+        if ndim is not None and xs.ndim > ndim:
+            raise ValueError(f"{name} must be one element code or a {ndim}-D array of them")
+        return xs
+
     def require_3_mod_4(self, what):
         """Raise UnsupportedFieldError unless q = 3 (mod 4).  There eta(-1) = -1,
         which the canonical sqrt, the C_ij split and the paper's case analysis
@@ -271,12 +302,9 @@ class Field:
     # -- scalar arithmetic: the vector ops on one code -----------------------
 
     def _scalar(self, x, name):
-        """x as one code: an integer, reduced mod p in a prime field and checked
-        in an extension field; a ValueError naming x for any other value, a bool
-        included (operator.index(True) is 1)."""
-        if isinstance(x, bool) or not hasattr(type(x), "__index__"):
-            raise ValueError(f"{name} = {x!r} is not an integer element code")
-        x = operator.index(x)
+        """x as one code: an integer (see integer), reduced mod p in a prime
+        field and checked in an extension field."""
+        x = integer(x, name)
         return x % self.p if self.n == 1 else self.check_code(x, name)
 
     def add(self, a, b):
@@ -295,7 +323,7 @@ class Field:
         return self.pow(a, -1)
 
     def pow(self, a, e):
-        a = self._scalar(a, "a")
+        a, e = self._scalar(a, "a"), integer(e, "e")
         if e < 0:
             if a == 0:
                 raise ZeroDivisionError("negative power of 0")
@@ -330,8 +358,7 @@ class Field:
         apart, so two small add_vec tables index the packed values (int64).
         Each gather is a take with mode="clip", as the default mode buffers its
         out; every index is in range by construction."""
-        v = np.asarray(self.check_code(values, "values"), dtype=np.int64)
-        a = np.asarray(self.check_code(a, "a"), dtype=np.int64)
+        v, a = self.codes(values, "values"), self.codes(a, "a")
         if v.shape != (self.q,) or a.ndim != 1:
             raise ValueError("difference_rows takes q value codes and a 1-D array of a")
         return self._difference_walk(v, a)
@@ -390,7 +417,7 @@ class Field:
         return np.where((x != 0) & (y != 0), out, 0)
 
     def pow_vec(self, x, e):
-        x = np.asarray(x, dtype=np.int64)
+        x, e = np.asarray(x, dtype=np.int64), integer(e, "e")
         if e == 0:
             return np.ones_like(x)
         if e < 0:

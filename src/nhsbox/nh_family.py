@@ -14,15 +14,16 @@ where tau1 = (1+u)/u and tau2 = (1-u)/u.  Solutions are counted by
 explicit membership of the (distinct) roots in the respective class,
 which is exactly what a brute-force scan over x counts.
 
-Batch convention (as for the character-sum oracles): CaseAnalysis and
-aij_counts_brute take one u code or a 1-D array of U codes.  The u axis
-leads, so a batch gives (U, q, 4) counts and a (U,) lemmas_hold verdict,
-and a scalar u the (q, 4) counts and the bool of the batch of one.
-CaseAnalysis.counts_at(bs) gives the class-major (4, U, B) int8 counts
-(each 0, 1 or 2) at any b cells bs: one code, every code, or a (U, K)
-array of per-u codes.  The full grid is counts_at(every b), kept read-only
-once per case, handed out as (U, q, 4) views and read by the lemma
-battery; one-b views such as a_counts(b) evaluate only their own cell.
+Batch convention (gf's, as for the character sums): CaseAnalysis and
+aij_counts_brute take one u code or a 1-D array of U codes (Field.codes).
+The per-u constants are u[..., None], a (1,) column for one u and (U, 1)
+for a batch, so broadcasting against the b axis gives the caller's shape:
+(q, 4) counts and a bool (gf.unwrap) for one u, (U, q, 4) and (U,) for a
+batch.  CaseAnalysis.counts_at(bs) gives the class-major (4, U, B) int8
+counts (each 0, 1 or 2) at any b cells bs: one code, every code, or a
+(U, K) array of per-u codes.  The full grid is counts_at(every b), kept
+read-only once per case, handed out as (U, q, 4) views and read by the
+lemma battery; one-b views such as a_counts(b) evaluate only their own cell.
 
 Exhaustive u-sweeps (uniformity_batch) rest on two facts.  The row
 D_1 F_{r,u} = c + u*d (the a = 1 differences of s and t) is affine in u,
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, integer, unwrap
 
 
 class UnsupportedParameterError(ValueError):
@@ -51,11 +52,6 @@ class ConsistencyError(ValueError):
     """A table handed in as F_{r,u} does not match the family definition."""
 
 
-def _check_r(r):
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-
-
 @dataclass(frozen=True)
 class NHParams:
     """Family parameters: the exponent r and the coefficient u (a code)."""
@@ -64,7 +60,7 @@ class NHParams:
     u: int
 
     def __post_init__(self):
-        _check_r(self.r)
+        integer(self.r, "r", positive=True)
 
 
 def u_third(field: Field):
@@ -102,9 +98,9 @@ def _value_parts(field: Field, r):
 
 def nh_table(field: Field, params: NHParams):
     """Dense value table of F_{r,u} over all of F_q."""
-    field.check_code(params.u, "u")
+    u = field.codes(params.u, "u")
     s, t = _value_parts(field, params.r)
-    return field.add_vec(s, field.mul_vec(np.int64(params.u), t))
+    return field.add_vec(s, field.mul_vec(u, t))
 
 
 def derivative_row_parts(field: Field, r):
@@ -119,9 +115,9 @@ def derivative_row_parts(field: Field, r):
 
 def derivative_row_counts(field: Field, params: NHParams):
     """delta(1, b) for every b, as a length-q array."""
-    field.check_code(params.u, "u")
+    u = field.codes(params.u, "u")
     c, d = derivative_row_parts(field, params.r)
-    row = field.add_vec(c, field.mul_vec(np.int64(params.u), d))
+    row = field.add_vec(c, field.mul_vec(u, d))
     return np.bincount(row, minlength=field.q)
 
 
@@ -151,8 +147,8 @@ def uniformity_batch(field: Field, r, u_codes):
     array allocated afresh per chunk is page-faulted anew, which costs
     about as much as the arithmetic.
     """
-    _check_r(r)
-    us = _code_axis(field, u_codes, "u")[0].ravel()
+    r = integer(r, "r", positive=True)
+    us = field.codes(u_codes, "u", ndim=1).ravel()
     q = field.q
     rows = np.stack([us, field.neg_vec(us)])
     if field.eta(field.neg(1)) < 0:
@@ -186,26 +182,17 @@ def uniformity_batch(field: Field, r, u_codes):
 CLASS_00, CLASS_01, CLASS_10, CLASS_11 = 0, 1, 2, 3
 
 
-def _code_axis(field: Field, codes, name):
-    """codes (one code or a 1-D array of codes) as an (N, 1) int64 column,
-    and whether they were a scalar."""
-    xs = np.asarray(field.check_code(codes, name), dtype=np.int64)
-    if xs.ndim > 1:
-        raise ValueError(f"{name} must be one element code or a 1-D array of them")
-    return xs.reshape(-1, 1), xs.ndim == 0
-
-
 class CaseAnalysis:
     """Closed-form per-b solution counts of D_1 F_{2,u}(x) = b on each C_ij,
     for one u code or a 1-D array of them (the batch convention above).
 
-    The per-u constants are (U, 1) columns, so every formula broadcasts
-    against the b axis; the public attributes are views of them.
+    The per-u constants are (1,) or (U, 1) columns, so every formula
+    broadcasts against the b axis; the public attributes are views of them.
     """
 
     def __init__(self, field: Field, u):
         field.require_3_mod_4("the case analysis")
-        us, self._scalar = _code_axis(field, u, "u")
+        us = field.codes(u, "u", ndim=1)[..., None]
         if np.any((us == 0) | (us == 1) | (us == field.embed(-1))):
             raise UnsupportedParameterError(
                 "u in {0, +1, -1}: use the generic DDT instead of the case split"
@@ -224,24 +211,16 @@ class CaseAnalysis:
         self._tau2 = f.mul_vec(self._one_minus, self._inv_u)
         self._t1t2 = f.mul_vec(self._tau1, self._tau2)
         self._classes = f.cij_partition().classes
-        self.tau1, self.tau2 = self._column(self._tau1), self._column(self._tau2)
-
-    def _view(self, a):
-        """A (U, ...) result as the caller's shape: row 0 for a scalar u."""
-        return a[0] if self._scalar else a
-
-    def _column(self, col):
-        """A (U, 1) constant as the caller's value: an int for a scalar u."""
-        return int(col[0, 0]) if self._scalar else col[:, 0]
+        self.tau1, self.tau2 = unwrap(self._tau1[..., 0]), unwrap(self._tau2[..., 0])
 
     def counts_at(self, bs):
         """The (4, U, B) int8 closed counts, class-major, at the b cells bs: one
         code, a 1-D array of codes for every u, or a (U, K) array of per-u codes,
-        anything that broadcasts against the (U, 1) constants.  Plane c holds
-        the class C_c (CLASS_00..CLASS_11 are 0..3), and each plane's
-        temporaries are freed before the next plane starts."""
+        anything that broadcasts against the per-u columns (no U axis for one
+        u).  Plane c holds the class C_c (CLASS_00..CLASS_11 are 0..3), and each
+        plane's temporaries are freed before the next plane starts."""
         f = self.field
-        bs = np.asarray(f.check_code(bs, "b"), dtype=np.int64)
+        bs = f.codes(bs, "b")
         classes = self._classes
         out = np.empty((4, *np.broadcast_shapes(self._us.shape, bs.shape)), dtype=np.int8)
         # linear: x = (b - (1 + u)) / (2(1 + u)) on C_00, (b - (1 - u)) / (2(1 - u)) on C_11
@@ -269,36 +248,35 @@ class CaseAnalysis:
 
     def a_counts(self, b):
         """(#A_00(b), #A_01(b), #A_10(b), #A_11(b)) at one code b: counts_at(b),
-        one cell per u (a tuple for a scalar u, a (U, 4) array for a batch)."""
+        one cell per u (a tuple of ints for one u, a (U, 4) array for a batch)."""
         if np.ndim(b):
             raise ValueError("a_counts takes one b code; counts_at takes arrays of them")
-        counts = self.counts_at(b)[:, :, 0].T
-        return tuple(int(c) for c in counts[0]) if self._scalar else counts
+        counts = self.counts_at(b)[..., 0].T
+        return counts if counts.ndim > 1 else tuple(counts.tolist())
 
     def a_counts_all(self):
         """(q, 4) int8 array of (#A_00, #A_01, #A_10, #A_11) for every b;
         (U, q, 4) for a batch of u.  A read-only view of the class-major
         counts; every call views the same array."""
-        return self._view(np.moveaxis(self._counts, 0, -1))
+        return np.moveaxis(self._counts, 0, -1)
 
     @cached_property
     def _counts(self):
-        """counts_at(every b), (4, U, q), computed once per case and read-only."""
+        """counts_at(every b), (4, U, q) or (4, q), computed once per case and read-only."""
         out = self.counts_at(self.field.elements())
         out.flags.writeable = False  # every caller shares this array
         return out
 
     def delta_row(self):
         """delta(1, b) for every b, assembled from the closed counts."""
-        return self._view(self._boundary_delta(self.field.elements(), self._counts)[1])
+        return self._boundary_delta(self.field.elements(), self._counts)[1]
 
     def lemmas_hold(self):
         """Every lemma of the battery (_lemma_battery) holds at every b where it
         applies, read off the cached grid: a bool for one u, a (U,) boolean
         array for a batch."""
         battery = _lemma_battery(self, self.field.elements(), self._counts)
-        held = np.logical_and.reduce([ok.all(axis=1) for _, _, ok in battery])
-        return bool(held[0]) if self._scalar else held
+        return unwrap(np.logical_and.reduce([ok.all(axis=-1) for _, _, ok in battery]))
 
 
 def aij_counts_brute(field: Field, u):
@@ -309,20 +287,20 @@ def aij_counts_brute(field: Field, u):
     F(x+1) - F(x) and counts it with one bincount keyed by (class, u,
     value); nothing here comes from CaseAnalysis.
     """
-    us, scalar = _code_axis(field, u, "u")
+    us = field.codes(u, "u", ndim=1)
+    col = us[..., None]  # (1,) for one u, (U, 1) for a batch
     q = field.q
     codes = field.elements()
     eta = field.eta_vec(codes)
-    factor = np.where(eta == 0, 1, np.where(eta > 0, field.add_vec(1, us), field.sub_vec(1, us)))
+    factor = np.where(eta == 0, 1, np.where(eta > 0, field.add_vec(1, col), field.sub_vec(1, col)))
     table = field.mul_vec(field.pow_vec(codes, 2), factor)
-    row = field.sub_vec(table[:, field.add_vec(codes, 1)], table)
+    row = field.sub_vec(table[..., field.add_vec(codes, 1)], table)
     classes = field.cij_partition().classes
     inside = classes >= 0
     cls = classes[inside].astype(np.int64)
-    key = (cls * len(us) + np.arange(len(us))[:, None]) * q + row[:, inside]
-    out = np.bincount(key.ravel(), minlength=4 * len(us) * q).reshape(4, len(us), q)
-    out = np.moveaxis(out, 0, -1)
-    return out[0] if scalar else out
+    key = (cls * us.size + np.arange(us.size).reshape(col.shape)) * q + row[..., inside]
+    out = np.bincount(key.ravel(), minlength=4 * us.size * q).reshape(4, *us.shape, q)
+    return np.moveaxis(out, 0, -1)
 
 
 DELTA_CAP = 5  # delta_{F_{2,u}} <= 5 for every u outside {0, +1, -1}
@@ -340,10 +318,10 @@ _EXCLUSIONS = (
 
 
 def _lemma_battery(case: CaseAnalysis, bs, counts):
-    """(name, applicable, ok) per lemma as (U, B) boolean arrays at the b cells
-    bs with their counts_at(bs), where ok means the lemma holds at (u, b) or
-    does not apply there: the four exclusion implications, the boundary bound
-    delta(1, u +/- 1) <= 4 and the cap delta(1, b) <= DELTA_CAP."""
+    """(name, applicable, ok) per lemma as (U, B) boolean arrays ((B,) for one
+    u) at the b cells bs with their counts_at(bs), where ok means the lemma
+    holds at (u, b) or does not apply there: the four exclusion implications,
+    the boundary bound delta(1, u +/- 1) <= 4 and the cap delta(1, b) <= DELTA_CAP."""
     field = case.field
     boundary, delta = case._boundary_delta(bs, counts)
     shape = delta.shape
@@ -360,7 +338,7 @@ def _lemma_battery(case: CaseAnalysis, bs, counts):
 
 
 # One-call forms of CaseAnalysis.  They stay while perfbench/tracer.py wraps
-# these names and test_tracer_targets_exist pins them (ROADMAP items 6-7).
+# these names and test_tracer_targets_exist pins them (ROADMAP item 8).
 
 
 def aij_counts_closed(field: Field, u, b):
@@ -377,10 +355,10 @@ def structural_lemma_checks(field: Field, u, b):
     """(name, applicable, ok) bools at one b for the four exclusion implications,
     the boundary bound delta(1, u +/- 1) <= 4 and the cap delta(1, b) <= 5.
     A lemma that does not apply at b is reported as ok.  u is one code."""
-    case = CaseAnalysis(field, u)
-    if not case._scalar or np.ndim(b):
+    if np.ndim(u) or np.ndim(b):
         raise ValueError("structural_lemma_checks takes one u code and one b code")
+    case = CaseAnalysis(field, u)
     return [
-        (name, bool(applicable[0, 0]), bool(ok[0, 0]))
+        (name, applicable.item(), ok.item())
         for name, applicable, ok in _lemma_battery(case, b, case.counts_at(b))
     ]

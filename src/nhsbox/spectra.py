@@ -18,7 +18,8 @@ read one row per orbit of <squares, -1> on F_q* for F_{r,u}, weighted by
 the orbit size: F_{r,u}(c*y) = c^r F_{r,u}(y) for a square c, so
 delta(c*a, b) = delta(a, b*c^-r), and likewise for beta.  That is row 1
 alone when eta(-1) = -1, else rows 1 and the generator, a non-square.
-boomerang_case_counts_F21 takes b as CaseAnalysis takes u: a batch or one.
+boomerang_case_counts_F21 takes one b code or a batch, on gf's convention
+(Field.codes in, gf.unwrap out).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import weil_sum_brute
-from .gf import Field, UnsupportedFieldError
-from .nh_family import ConsistencyError, NHParams, _code_axis, nh_table
+from .gf import Field, UnsupportedFieldError, unwrap
+from .nh_family import ConsistencyError, NHParams, nh_table
 
 # ---------------------------------------------------------------------------
 # tables and spectrum containers
@@ -44,11 +45,10 @@ class FunctionTable:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 1 or values.dtype.kind not in "iu" or len(values) != self.field.q:
+        values = self.field.codes(self.values, "table values")
+        if values.shape != (self.field.q,):
             raise ValueError("table values must be a 1-D integer array of length q")
-        self.field.check_code(values, "table values")
-        object.__setattr__(self, "values", values.astype(np.int64, copy=False))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_nh(cls, field, params: NHParams):
@@ -185,15 +185,14 @@ def differential_spectrum(table: FunctionTable, reduction: NHParams | None = Non
 
 def bct_entry(table: FunctionTable, a, b):
     """beta_F(a, b), read off the row boomerang_row(table, a)."""
-    table.field.check_code(b, "b")
-    return int(boomerang_row(table, a)[b])
+    b = table.field.codes(b, "b")
+    return unwrap(boomerang_row(table, a)[b])
 
 
 def bct_entry_bruteforce(table: FunctionTable, a, b):
     """beta_F(a, b) by direct O(q^2) pair enumeration (the oracle)."""
     f = table.field
-    f.check_code(a, "a")
-    f.check_code(b, "b")
+    a, b = f.codes(a, "a"), f.codes(b, "b")
     if a == 0:
         raise ValueError("a must be nonzero")
     fa = table.values[f.add_vec(f.elements(), a)]
@@ -326,16 +325,15 @@ def boomerang_case_counts_F21(field: Field, b):
     eta(h) = eta(s + e) = eta(1 + 2e*s) = 1 and eta(t - e) = -1.
     """
     f = field
-    bs, scalar = _code_axis(f, b, "b")
+    bs = f.codes(b, "b", ndim=1)
     if np.any(bs == 0):
         raise ValueError("b = 0 is outside the boomerang case analysis")
     f.require_3_mod_4("boomerang_case_counts_F21")
     labels, signs, shifts = zip(*_F21_CHAINS)
-    e = f.embed(np.array(shifts)[:, None])
-    h = f.mul_vec(f.embed(np.array(signs) * f.inv(2))[:, None], bs.T)  # (4, B) rows +-b/2
+    e = f.embed(np.array(shifts))
+    h = f.mul_vec(f.embed(np.array(signs) * f.inv(2)), bs[..., None])  # +-b/2: (4,) or (B, 4)
     s = f.sqrt_vec(h)
     inner = f.add_vec(1, f.mul_vec(f.add_vec(e, e), s))
     hit = (f.eta_vec(h) == 1) & (f.eta_vec(f.add_vec(s, e)) == 1) & (f.eta_vec(inner) == 1)
     hit &= f.eta_vec(f.sub_vec(f.sqrt_vec(inner), e)) == -1
-    hit = hit.astype(np.int64)
-    return dict(zip(labels, hit[:, 0].tolist() if scalar else hit))
+    return dict(zip(labels, map(unwrap, hit.T.astype(np.int64))))

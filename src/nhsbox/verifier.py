@@ -40,7 +40,7 @@ from .characters import (
     weil_sum_brute,
     weil_sum_quadratic_closed,
 )
-from .gf import CODE_LIMIT, Field, cached_field
+from .gf import CODE_LIMIT, Field, cached_field, integer
 from .nh_family import (
     CLASS_01,
     CLASS_10,
@@ -665,12 +665,11 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
     (killed by the OS, say) turns every task it leaves unfinished into an
     error row instead of a hang.  progress, if given, is called as
     progress(done, total, q) as each task finishes, in completion order.
-    A claim id named twice runs once.  Raises ValueError for jobs < 1,
-    max_q < min_q, an unknown claim id or a malformed u mode, before any
-    work starts.
+    A claim id named twice runs once.  Raises ValueError for jobs not a
+    positive integer, max_q < min_q, an unknown claim id or a malformed u
+    mode, before any work starts.
     """
-    if config.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    integer(config.jobs, "jobs", positive=True)
     if config.max_q < config.min_q:
         raise ValueError(f"max_q = {config.max_q} is below min_q = {config.min_q}")
     check_request(config.claims, config.u_mode)

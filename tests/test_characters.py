@@ -214,6 +214,11 @@ def test_jacobsthal():
     for n_exp in (0, -1):
         with pytest.raises(ValueError, match="positive integer"):
             jacobsthal_sum(f7, n_exp, 1)
+    # 1.5 raised a TypeError, and True was read as n = 1 (the sum -1)
+    for n_exp in (1.5, True):
+        with pytest.raises(ValueError, match=rf"^n_exp = {n_exp} is not an integer"):
+            jacobsthal_sum(f7, n_exp, 1)
+    assert jacobsthal_sum(f7, np.int64(1), 1) == -1
 
 
 def test_jacobsthal_even_vanishing():

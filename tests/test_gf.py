@@ -636,6 +636,15 @@ _NON_INTEGER_CALLS = {
     "poly_eval_vec xs": (lambda f: poly_eval_vec(f, [1, 1], np.array([0.5])), "xs"),
     "poly_eval_vec coeffs": (lambda f: poly_eval_vec(f, [1, 2.5], f.elements()), "coeffs"),
     "weil_sum_quadratic_closed": (lambda f: weil_sum_quadratic_closed(f, 1, 2.5, 0), "a1"),
+    # exponents: pow(2, 1.5) raised TypeError at F_11 and IndexError at F_27,
+    # pow(2, True) and r = True were read as 1, r = 1.5 failed inside pow_vec
+    "pow e": (lambda f: f.pow(2, 1.5), "e"),
+    "pow e bool": (lambda f: f.pow(2, True), "e"),
+    "pow_vec e": (lambda f: f.pow_vec(f.elements(), 2.0), "e"),
+    "NHParams r": (lambda f: NHParams(1.5, 5), "r"),
+    "NHParams r bool": (lambda f: NHParams(True, 5), "r"),
+    "uniformity_batch r": (lambda f: uniformity_batch(f, 2.0, [3]), "r"),
+    "uniformity_batch r bool": (lambda f: uniformity_batch(f, True, [3]), "r"),
 }
 
 

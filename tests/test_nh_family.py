@@ -526,6 +526,15 @@ def test_uniformity_batch_rejects_bad_inputs():
                 uniformity_batch(f, 2, [2, u])
         with pytest.raises(ValueError, match="positive integer"):
             uniformity_batch(f, 0, [2])
+    # r = True was read as r = 1 (the F_{1,5} table); r = 1.5 and 2.0 failed
+    # with a TypeError inside pow_vec; numpy integers stay integers
+    f7 = cached_field(7)
+    for r in (True, 1.5, 2.0):
+        for call in (lambda: nh_table(f7, NHParams(r, 5)), lambda: uniformity_batch(f7, r, [3])):
+            with pytest.raises(ValueError, match=rf"^r = {r} is not an integer"):
+                call()
+    assert uniformity_batch(f7, np.int64(2), [3]).tolist() == [3]
+    assert np.array_equal(nh_table(f7, NHParams(np.int64(2), 5)), nh_table(f7, NHParams(2, 5)))
 
 
 def test_uniformity_batch_counterexamples():

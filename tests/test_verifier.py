@@ -589,6 +589,11 @@ def test_sweep_rejects_inverted_range_and_unknown_claims():
         sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=5000, max_q=4000))
     with pytest.raises(ValueError, match="unknown claim 'NOPE'"):
         sweep(SweepConfig(claims=("THM5_DELTA3", "NOPE"), min_q=8, max_q=20))
+    # jobs = 1.5 raised a TypeError from the pool, and jobs = True ran as one job
+    for jobs, match in ((0, "jobs = 0 must be a positive"), (1.5, "jobs = 1.5 is not"),
+                        (True, "jobs = True is not")):
+        with pytest.raises(ValueError, match=match):
+            sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=8, max_q=20, jobs=jobs))
     # an empty but not inverted range is a valid, empty sweep
     assert sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=100, max_q=100)).rows == []
 
