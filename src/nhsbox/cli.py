@@ -6,7 +6,10 @@ F_{r,u} by its row reduction.  sweep and verify run the claims of
 verifier.CLAIMS, witness-set censuses included; a claim id given twice
 runs once, and a claim that raises is an error line, not a traceback.
 Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
-0 all pass, 1 at least one exception, error or failed check, 2 usage error.
+0 all pass, 1 at least one exception, error or failed check, 2 a rejected
+input: any ValueError from an input check (the CLI's own UsageError, a q
+that is no field, a request that the library refuses), each raised before
+any work and turned into "error: ..." by main alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 import time
 
 from .characters import boomerang_constants, theorem2_constants, theorem6_constants
-from .gf import CODE_LIMIT, FieldConstructionError, build_field, cached_field, factorize
+from .gf import CODE_LIMIT, build_field, cached_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
 from .verifier import U_MODES, SweepConfig, _sweep_worker, check_request, sweep
@@ -90,10 +93,7 @@ def _cmd_field(args):
 def _spectrum_payload(args, boomerang):
     field = build_field(*_prime_power(args.q))
     u = parse_u_token(field, args.u)
-    try:
-        params = NHParams(args.r, u)
-    except ValueError as exc:  # r < 1
-        raise UsageError(str(exc)) from exc
+    params = NHParams(args.r, u)
     table = FunctionTable.from_nh(field, params)
     spectrum = boomerang_spectrum if boomerang else differential_spectrum
     spec = spectrum(table, reduction=params)  # the table is F_{r,u}, so its rows reduce
@@ -111,10 +111,7 @@ def _cmd_charsum_selftest(args):
     table, a check that raises being a FAIL with its error on stderr."""
     if args.qmax < 3:
         raise UsageError(f"no odd prime power q <= qmax = {args.qmax}")
-    try:
-        report = sweep(SweepConfig(("CHARSUM",), 3, args.qmax + 1))
-    except ValueError as exc:  # a range past CODE_LIMIT, rejected before the sieve
-        raise UsageError(str(exc)) from exc
+    report = sweep(SweepConfig(("CHARSUM",), 3, args.qmax + 1))
     results = {r.q: "pass" if r.status == "pass" else "FAIL" for r in report.rows}
     for q, claim_id, msg in report.errors:
         results[q] = "FAIL"
@@ -152,10 +149,7 @@ def _cmd_sweep(args):
             line = f"\r{done}/{total} tasks, q={q}, {time.monotonic() - start:.1f}s elapsed"
             print(line, end="\n" if done == total else "", file=sys.stderr, flush=True)
 
-    try:
-        report = sweep(config, progress=progress)
-    except ValueError as exc:  # sweep validates its config before any work
-        raise UsageError(str(exc)) from exc
+    report = sweep(config, progress=progress)
     rendered = {
         "csv": lambda: report.to_csv(with_timing=args.timing),
         "json": lambda: report.to_json(with_timing=args.timing),
@@ -178,10 +172,7 @@ def _cmd_sweep(args):
 def _cmd_verify(args):
     p, n = _prime_power(args.q)
     cached_field(p, n)  # q = 0, -1 or 2 is no field: exit 2 before any row
-    try:
-        check_request(args.claims, args.u_mode)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    check_request(args.claims, args.u_mode)
     bad = 0
     for claim in dict.fromkeys(args.claims):  # distinct ids, in the order given
         rows, errors = _sweep_worker((claim, p, n), args.u_mode)
@@ -244,11 +235,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FieldConstructionError) as exc:
+    except ValueError as exc:  # an input check's, raised before any work
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

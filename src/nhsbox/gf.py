@@ -76,16 +76,23 @@ class UnsupportedFieldError(ValueError):
     """A paper-only path needs q = 3 (mod 4) (or another unmet field shape)."""
 
 
-def integer(value, name, positive=False):
-    """value as a Python int, numpy integers included; a ValueError naming it
-    for a bool (operator.index(True) is 1) or any other non-integer, and for
-    value < 1 when positive."""
+def _index(value):
+    """value as a Python int, numpy integers included; None for a bool
+    (operator.index(True) is 1) or any other non-integer."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        return None
+    return operator.index(value)
+
+
+def integer(value, name, positive=False):
+    """_index(value); a ValueError naming it for a non-integer, and for
+    value < 1 when positive."""
+    index = _index(value)
+    if index is None:
         raise ValueError(f"{name} = {value!r} is not an integer")
-    value = operator.index(value)
-    if positive and value < 1:
-        raise ValueError(f"{name} = {value} must be a positive integer")
-    return value
+    if positive and index < 1:
+        raise ValueError(f"{name} = {index} must be a positive integer")
+    return index
 
 
 def unwrap(result):
@@ -96,8 +103,7 @@ def unwrap(result):
 def factorize(m):
     """{prime: exponent} of an integer m >= 1, by trial division: meant for
     m <= CODE_LIMIT, where it takes at most about 46k divisions."""
-    if m < 1:
-        raise ValueError(f"m = {m} must be a positive integer")
+    m = integer(m, "m", positive=True)
     out = {}
     d = 2
     while d * d <= m:
@@ -596,9 +602,9 @@ def build_field(p, n=1, *, modulus=None):
     comes with its tables; above TABLE_LIMIT it raises FieldSizeError
     before any search starts, as does a prime field above CODE_LIMIT.
     """
-    # integers of any type (numpy's too) are read as Field._scalar reads a
-    # code; a p above CODE_LIMIT is left to the size check below
-    p_int, n_int = (operator.index(v) if hasattr(v, "__index__") else None for v in (p, n))
+    # p and n are read as gf.integer reads them (numpy integers pass, a bool
+    # does not); a p above CODE_LIMIT is left to the size check below
+    p_int, n_int = _index(p), _index(n)
     if p_int is None or p_int < 2 or (p_int <= CODE_LIMIT and factorize(p_int) != {p_int: 1}):
         raise NotPrimeError(f"p = {p} is not prime")
     if p_int == 2:
@@ -649,7 +655,8 @@ _cached = {}  # {(p, n): Field}, one entry: a sweep reuses only the field of its
 
 def cached_field(p, n=1):
     """build_field(p, n), held until another (p, n) is asked (n defaults to 1)."""
-    if (p, n) not in _cached:
+    key = _index(p), _index(n)  # a bool misses (True == 1) and build_field rejects it
+    if key not in _cached:
         _cached.clear()  # dropped before the next build, not after
-        _cached[p, n] = build_field(p, n)
-    return _cached[p, n]
+        _cached[key] = build_field(p, n)
+    return _cached[key]

@@ -83,8 +83,9 @@ def enumerate_prime_powers(min_q, max_q, congruences=()):
     min_q <= q < max_q matching every congruence (modulus, residue) filter,
     ascending by q.
     Only the window is sieved, by the primes up to sqrt(max_q), so the cost
-    goes as (max_q - min_q) + sqrt(max_q).  No field is larger than
-    CODE_LIMIT: a max_q past it is rejected before any sieve."""
+    goes as (max_q - min_q) + sqrt(max_q).  A bound that is no integer, or a
+    max_q past CODE_LIMIT + 1 (no field is larger), is rejected first."""
+    min_q, max_q = integer(min_q, "min_q"), integer(max_q, "max_q")
     if min_q < 3:
         raise ValueError("min_q must be at least 3")
     if max_q > CODE_LIMIT + 1:
@@ -165,12 +166,13 @@ U_MODES = "default | all | sample:K:SEED | fixed:U1,U2,..."
 
 
 def _parse_u_mode(u_mode, q):
-    """-> ('all', None) | ('sample', (k, seed)) | ('fixed', codes)."""
+    """-> ('all', None) | ('sample', (k, seed)) | ('fixed', codes); a ValueError
+    for any other mode, one that is no str included."""
     if u_mode == "default":
         return ("all", None) if q <= 2000 else ("sample", (64, 0))
     if u_mode == "all":
         return "all", None
-    kind, _, rest = u_mode.partition(":")
+    kind, _, rest = u_mode.partition(":") if isinstance(u_mode, str) else ("", "", "")
     try:
         numbers = tuple(int(t) for t in rest.split("," if kind == "fixed" else ":"))
     except ValueError:
@@ -258,22 +260,18 @@ def _rows_condition_claim(field, claim, u_mode):
     ]
     misses = [(u, delta) for u, delta in deltas if delta != expected]
     n_pass = len(deltas) - len(misses)
-    agreeing = _row(field, claim, AGGREGATE_U, expected, expected, "pass")
     if not exhaustive:
         for u, delta in deltas:
             status = _status(field, claim, delta == expected)
             rows.append(_row(field, claim, u, delta, expected, status))
         return rows
     # exhaustive runs aggregate agreeing u into one row per q
-    if not misses:
-        rows.append(agreeing)
-    elif claim.below_threshold(field.q):
+    if misses and claim.below_threshold(field.q):
         computed = f"{expected}:{n_pass}/{len(deltas)}"
-        rows.append(_row(field, claim, AGGREGATE_U, computed, expected, "skipped"))
-    else:
-        rows += [_row(field, claim, u, delta, expected, "exception") for u, delta in misses]
-        if n_pass:
-            rows.append(agreeing)
+        return rows + [_row(field, claim, AGGREGATE_U, computed, expected, "skipped")]
+    rows += [_row(field, claim, u, delta, expected, "exception") for u, delta in misses]
+    if n_pass:
+        rows.append(_row(field, claim, AGGREGATE_U, expected, expected, "pass"))
     return rows
 
 
@@ -556,7 +554,9 @@ def _claim_spec(claim_id):
 
 
 def check_request(claim_ids, u_mode):
-    """Raise ValueError for an unknown claim id or a malformed u mode."""
+    """Raise ValueError for claims given as one str, an unknown claim id or a bad u mode."""
+    if isinstance(claim_ids, str):  # else read letter by letter
+        raise ValueError(f"claims = {claim_ids!r} is one string, not a sequence of claim ids")
     for claim_id in claim_ids:
         _claim_spec(claim_id)
     _parse_u_mode(u_mode, 0)
@@ -665,17 +665,19 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
     (killed by the OS, say) turns every task it leaves unfinished into an
     error row instead of a hang.  progress, if given, is called as
     progress(done, total, q) as each task finishes, in completion order.
-    A claim id named twice runs once.  Raises ValueError for jobs not a
-    positive integer, max_q < min_q, an unknown claim id or a malformed u
-    mode, before any work starts.
+    A claim id named twice runs once.  Raises ValueError before any work for
+    each request field it rejects: jobs not a positive integer; min_q or max_q
+    no integer, max_q < min_q or max_q past CODE_LIMIT + 1; claims one str or
+    with an unknown id; a u_mode that is no str of the form U_MODES.
     """
     integer(config.jobs, "jobs", positive=True)
-    if config.max_q < config.min_q:
-        raise ValueError(f"max_q = {config.max_q} is below min_q = {config.min_q}")
+    min_q, max_q = integer(config.min_q, "min_q"), integer(config.max_q, "max_q")
+    if max_q < min_q:
+        raise ValueError(f"max_q = {max_q} is below min_q = {min_q}")
     check_request(config.claims, config.u_mode)
     tasks = [
         (claim_id, p, n)
-        for p, n, q in enumerate_prime_powers(max(config.min_q, 3), config.max_q)
+        for p, n, q in enumerate_prime_powers(max(min_q, 3), max_q)
         for claim_id in sorted(set(config.claims))
         if CLAIMS[claim_id].admits(p, q)
     ]

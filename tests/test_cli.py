@@ -261,6 +261,37 @@ def test_verify_reports_a_raising_claim_and_goes_on(capsys, monkeypatch):
     (row,) = [json.loads(line) for line in out.splitlines()]
     assert row["claim_id"] == "THM5_DELTA3" and row["status"] == "pass"
 
+    # a ValueError raised during a claim's work is that claim's error row,
+    # exit 1, in verify and in sweep: main maps only input checks to exit 2
+    def bad_value(field, claim, u_mode):
+        raise ValueError("raised during work")
+
+    spec = dataclasses.replace(verifier.CLAIMS["BOOM_F21"], evaluate=bad_value)
+    monkeypatch.setitem(verifier.CLAIMS, "BOOM_F21", spec)
+    error_line = "Error: q=23, claim=BOOM_F21: ValueError: raised during work\n"
+    code, out, err = run_cli(capsys, "verify", "--q", "23", "--claims", "BOOM_F21", "THM5_DELTA3")
+    assert code == 1 and err == error_line
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["claim_id"] == "THM5_DELTA3" and row["status"] == "pass"
+    code, out, err = run_cli(capsys, "sweep", "--min", "23", "--max", "24", "--claims",
+                             "BOOM_F21", "THM5_DELTA3", "--format", "text")
+    assert code == 1 and out.endswith(error_line) and "pass=1 " in out
+    assert err == "pass=1 exception=0 skipped=0\n"
+
+
+def test_a_non_value_error_of_a_one_field_command_propagates(capsys, monkeypatch):
+    # only a ValueError is a rejected input: anything else raised during the
+    # work leaves main as it is, with no "error: ..." line and no exit code
+    from nhsbox import cli
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError("inexact")
+
+    monkeypatch.setattr(cli, "differential_spectrum", broken)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        main(["spectrum", "--q", "11", "--u", "1"])
+    assert capsys.readouterr() == ("", "")
+
 
 def test_sweep_csv_and_exit(capsys, tmp_path):
     code, out, err = run_cli(
@@ -445,6 +476,33 @@ def test_documented_commands_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"{doc}: nhsbox {' '.join(argv)} does not parse")
+
+
+def test_documented_one_field_commands_run(capsys):
+    # README's examples other than its two sweeps (seconds to minutes, one at
+    # 4 jobs), run as written: each exits 0 with nothing on stderr, and the
+    # outputs README states are the outputs printed
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    outs = {}
+    for doc, argv in _documented_commands():
+        if doc == "README.md" and argv[0] != "sweep":
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            outs[" ".join(argv)] = out
+    assert list(outs) == [
+        "field --q 27", "spectrum --q 11 --r 2 --u 1", "spectrum --q 343 --u 1/3",
+        "boomerang --q 311 --u 1", "charsum selftest --qmax 81", "constants --which thm2",
+        "verify --q 23 --claims THM5_DELTA3 BOOM_F21",
+    ]
+    stated = {
+        "constants --which thm2": ["m1=-98312 m2=-325643353"],
+        "spectrum --q 11 --r 2 --u 1": ['"delta": 3', '"locally_apn": true', '"0": 40'],
+    }
+    for command, fragments in stated.items():
+        for fragment in fragments:
+            assert fragment in readme and fragment in outs[command], (command, fragment)
 
 
 def test_readme_quick_start_runs(capsys):

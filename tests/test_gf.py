@@ -60,6 +60,13 @@ def test_build_field_reads_numpy_integers():
         build_field(7.0)
     with pytest.raises(DegreeError, match=r"^extension degree n = 3\.0 must be"):
         build_field(3, 3.0)
+    # a bool n is no degree, as a bool p is no prime: True built F_7, and
+    # cached_field(7, True) found F_7 under (7, 1), as True == 1
+    with pytest.raises(DegreeError, match=r"^extension degree n = True must be"):
+        build_field(7, True)
+    assert cached_field(7) is cached_field(np.int64(7), np.int64(1))
+    with pytest.raises(DegreeError, match=r"^extension degree n = True must be"):
+        cached_field(7, True)
 
 
 def test_build_field_rejects_a_bad_modulus():
@@ -884,6 +891,12 @@ def test_factorize_matches_sympy():
         assert factorize(m) == factorint(m), m
     with pytest.raises(ValueError):
         factorize(0)
+    # m is read as gf.integer reads it: 2.5 gave {2.5: 1}, True gave {}, and
+    # a numpy m left its last prime a numpy key
+    for m in (2.5, True):
+        with pytest.raises(ValueError, match=f"^m = {m!r} is not an integer$"):
+            factorize(m)
+    assert [type(k) for k in factorize(np.int64(12))] == [int, int]
 
 
 def test_runtime_does_not_load_sympy_or_mpmath():

@@ -41,6 +41,12 @@ def test_enumerate_prime_powers_examples(monkeypatch):
     assert enumerate_prime_powers(7, 6) == []
     with pytest.raises(ValueError):
         enumerate_prime_powers(2, 50)
+    # bounds are integers: 7.5 raised a TypeError from numpy, True read as 1
+    for lo, hi, name in ((7.5, 50, "min_q = 7.5"), (True, 50, "min_q = True"),
+                         (7, 50.0, "max_q = 50.0"), (3, True, "max_q = True")):
+        with pytest.raises(ValueError, match=f"^{name} is not an integer$"):
+            enumerate_prime_powers(lo, hi)
+    assert enumerate_prime_powers(np.int64(7), np.int64(12)) == [(7, 1, 7), (3, 2, 9), (11, 1, 11)]
     # no q above CODE_LIMIT is a field: such a range is rejected before the
     # sieve (patched to fail, so a missing check allocates nothing)
     monkeypatch.setattr(verifier, "_sieve", mock.Mock(side_effect=AssertionError("sieve ran")))
@@ -200,6 +206,12 @@ def test_sweep_rejects_malformed_u_mode():
                  "fixed:", "fixed:2,-2"):
         with pytest.raises(ValueError, match="bad u mode"):
             sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=900, max_q=912, u_mode=mode))
+    # a mode that is no str: None and 5 raised an AttributeError, b"all" a TypeError
+    for mode in (None, 5, b"all"):
+        with pytest.raises(ValueError, match=f"^bad u mode {mode!r}; expected "):
+            sweep(SweepConfig(claims=("THM3_DELTA4",), min_q=900, max_q=912, u_mode=mode))
+        with pytest.raises(ValueError, match="bad u mode"):
+            verifier.check_request(("THM3_DELTA4",), mode)
 
 
 def test_default_u_mode_samples_above_2000():
@@ -584,7 +596,7 @@ def test_sweep_determinism_across_jobs():
     )
 
 
-def test_sweep_rejects_inverted_range_and_unknown_claims():
+def test_sweep_rejects_inverted_range_and_unknown_claims(monkeypatch):
     with pytest.raises(ValueError, match="below min_q"):
         sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=5000, max_q=4000))
     with pytest.raises(ValueError, match="unknown claim 'NOPE'"):
@@ -596,6 +608,20 @@ def test_sweep_rejects_inverted_range_and_unknown_claims():
             sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=8, max_q=20, jobs=jobs))
     # an empty but not inverted range is a valid, empty sweep
     assert sweep(SweepConfig(claims=("THM5_DELTA3",), min_q=100, max_q=100)).rows == []
+    # each of these is rejected before the sieve (patched to fail).  A range
+    # bound of 7.5 raised a TypeError from the sieve, min_q = True ran from 1
+    # and max_q = True ran to 1; one string of claims was read letter by letter
+    monkeypatch.setattr(verifier, "_sieve", mock.Mock(side_effect=AssertionError("sieve ran")))
+    for fields, match in (
+        ({"min_q": 7.5}, "^min_q = 7.5 is not an integer$"),
+        ({"min_q": True}, "^min_q = True is not an integer$"),
+        ({"max_q": 40.0}, "^max_q = 40.0 is not an integer$"),
+        ({"max_q": True}, "^max_q = True is not an integer$"),
+        ({"claims": "THM5_DELTA3"}, "^claims = 'THM5_DELTA3' is one string, not a sequence"),
+    ):
+        config = {"claims": ("THM5_DELTA3",), "min_q": 7, "max_q": 40, **fields}
+        with pytest.raises(ValueError, match=match):
+            sweep(SweepConfig(**config))
 
 
 def test_sweep_worker_records_failures():
