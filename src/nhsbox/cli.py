@@ -5,7 +5,10 @@ Subcommands: field, spectrum, boomerang, charsum, constants, sweep, verify.
 F_{r,u} by its row reduction.  sweep and verify run the claims of
 verifier.CLAIMS, witness-set censuses included; a claim id given twice
 runs once, and a claim that raises is an error line, not a traceback.
-Machine-readable results go to stdout, diagnostics to stderr.  Exit codes:
+Machine-readable results go to stdout, diagnostics to stderr.  sweep,
+verify and charsum selftest share one SweepReport and one end, _finish: a
+task's error line is in a text report, in a json report's errors, and on
+stderr for a csv sweep, verify and charsum selftest.  Exit codes:
 0 all pass, 1 at least one exception, error or failed check, 2 a rejected
 input: any ValueError from an input check (the CLI's own UsageError, a q
 that is no field, a request that the library refuses), each raised before
@@ -23,7 +26,7 @@ from .characters import boomerang_constants, theorem2_constants, theorem6_consta
 from .gf import CODE_LIMIT, build_field, cached_field, factorize
 from .nh_family import NHParams
 from .spectra import FunctionTable, boomerang_spectrum, differential_spectrum
-from .verifier import U_MODES, SweepConfig, _sweep_worker, check_request, sweep
+from .verifier import U_MODES, SweepConfig, SweepReport, check_request, run_tasks, sweep
 
 
 class UsageError(ValueError):
@@ -113,14 +116,12 @@ def _cmd_charsum_selftest(args):
         raise UsageError(f"no odd prime power q <= qmax = {args.qmax}")
     report = sweep(SweepConfig(("CHARSUM",), 3, args.qmax + 1))
     results = {r.q: "pass" if r.status == "pass" else "FAIL" for r in report.rows}
-    for q, claim_id, msg in report.errors:
-        results[q] = "FAIL"
-        print(f"Error: q={q}, claim={claim_id}: {msg}", file=sys.stderr)
+    results.update((q, "FAIL") for q, _, _ in report.errors)
     width = len(str(max(results)))
     print(f"{'q':>{width}}  result")
     for q in sorted(results):
         print(f"{q:>{width}}  {results[q]}")
-    return 0 if report.ok else 1
+    return _finish(report)
 
 
 def _cmd_constants(args):
@@ -135,13 +136,7 @@ def _cmd_constants(args):
 
 
 def _cmd_sweep(args):
-    config = SweepConfig(
-        claims=tuple(args.claims),
-        min_q=args.min,
-        max_q=args.max,
-        jobs=args.jobs,
-        u_mode=args.u_mode,
-    )
+    config = SweepConfig(tuple(args.claims), args.min, args.max, args.jobs, args.u_mode)
     start, progress = time.monotonic(), None
     if sys.stderr.isatty():  # logs and pipes get no progress line
 
@@ -161,29 +156,29 @@ def _cmd_sweep(args):
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(rendered)
-    summary = report.summary
-    print(
-        f"pass={summary['pass']} exception={summary['exception']} skipped={summary['skipped']}",
-        file=sys.stderr,
-    )
-    return 0 if report.ok else 1
+    return _finish(report, rendered_errors=args.format != "csv", summary=True)
 
 
 def _cmd_verify(args):
     p, n = _prime_power(args.q)
     cached_field(p, n)  # q = 0, -1 or 2 is no field: exit 2 before any row
     check_request(args.claims, args.u_mode)
-    bad = 0
-    for claim in dict.fromkeys(args.claims):  # distinct ids, in the order given
-        rows, errors = _sweep_worker((claim, p, n), args.u_mode)
-        for row in rows:
-            shown = {k: v for k, v in row.__dict__.items() if k != "elapsed_ms"}
-            print(json.dumps(shown, sort_keys=True))
-            bad += row.status == "exception"
-        for q, claim_id, msg in errors:
-            print(f"Error: q={q}, claim={claim_id}: {msg}", file=sys.stderr)
-        bad += len(errors)
-    return 1 if bad else 0
+    claims = list(dict.fromkeys(args.claims))  # distinct ids, in the order given
+    rows, errors = run_tasks([(claim, p, n) for claim in claims], args.u_mode)
+    for row in rows:
+        shown = {k: v for k, v in row.__dict__.items() if k != "elapsed_ms"}
+        print(json.dumps(shown, sort_keys=True))
+    return _finish(SweepReport(rows, errors, {"claims": claims, "q": p**n, "u_mode": args.u_mode}))
+
+
+def _finish(report, rendered_errors=False, summary=False):
+    """Error lines (unless rendered) and the summary (if asked) on stderr; 0 if ok, else 1."""
+    if not rendered_errors:
+        for line in report.error_lines():
+            print(line, file=sys.stderr)
+    if summary:
+        print(report.summary_line, file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 def build_parser():

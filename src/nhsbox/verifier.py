@@ -564,12 +564,14 @@ def check_request(claim_ids, u_mode):
 
 def verify_claim(claim_id, p, n, *, u_mode="default"):
     """Evaluate one claim at q = p^n; returns report rows, each carrying the
-    wall time of the whole (claim, q) task as elapsed_ms."""
-    claim, q = _claim_spec(claim_id), p**n
-    if not claim.admits(p, q):
-        return [SweepRow(q, p, n, AGGREGATE_U, claim_id, "-", "-", "skipped")]
+    wall time of the whole (claim, q) task as elapsed_ms.  A (p, n) that is
+    no field raises from cached_field, before admits could skip it."""
+    claim = _claim_spec(claim_id)
     start = time.perf_counter()
-    rows = claim.evaluate(cached_field(p, n), claim, u_mode)
+    field = cached_field(p, n)
+    if not claim.admits(field.p, field.q):
+        return [SweepRow(field.q, field.p, field.n, AGGREGATE_U, claim_id, "-", "-", "skipped")]
+    rows = claim.evaluate(field, claim, u_mode)
     elapsed = (time.perf_counter() - start) * 1000.0
     for r in rows:
         r.elapsed_ms = elapsed
@@ -592,6 +594,9 @@ class SweepConfig:
 
 @dataclass
 class SweepReport:
+    """The rows and (q, claim_id, msg) errors of one claim run, and the one writer of
+    its error and summary lines; to_csv alone carries no error, so the CLI prints them."""
+
     rows: list
     errors: list
     config: dict
@@ -602,6 +607,14 @@ class SweepReport:
         for r in self.rows:
             counts[r.status] = counts.get(r.status, 0) + 1
         return counts
+
+    @property
+    def summary_line(self):
+        s = self.summary
+        return f"pass={s['pass']} exception={s['exception']} skipped={s['skipped']}"
+
+    def error_lines(self):
+        return [f"Error: q={q}, claim={claim_id}: {msg}" for q, claim_id, msg in self.errors]
 
     @property
     def ok(self):
@@ -619,17 +632,9 @@ class SweepReport:
         return buf.getvalue()
 
     def to_json(self, with_timing=False):
-        rows = []
-        for r in self.rows:
-            d = asdict(r)
-            if not with_timing:
-                d["elapsed_ms"] = 0
-            rows.append(d)
-        return json.dumps(
-            {"config": self.config, "summary": self.summary, "rows": rows, "errors": self.errors},
-            indent=2,
-            sort_keys=True,
-        )
+        rows = [asdict(r) if with_timing else {**asdict(r), "elapsed_ms": 0} for r in self.rows]
+        payload = dict(config=self.config, summary=self.summary, rows=rows, errors=self.errors)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_text(self):
         lines = []
@@ -637,19 +642,13 @@ class SweepReport:
             if r.status == "exception":
                 metric = CLAIMS[r.claim_id].metric
                 lines.append(f"Exception: q={r.q}, {metric}={r.computed}")
-        s = self.summary
-        lines.append(
-            f"claims={','.join(sorted(set(r.claim_id for r in self.rows)))} "
-            f"pass={s['pass']} exception={s['exception']} skipped={s['skipped']}"
-        )
-        for q, claim_id, msg in self.errors:
-            lines.append(f"Error: q={q}, claim={claim_id}: {msg}")
-        return "\n".join(lines) + "\n"
+        claims = ",".join(sorted(set(r.claim_id for r in self.rows)))
+        lines.append(f"claims={claims} {self.summary_line}")
+        return "\n".join(lines + self.error_lines()) + "\n"
 
 
 def _sweep_worker(task, u_mode):
-    """(rows, errors) of one (claim_id, p, n) task: an error row, not a
-    raise, when it fails, so the sweep goes on."""
+    """(rows, errors) of one (claim_id, p, n) task; a raise is an error, so the run goes on."""
     claim_id, p, n = task
     try:
         return verify_claim(claim_id, p, n, u_mode=u_mode), []
@@ -657,20 +656,50 @@ def _sweep_worker(task, u_mode):
         return [], [(p**n, claim_id, f"{type(exc).__name__}: {exc}")]
 
 
+def run_tasks(tasks, u_mode="default", jobs=1, progress=None):
+    """(rows, errors) of (claim_id, p, n) tasks in the order they finish,
+    the order given at one job; more jobs share a fork pool, and a worker
+    that dies (killed by the OS, say) leaves each unfinished task an error,
+    not a hang.  progress(done, total, q), if given, follows each task."""
+    rows, errors = [], []
+
+    def merge(done, task, result):
+        rows.extend(result[0])
+        errors.extend(result[1])
+        if progress is not None:
+            _, p, n = task
+            progress(done, len(tasks), p**n)
+
+    if jobs == 1 or len(tasks) <= 1:
+        for done, task in enumerate(tasks, 1):
+            merge(done, task, _sweep_worker(task, u_mode))
+    else:  # imported here so that in-process runs do not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=get_context("fork")) as pool:
+            futures = {pool.submit(_sweep_worker, t, u_mode): t for t in tasks}
+            for done, future in enumerate(as_completed(futures), 1):
+                claim_id, p, n = task = futures[future]
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    result = [], [(p**n, claim_id, f"BrokenProcessPool: {exc}")]
+                merge(done, task, result)
+    return rows, errors
+
+
 def sweep(config: SweepConfig, progress=None) -> SweepReport:
     """Run claims over every admissible prime power in [min_q, max_q).
 
-    Each (claim, q) is one pool task, handed out as workers free up; the
-    merged report is independent of the worker count.  A worker that dies
-    (killed by the OS, say) turns every task it leaves unfinished into an
-    error row instead of a hang.  progress, if given, is called as
-    progress(done, total, q) as each task finishes, in completion order.
-    A claim id named twice runs once.  Raises ValueError before any work for
-    each request field it rejects: jobs not a positive integer; min_q or max_q
-    no integer, max_q < min_q or max_q past CODE_LIMIT + 1; claims one str or
-    with an unknown id; a u_mode that is no str of the form U_MODES.
+    Each (claim, q) is one run_tasks task; the report, rows and errors
+    sorted and config holding the integers read, is independent of jobs.
+    A claim id named twice runs once.  Raises ValueError before any work
+    for each request field it rejects: jobs not a positive integer; min_q
+    or max_q no integer, max_q < min_q or max_q past CODE_LIMIT + 1; claims
+    one str or with an unknown id; a u_mode that is no str of the form U_MODES.
     """
-    integer(config.jobs, "jobs", positive=True)
+    jobs = integer(config.jobs, "jobs", positive=True)
     min_q, max_q = integer(config.min_q, "min_q"), integer(config.max_q, "max_q")
     if max_q < min_q:
         raise ValueError(f"max_q = {max_q} is below min_q = {min_q}")
@@ -681,33 +710,8 @@ def sweep(config: SweepConfig, progress=None) -> SweepReport:
         for claim_id in sorted(set(config.claims))
         if CLAIMS[claim_id].admits(p, q)
     ]
-
-    rows, errors = [], []
-
-    def merge(done, task, result):
-        rows.extend(result[0])
-        errors.extend(result[1])
-        if progress is not None:
-            _, p, n = task
-            progress(done, len(tasks), p**n)
-
-    if config.jobs == 1 or len(tasks) <= 1:
-        for done, task in enumerate(tasks, 1):
-            merge(done, task, _sweep_worker(task, config.u_mode))
-    else:  # imported here so that in-process sweeps do not load the pool machinery
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        workers = min(config.jobs, len(tasks))
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            futures = {pool.submit(_sweep_worker, t, config.u_mode): t for t in tasks}
-            for done, future in enumerate(as_completed(futures), 1):
-                claim_id, p, n = task = futures[future]
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    result = [], [(p**n, claim_id, f"BrokenProcessPool: {exc}")]
-                merge(done, task, result)
+    rows, errors = run_tasks(tasks, config.u_mode, jobs, progress)
     rows.sort(key=SweepRow.sort_key)
     errors.sort()
-    return SweepReport(rows, errors, {**asdict(config), "claims": list(config.claims)})
+    read = {"claims": list(config.claims), "min_q": min_q, "max_q": max_q, "jobs": jobs}
+    return SweepReport(rows, errors, {**asdict(config), **read})

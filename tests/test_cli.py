@@ -279,6 +279,55 @@ def test_verify_reports_a_raising_claim_and_goes_on(capsys, monkeypatch):
     assert err == "pass=1 exception=0 skipped=0\n"
 
 
+@pytest.mark.parametrize("argv, where", [
+    (("sweep", "--format", "csv"), "stderr"),
+    (("sweep", "--format", "csv", "--out", "report.csv"), "stderr"),
+    (("sweep", "--format", "json"), "json"),
+    (("sweep", "--format", "json", "--out", "report.json"), "json"),
+    (("sweep", "--format", "text"), "stdout"),
+    (("sweep", "--format", "text", "--out", "report.txt"), "file"),
+    (("verify",), "stderr"),
+    (("charsum",), "stderr"),
+])
+def test_a_task_error_is_reported_once_by_every_claim_command(capsys, monkeypatch, tmp_path,
+                                                              argv, where):
+    # one evaluator that raises at q = 23: every claim command and format
+    # shows its error exactly once, the csv sweep on stderr
+    import dataclasses
+
+    def raises_at_23(real):
+        def evaluate(field, claim, u_mode):
+            if field.q == 23:
+                raise RuntimeError("evaluator broke")
+            return real(field, claim, u_mode)
+        return evaluate
+
+    for claim_id in ("BOOM_F21", "CHARSUM"):
+        spec = verifier.CLAIMS[claim_id]
+        monkeypatch.setitem(verifier.CLAIMS, claim_id,
+                            dataclasses.replace(spec, evaluate=raises_at_23(spec.evaluate)))
+    monkeypatch.chdir(tmp_path)
+    command, *options = argv
+    claim_id = "CHARSUM" if command == "charsum" else "BOOM_F21"
+    code, out, err = run_cli(capsys, *{
+        "sweep": ("sweep", "--min", "23", "--max", "24", "--claims", "BOOM_F21", "THM5_DELTA3"),
+        "verify": ("verify", "--q", "23", "--claims", "BOOM_F21", "THM5_DELTA3"),
+        "charsum": ("charsum", "selftest", "--qmax", "23"),
+    }[command], *options)
+    written = (tmp_path / options[-1]).read_text() if "--out" in options else ""
+    msg = "RuntimeError: evaluator broke"
+    line = f"Error: q=23, claim={claim_id}: {msg}"
+    assert code == 1
+    if where == "json":
+        assert json.loads(written or out)["errors"] == [[23, claim_id, msg]]
+        assert "Error: q=" not in out + err + written
+    else:
+        assert (out + err + written).count(line) == 1
+        assert line in {"stdout": out, "stderr": err, "file": written}[where]
+    if command == "sweep":
+        assert err.endswith("pass=1 exception=0 skipped=0\n")
+
+
 def test_a_non_value_error_of_a_one_field_command_propagates(capsys, monkeypatch):
     # only a ValueError is a rejected input: anything else raised during the
     # work leaves main as it is, with no "error: ..." line and no exit code

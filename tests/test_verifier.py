@@ -125,6 +125,15 @@ def test_verify_claim_q_mismatch_yields_skipped_row():
     assert row.status == "skipped"
 
 
+@pytest.mark.parametrize("claim_id, p, n", [
+    ("LEMMA_SUITE", 9, 1), ("BOOM_F21", 4, 1), ("THM5_DELTA3", 7.5, 1), ("THM5_DELTA3", True, 3),
+])
+def test_verify_claim_rejects_a_request_that_is_no_field(claim_id, p, n):
+    # the field is read before admits, so no such request becomes a skipped row
+    with pytest.raises(ValueError, match="is not prime"):
+        verify_claim(claim_id, p, n)
+
+
 def test_verify_claim_derives_q_and_takes_u_mode_by_keyword():
     assert verify_claim("BOOM_F21", 3, 7)[0].q == 2187
     # u_mode is keyword-only: a stray fourth positional must not pass as one
@@ -622,6 +631,19 @@ def test_sweep_rejects_inverted_range_and_unknown_claims(monkeypatch):
         config = {"claims": ("THM5_DELTA3",), "min_q": 7, "max_q": 40, **fields}
         with pytest.raises(ValueError, match=match):
             sweep(SweepConfig(**config))
+
+
+def test_sweep_config_holds_the_integers_it_read():
+    # the config holds the Python ints read, so to_json takes numpy bounds and jobs
+    import json
+
+    rep = sweep(SweepConfig(("THM5_DELTA3",), np.int64(8), np.int64(40), jobs=np.int64(1)))
+    config = json.loads(rep.to_json())["config"]
+    assert config == {"claims": ["THM5_DELTA3"], "min_q": 8, "max_q": 40, "jobs": 1,
+                      "u_mode": "default"}
+    assert all(type(rep.config[k]) is int for k in ("min_q", "max_q", "jobs"))
+    plain = sweep(SweepConfig(("THM5_DELTA3",), 8, 40))
+    assert plain.to_json() == rep.to_json()
 
 
 def test_sweep_worker_records_failures():
